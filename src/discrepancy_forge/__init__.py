@@ -47,7 +47,6 @@ from .kernel import (  # noqa: F401
     BumpProfile,
     DecayProfile,
     KernelTable,
-    autocorrelate,
     build_bump,
     build_kernel_table,
     load_kernel,

@@ -104,8 +104,11 @@ def get_kernel(config: ExperimentConfig) -> KernelTable:
     kp = config.kernel_params
     path = _kernel_cache_path(config)
     if path is not None and path.exists():
-        table = load_kernel(path)
-        if _kernel_matches(table, kp):
+        try:
+            table = load_kernel(path)
+        except (ValueError, KeyError):
+            table = None  # torn or corrupt: a miss, rebuilt and overwritten below
+        if table is not None and _kernel_matches(table, kp):
             return table
     bump = build_bump(kp["d"], kp["grid_step"])
     table = build_kernel_table(kp["d"], bump, x_max=kp["x_max"], t_max=kp["t_max"])

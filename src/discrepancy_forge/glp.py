@@ -111,17 +111,20 @@ def search(m: int, chains: ChainSystem, strategy: str = "exhaustive", *,
     """
     if not is_prime(m):
         raise ValueError(f"modulus must be prime, got {m}")
+    if strategy not in ("exhaustive", "random", "korobov-rank1"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     d = chains.dimension
+    if strategy == "exhaustive":
+        if (m - 1) ** d > 10 ** 7:
+            raise ValueError(f"exhaustive search infeasible: (m-1)^d = {(m - 1) ** d:.2e}")
+        if d != 2:
+            raise ValueError("exhaustive search is implemented for d = 2 only")
     if phi_ball is None:
         phi_ball = PhiBall.build(chains, m)
     average = phi_ball.total / (m - 1)
 
     exact_mean = None
     if strategy == "exhaustive":
-        if (m - 1) ** d > 10 ** 7:
-            raise ValueError(f"exhaustive search infeasible: (m-1)^d = {(m - 1) ** d:.2e}")
-        if d != 2:
-            raise ValueError("exhaustive search is implemented for d = 2 only")
         class_sums = _residue_class_sums(phi_ball)
         best_a = int(np.argmin(class_sums[1:]) + 1)  # a = 0 is not realized by any g
         g = np.array([m - best_a, 1], dtype=np.int64)
@@ -132,7 +135,7 @@ def search(m: int, chains: ChainSystem, strategy: str = "exhaustive", *,
         cands = rng.integers(1, m, size=(n_samples, d))
         g = min(cands, key=lambda cg: congruence_sum(cg, m, chains, phi_ball=phi_ball))
         searched = n_samples
-    elif strategy == "korobov-rank1":
+    else:  # korobov-rank1
         best_val, g = np.inf, None
         for a in range(1, m):
             cand = np.array([pow(a, j, m) for j in range(d)], dtype=np.int64)
@@ -142,8 +145,6 @@ def search(m: int, chains: ChainSystem, strategy: str = "exhaustive", *,
             if val < best_val:
                 best_val, g = val, cand
         searched = m - 1
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     value = congruence_sum(g, m, chains, phi_ball=phi_ball)
     return GlpCertificate(

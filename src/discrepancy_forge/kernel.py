@@ -10,17 +10,25 @@ Construction chain, all radial and dimension d in {1, 2, 3}:
     gamma   = (exp(-2*pi) * integral of K over the unit ball)^(-1);
     psi(t)  = 4 * gamma * I(t/2).
 
-K is represented internally as a finite cosine/Bessel sum over a fixed
-Gauss-Legendre discretization of khat, so K, I(t) and radial masses are
-closed-form sums with no nested quadrature. Tables plus monotone (PCHIP)
-interpolants are what downstream modules consume; the tail beyond the table
-is replaced by a fitted power envelope that can only over-estimate I, which
-is the safe direction for every majorization it feeds.
+One radial Fourier transform F (cos, J0 or sinc sums over Gauss-Legendre
+nodes) serves both transforms in the chain. By the convolution theorem
+m * m = F^-1[(F m)^2], and F is its own inverse on radial functions, so the
+autocorrelation is two applications of F: once for F m on frequency nodes,
+once to map (F m)^2 back to radii. K is F applied to khat on a fixed node
+set, so K, I(t) and radial masses are closed-form sums with no nested
+quadrature.
+
+Tables plus monotone (PCHIP) interpolants are what downstream modules
+consume; the tail beyond the table is replaced by a fitted power envelope
+that can only over-estimate I, which is the safe direction for every
+majorization it feeds.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -97,93 +105,58 @@ def build_bump(d: int, grid_step: float = 1.0 / 256, *, rtol: float = 1e-12) -> 
 
 
 # ---------------------------------------------------------------------------
-# autocorrelation (m * m) on [0, 1]
+# radial Fourier transform; autocorrelation (m * m) on [0, 1]
 # ---------------------------------------------------------------------------
 
-def _autocorrelation_1d(bump: BumpProfile, s: np.ndarray, panels: int) -> np.ndarray:
+# radii s per chunk, bounding the node-by-radius matrix to a few MB
+_TRANSFORM_CHUNK = 256
+
+
+def _radial_transform(d: int, r: np.ndarray, wf: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """omega_d * sum_i wf_i r_i^(d-1) j_d(2 pi r_i s) for each s.
+
+    With wf_i = w_i f(r_i) on quadrature nodes r_i this is the Fourier
+    transform of the radial function f in dimension d, which is its own
+    inverse.
+    """
+    coeff = SPHERE_SURFACE[d] * wf * r ** (d - 1)
     out = np.empty_like(s)
-    for i, si in enumerate(s):
-        lo = max(-SUPPORT_RADIUS, si - SUPPORT_RADIUS)
-        hi = min(SUPPORT_RADIUS, si + SUPPORT_RADIUS)
-        if hi <= lo:
-            out[i] = 0.0
-            continue
-        u, w = panel_nodes(lo, hi, panels)
-        out[i] = np.dot(w, bump(np.abs(u)) * bump(np.abs(si - u)))
+    for i0 in range(0, len(s), _TRANSFORM_CHUNK):
+        rs = np.outer(r, s[i0:i0 + _TRANSFORM_CHUNK])
+        if d == 1:
+            j = np.cos(TWO_PI * rs)
+        elif d == 2:
+            j = j0(TWO_PI * rs)
+        else:
+            j = np.sinc(2.0 * rs)    # sin(2 pi r s) / (2 pi r s), 1 at s = 0
+        out[i0:i0 + _TRANSFORM_CHUNK] = coeff @ j
     return out
 
 
-def _autocorrelation_2d(bump: BumpProfile, s: np.ndarray,
-                        rho_panels: int, n_theta: int) -> np.ndarray:
-    rho, w_rho = panel_nodes(0.0, SUPPORT_RADIUS, rho_panels)
-    theta = (np.arange(n_theta) + 0.5) * (TWO_PI / n_theta)
-    w_theta = TWO_PI / n_theta
-    cos_t = np.cos(theta)
-    m_rho = bump(rho) * rho * w_rho
-    out = np.empty_like(s)
-    chunk = 32
-    for i0 in range(0, len(s), chunk):
-        sc = s[i0:i0 + chunk][:, None, None]
-        arg2 = sc * sc + rho[None, :, None] ** 2 - 2.0 * sc * rho[None, :, None] * cos_t[None, None, :]
-        vals = bump(np.sqrt(np.maximum(arg2, 0.0)))
-        out[i0:i0 + chunk] = w_theta * np.einsum("j,ijk->i", m_rho, vals)
-    return out
+def _autocorrelation(bump: BumpProfile, s: np.ndarray, cutoff: float,
+                     xi_panels: int, r_panels: int) -> np.ndarray:
+    """m * m = F[(F m)^2], with F m sampled on nodes over [0, cutoff]."""
+    d = bump.dimension
+    r, w_r = panel_nodes(0.0, SUPPORT_RADIUS, r_panels)
+    xi, w_xi = panel_nodes(0.0, cutoff, xi_panels)
+    mhat = _radial_transform(d, r, w_r * bump(r), xi)
+    return _radial_transform(d, xi, w_xi * mhat ** 2, s)
 
 
-def _autocorrelation_3d(bump: BumpProfile, s: np.ndarray, rho_panels: int) -> np.ndarray:
-    # Mint(x) = int_0^x m(u) u du via a dense spline antiderivative
-    u = np.linspace(0.0, SUPPORT_RADIUS, 4097)
-    mint = CubicSpline(u, bump(u) * u).antiderivative()
-
-    def mint_clamped(x):
-        return mint(np.clip(x, 0.0, SUPPORT_RADIUS))
-
-    rho, w_rho = panel_nodes(0.0, SUPPORT_RADIUS, rho_panels)
-    m_rho = bump(rho) * rho * w_rho
-    out = np.empty_like(s)
-    zero = s == 0.0
-    if np.any(zero):
-        val0, _ = integrate_refined(lambda r: bump(r) ** 2 * r * r, 0.0, SUPPORT_RADIUS)
-        out[zero] = SPHERE_SURFACE[3] * val0
-    pos = ~zero
-    sp = s[pos][:, None]
-    inner = mint_clamped(sp + rho[None, :]) - mint_clamped(np.abs(sp - rho[None, :]))
-    out[pos] = (TWO_PI / s[pos]) * (inner @ m_rho)
-    return out
-
-
-def autocorrelation_values(bump: BumpProfile, s, *, refine: bool = True) -> tuple[np.ndarray, float]:
+def autocorrelation_values(bump: BumpProfile, s) -> tuple[np.ndarray, float]:
     """(m * m)(s) for radii s in [0, 1], plus a refinement-based error estimate.
 
-    Raises QuadratureError when doubling the quadrature still moves any value
-    by more than 1e-8.
+    The doubling doubles the frequency cutoff and both sets of panels, so the
+    estimate also covers the truncated transform tail. Raises QuadratureError
+    when the doubling moves any value by more than 1e-8.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    d = bump.dimension
-    if d == 1:
-        coarse = _autocorrelation_1d(bump, s, panels=16)
-        fine = _autocorrelation_1d(bump, s, panels=32) if refine else coarse
-    elif d == 2:
-        coarse = _autocorrelation_2d(bump, s, rho_panels=8, n_theta=256)
-        fine = _autocorrelation_2d(bump, s, rho_panels=16, n_theta=512) if refine else coarse
-    else:
-        coarse = _autocorrelation_3d(bump, s, rho_panels=16)
-        fine = _autocorrelation_3d(bump, s, rho_panels=32) if refine else coarse
-    err = float(np.max(np.abs(fine - coarse))) if refine else 0.0
-    if refine and err > 1e-8:
+    coarse = _autocorrelation(bump, s, cutoff=50.0, xi_panels=50, r_panels=8)
+    fine = _autocorrelation(bump, s, cutoff=100.0, xi_panels=100, r_panels=16)
+    err = float(np.max(np.abs(fine - coarse)))
+    if err > 1e-8:
         raise QuadratureError(f"autocorrelation quadrature unstable: change {err:.3e}")
     return fine, err
-
-
-def autocorrelate(bump: BumpProfile, *, n_grid: int = 513):
-    """Tabulate (m * m) on a uniform radial grid over [0, 1].
-
-    Returns (grid, values, error_estimate). The value is 1 at 0 and 0 at
-    radius >= 1 up to quadrature error.
-    """
-    grid = np.linspace(0.0, 1.0, n_grid)
-    values, err = autocorrelation_values(bump, grid)
-    return grid, values, err
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +261,7 @@ class KernelTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KernelTable":
-        if data.get("format") != "discrepancy-forge-kernel":
+        if not isinstance(data, dict) or data.get("format") != "discrepancy-forge-kernel":
             raise ValueError("not a kernel table document")
         if data.get("version") != 1:
             raise ValueError(f"unsupported kernel table version {data.get('version')}")
@@ -312,7 +285,20 @@ class KernelTable:
 
 
 def save_kernel(table: KernelTable, path) -> None:
-    Path(path).write_text(json.dumps(table.to_dict(), sort_keys=True) + "\n")
+    """Write the table as JSON; readers see the old file or the whole new one.
+
+    The text goes to a unique temporary file in the target directory, which
+    then replaces `path` atomically, so concurrent writers cannot tear it.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(table.to_dict(), sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def load_kernel(path) -> KernelTable:
@@ -320,7 +306,7 @@ def load_kernel(path) -> KernelTable:
 
 
 class _MasterRepresentation:
-    """K as a finite cos/J0/sin sum over Gauss-Legendre nodes of khat."""
+    """K = F khat as a finite sum over Gauss-Legendre nodes of khat."""
 
     def __init__(self, d: int, nodes: np.ndarray, weights: np.ndarray, khat: np.ndarray):
         self.d = d
@@ -330,35 +316,7 @@ class _MasterRepresentation:
 
     def kernel(self, s: np.ndarray) -> np.ndarray:
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        if self.d == 1:
-            return (2.0 * self.coeff) @ np.cos(np.outer(self.a, s))
-        if self.d == 2:
-            return (TWO_PI * self.coeff * self.nodes) @ j0(np.outer(self.a, s))
-        out = np.empty_like(s)
-        pos = s > 0
-        c3 = 2.0 * self.coeff * self.nodes
-        out[pos] = (c3 @ np.sin(np.outer(self.a, s[pos]))) / s[pos]
-        if np.any(~pos):
-            out[~pos] = SPHERE_SURFACE[3] * np.dot(self.coeff, self.nodes ** 2)
-        return out
-
-    def radial_mass(self, lo: float, hi: float) -> float:
-        """Integral of K over the annulus lo <= |x| <= hi, in closed form."""
-        a = self.a
-
-        if self.d == 1:
-            prim = lambda s: np.sin(a * s) / a
-            inner = 2.0 * self.coeff
-            omega = SPHERE_SURFACE[1]
-        elif self.d == 2:
-            prim = lambda s: s * j1(a * s) / a
-            inner = TWO_PI * self.coeff * self.nodes
-            omega = SPHERE_SURFACE[2]
-        else:
-            prim = lambda s: (np.sin(a * s) - a * s * np.cos(a * s)) / (a * a)
-            inner = 2.0 * self.coeff * self.nodes
-            omega = SPHERE_SURFACE[3]
-        return float(omega * np.dot(inner, prim(hi) - prim(lo)))
+        return _radial_transform(self.d, self.nodes, self.coeff, s)
 
     def radial_mass_many(self, t: np.ndarray, hi: float) -> np.ndarray:
         """Integral of K over {t <= |x| <= hi} for a vector of lower bounds."""
@@ -442,7 +400,7 @@ def build_kernel_table(d: int, bump: BumpProfile, x_max: float = 25.0, t_max: fl
         raise QuadratureError(
             f"tail ratio I(t+1) >= exp(-2 pi) I(t) violated near t = {tail_grid[worst]:.2f}")
 
-    ball_mass = master.radial_mass(0.0, 1.0)
+    ball_mass = master.radial_mass_many(np.zeros(1), 1.0)[0]
     gamma = float(np.exp(TWO_PI) / ball_mass)
 
     provenance = {

@@ -163,12 +163,6 @@ class Cap:
         hi = np.minimum(self.theta + t, np.pi)
         return np.clip(0.5 * (np.cos(lo) - np.cos(hi)), 0.0, 1.0)
 
-    def minkowski(self, delta: float, t_grid=None) -> float:
-        if t_grid is None:
-            t_grid = np.geomspace(1e-4, np.pi, 200)
-        ratios = self.shell_measure(t_grid) * np.asarray(t_grid) ** (-delta)
-        return float(np.max(ratios))
-
     def to_json(self) -> dict:
         return {"variant": "cap", "pole": list(self.pole), "theta": self.theta}
 
@@ -199,12 +193,6 @@ class CapUnion:
 
     def shell_measure(self, t):
         return np.clip(sum(c.shell_measure(t) for c in self.caps), 0.0, 1.0)
-
-    def minkowski(self, delta: float, t_grid=None) -> float:
-        if t_grid is None:
-            t_grid = np.geomspace(1e-4, np.pi, 200)
-        ratios = self.shell_measure(t_grid) * np.asarray(t_grid) ** (-delta)
-        return float(np.max(ratios))
 
 
 def set_discrepancy(orb: SphereOrbit, region) -> float:
@@ -354,7 +342,9 @@ def sphere_bound(m: int, region, delta: float, rho: float, *,
         raise ValueError("delta must lie in (0, 1]")
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
-    M = region.minkowski(delta)
+    # Minkowski content: sup over t of mu(t-shell about the boundary) * t^-delta
+    t_grid = np.geomspace(1e-4, np.pi, 200)
+    M = float(np.max(region.shell_measure(t_grid) * t_grid ** (-delta)))
 
     def value(R):
         return M * (R ** (-delta) + R ** ((2.0 - delta) / 2.0) * rho)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from discrepancy_forge.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
+from discrepancy_forge.kernel import load_kernel
 
 BALL = '{"variant":"ball","center":[0.5,0.5],"radius":0.25}'
 LATTICE256 = '{"kind":"lattice","m":256,"d":2}'
@@ -133,6 +134,22 @@ def test_kernel_cache_round_trip(tmp_path):
     r1 = json.loads(out1.read_text())
     r2 = json.loads(out2.read_text())
     assert r1["report"] == r2["report"]
+
+
+def test_kernel_cache_survives_torn_file(tmp_path):
+    fresh_cache = tmp_path / "fresh.json"
+    torn_cache = tmp_path / "torn.json"
+    fresh_out = tmp_path / "fresh-report.json"
+    torn_out = tmp_path / "torn-report.json"
+    assert run_cli(["kernel-build", "--kernel-cache", str(fresh_cache),
+                    "--out", str(fresh_out)]) == EXIT_OK
+    text = fresh_cache.read_bytes()
+    torn_cache.write_bytes(text[:len(text) // 2])
+    # a cache file that fails to load is a miss: rebuilt and overwritten
+    assert run_cli(["kernel-build", "--kernel-cache", str(torn_cache),
+                    "--out", str(torn_out)]) == EXIT_OK
+    assert load_kernel(torn_cache).gamma == load_kernel(fresh_cache).gamma
+    assert torn_out.read_bytes() == fresh_out.read_bytes()
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -1,5 +1,7 @@
 """Kernel construction: bump profile, autocorrelation, kernel table, psi."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
@@ -8,7 +10,6 @@ from scipy.special import j0
 from discrepancy_forge.kernel import (
     DecayProfile,
     KernelTable,
-    autocorrelate,
     autocorrelation_values,
     build_bump,
     build_kernel_table,
@@ -53,10 +54,49 @@ def test_bump_rejects_bad_arguments():
 
 
 def test_autocorrelation_normalization_and_support(bump2):
-    grid, values, err = autocorrelate(bump2)
+    values, err = autocorrelation_values(bump2, np.linspace(0.0, 1.0, 513))
     assert abs(values[0] - 1.0) < 1e-6
     assert values[-1] == pytest.approx(0.0, abs=1e-12)
     assert err < 1e-8
+
+
+def direct_autocorrelation(bump, s):
+    """(m * m)(s) by nested adaptive quadrature in physical space."""
+    c = bump.normalization
+    tol = {"epsabs": 1e-14, "epsrel": 1e-13, "limit": 200}
+
+    def m(r):
+        return c * math.exp(-1.0 / (0.25 - r * r)) if abs(r) < 0.5 else 0.0
+
+    def integral(f, lo, hi):
+        return quad(f, lo, hi, **tol)[0] if lo < hi else 0.0
+
+    if bump.dimension == 1:
+        return integral(lambda u: m(u) * m(s - u), s - 0.5, 0.5)
+    if bump.dimension == 2:
+        def ring(rho):
+            # integral of m(|s e_1 - rho e(theta)|) over theta
+            if s == 0.0:
+                return 2 * math.pi * m(rho)
+            cos_min = (s * s + rho * rho - 0.25) / (2 * s * rho)
+            theta_max = math.acos(min(max(cos_min, -1.0), 1.0))
+            return 2 * integral(lambda th: m(math.sqrt(max(
+                s * s + rho * rho - 2 * s * rho * math.cos(th), 0.0))), 0.0, theta_max)
+        return integral(lambda rho: m(rho) * rho * ring(rho), 0.0, 0.5)
+    if s == 0.0:
+        return 4 * math.pi * integral(lambda r: m(r) ** 2 * r * r, 0.0, 0.5)
+    shell = lambda rho: integral(lambda u: m(u) * u, abs(s - rho), min(s + rho, 0.5))
+    return 2 * math.pi / s * integral(lambda rho: m(rho) * rho * shell(rho), 0.0, 0.5)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("s", [0.0, 0.25, 0.5, 0.75, 0.95])
+def test_autocorrelation_matches_direct_convolution(d, s):
+    # m * m = F[(F m)^2] against the convolution integral itself
+    bump = build_bump(d, 1.0 / 256)
+    values, err = autocorrelation_values(bump, s)
+    assert abs(values[0] - direct_autocorrelation(bump, s)) < 1e-12
+    assert err < 1e-12
 
 
 def test_autocorrelation_matches_monte_carlo(bump2):
