@@ -40,7 +40,6 @@ from .hfourier import (  # noqa: F401
     FConstantReport,
     HCoefficientTable,
     f_constant,
-    h_coefficient,
     h_coefficient_table,
 )
 from .kernel import (  # noqa: F401

@@ -30,6 +30,7 @@ from .errors import ConfigError, InvariantViolation
 from .erdos_turan import et_bound, et_bound_r_search, optimal_R
 from .geometry import TorusSet, set_from_json
 from .glp import PhiBall, search
+from .hfourier import h_coefficient_table
 from .kernel import (
     DecayProfile,
     KernelTable,
@@ -230,29 +231,36 @@ def run_bound(config: ExperimentConfig) -> dict:
     r_spec = params["R"]
     exponents = {"alpha": alpha, "beta": beta}
 
-    search_table = None
+    report = search_table = None
     if isinstance(r_spec, str) and r_spec.startswith("auto:"):
         rule = r_spec.split(":", 1)[1]
         if rule in ("lattice", "kronecker"):
             R = optimal_R(rule, points.size, points.dimension, alpha, beta, eps=eps)
             R = max(R, 4.0)
-            report = et_bound(set_, points, kernel, R, exponents=exponents)
         elif rule == "search":
             formula = max(optimal_R("lattice", points.size, points.dimension,
                                     alpha, beta), 4.0)
             report, search_table = et_bound_r_search(set_, points, kernel,
                                                      formula_R=formula)
+            R = report.R
         else:
             raise ConfigError(f"unknown R rule {rule!r}")
     else:
-        report = et_bound(set_, points, kernel, float(r_spec), exponents=exponents)
+        R = float(r_spec)
+    if report is None or config.csv_out:
+        # one table and one spectrum (et_bound's oversample) serve the bound and its CSV
+        h_table = h_coefficient_table(set_, kernel, R, oversample=2)
+        spectrum = weyl_spectrum(points, R)
+    if report is None:
+        report = et_bound(set_, points, kernel, R, h_table=h_table, spectrum=spectrum,
+                          exponents=exponents)
 
     _require(report.bound + report.uncertainty >= report.true_discrepancy,
              "bound validity", report.bound + report.uncertainty,
              report.true_discrepancy)
 
     if config.csv_out:
-        _write_bound_csv(config.csv_out, set_, kernel, points, report.R)
+        _write_bound_csv(config.csv_out, set_, h_table, spectrum)
     doc = report.to_json()
     doc["kernel_provenance"] = kernel.provenance
     if search_table is not None:
@@ -260,12 +268,9 @@ def run_bound(config: ExperimentConfig) -> dict:
     return doc
 
 
-def _write_bound_csv(path, set_, kernel, points, R) -> None:
-    from .hfourier import h_coefficient_table
-    spectrum = weyl_spectrum(points, R)
-    table = h_coefficient_table(set_, kernel, R, oversample=2)
+def _write_bound_csv(path, set_, h_table, spectrum) -> None:
     chi = set_.fourier_coefficients(spectrum.freqs)
-    h_vals = np.abs(table.values(spectrum.freqs))
+    h_vals = np.abs(h_table.values(spectrum.freqs))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k1", "k2", "chi_re", "chi_im", "chi_abs", "h_abs",

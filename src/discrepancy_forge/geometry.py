@@ -6,6 +6,10 @@ distance, exact membership (with a recorded boundary convention), Fourier
 coefficients (closed forms for boxes and balls; divergence-theorem recursion
 for polygons), and boundary-shell volumes (closed Steiner-type forms where
 available, otherwise seeded Monte Carlo through `shell_measure_mc`).
+Each model writes its distance formula once, on per-axis coordinate arrays
+that broadcast: `boundary_distances` passes the columns of a point array,
+`distance_grid` passes the grid axes as a column and a row, so an n x n grid
+needs no n^2 point array.
 
 Boundary conventions: boxes are half-open [a, b) per axis; balls and
 polygons are closed. Desk-scale discrepancy is sensitive to points landing
@@ -14,6 +18,7 @@ exactly on boundaries, so the convention is part of each report.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,8 +43,16 @@ class TorusSet:
     def contains(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def boundary_distances(self, points: np.ndarray) -> np.ndarray:
+    def _distance(self, coords) -> np.ndarray:
+        """Boundary distance at the points with coordinates `coords`.
+
+        `coords` holds one array per axis; the arrays broadcast against each
+        other, so columns of a point array and grid axes share one formula.
+        """
         raise NotImplementedError
+
+    def boundary_distances(self, points: np.ndarray) -> np.ndarray:
+        return self._distance(tuple(np.asarray(points, dtype=float).T))
 
     def boundary_distance(self, x) -> float:
         return float(self.boundary_distances(np.atleast_2d(np.asarray(x, dtype=float)))[0])
@@ -57,14 +70,12 @@ class TorusSet:
     def to_json(self) -> dict:
         raise NotImplementedError
 
-    def distance_grid(self, n: int) -> np.ndarray:
-        """Boundary distance on the n x n grid (i/n, j/n), d = 2 only."""
+    def distance_grid(self, n: int, rows: slice = slice(None)) -> np.ndarray:
+        """Boundary distance on the rows `rows` of the n x n grid (i/n, j/n), d = 2 only."""
         if self.dimension != 2:
             raise ValueError("distance_grid is 2-d only")
         axis = np.arange(n) / n
-        X, Y = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-        return self.boundary_distances(pts).reshape(n, n)
+        return self._distance((axis[rows, None], axis[None, :]))
 
     def indicator_grid(self, n: int) -> np.ndarray:
         if self.dimension != 2:
@@ -115,23 +126,26 @@ class Box(TorusSet):
         b = np.asarray(self.b)
         return np.all((pts >= a) & (pts < b), axis=1)
 
-    def boundary_distances(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        a = np.asarray(self.a)
-        b = np.asarray(self.b)
-        d = self.dimension
-        best = np.full(len(pts), np.inf)
-        shifts = _SHIFTS2 if d == 2 else np.array(
-            np.meshgrid(*([(-1.0, 0.0, 1.0)] * d), indexing="ij")).reshape(d, -1).T
-        pts = np.mod(pts, 1.0)
-        for s in shifts:
-            lo = (a + s) - pts
-            hi = pts - (b + s)
-            outside = np.maximum(np.maximum(lo, hi), 0.0)
-            dist_out = np.sqrt(np.sum(outside ** 2, axis=1))
-            inside = np.all((lo < 0) & (hi < 0), axis=1)
-            margin = np.min(np.minimum(-lo, -hi), axis=1)
-            best = np.minimum(best, np.where(inside, margin, dist_out))
+    def _distance(self, coords) -> np.ndarray:
+        # per axis and shift s in {-1, 0, 1}: squared outside gap, inside flag, margin
+        per_axis = []
+        for x, a, b in zip(coords, self.a, self.b):
+            x = np.mod(x, 1.0)
+            terms = []
+            for s in (-1.0, 0.0, 1.0):
+                lo = (a + s) - x
+                hi = x - (b + s)
+                terms.append((np.maximum(np.maximum(lo, hi), 0.0) ** 2,
+                              (lo < 0) & (hi < 0), np.minimum(-lo, -hi)))
+            per_axis.append(terms)
+        best = np.inf
+        for shift in itertools.product(*per_axis):
+            (out2, inside, margin), *rest = shift
+            for o2, ins, mar in rest:
+                out2 = out2 + o2
+                inside = inside & ins
+                margin = np.minimum(margin, mar)
+            best = np.minimum(best, np.where(inside, margin, np.sqrt(out2)))
         return best
 
     def fourier_coefficients(self, freqs: np.ndarray) -> np.ndarray:
@@ -217,16 +231,17 @@ class Ball(TorusSet):
         r = self.radius
         return float(np.pi * r * r if self.dimension == 2 else 4.0 / 3.0 * np.pi * r ** 3)
 
-    def _torus_center_distance(self, points: np.ndarray) -> np.ndarray:
-        diff = np.asarray(points, dtype=float) - np.asarray(self.center)
-        diff = np.mod(diff + 0.5, 1.0) - 0.5
-        return np.sqrt(np.sum(diff ** 2, axis=1))
+    def _center_distance(self, coords) -> np.ndarray:
+        sq = 0.0
+        for x, c in zip(coords, self.center):
+            sq = sq + (np.mod(x - c + 0.5, 1.0) - 0.5) ** 2
+        return np.sqrt(sq)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        return self._torus_center_distance(points) <= self.radius
+        return self._center_distance(tuple(np.asarray(points, dtype=float).T)) <= self.radius
 
-    def boundary_distances(self, points: np.ndarray) -> np.ndarray:
-        return np.abs(self._torus_center_distance(points) - self.radius)
+    def _distance(self, coords) -> np.ndarray:
+        return np.abs(self._center_distance(coords) - self.radius)
 
     def fourier_coefficients(self, freqs: np.ndarray) -> np.ndarray:
         freqs = np.atleast_2d(np.asarray(freqs, dtype=float))
@@ -347,22 +362,32 @@ class ConvexPolytope(TorusSet):
             hit |= inside
         return hit
 
-    def boundary_distances(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
+    def _distance(self, coords) -> np.ndarray:
+        x, y = coords
         p, q = self.edges()
-        best = np.full(len(pts), np.inf)
-        for i in range(len(p)):
-            mid = 0.5 * (p[i] + q[i])
-            half = 0.5 * (q[i] - p[i])
-            y = np.mod(pts - mid + 0.5, 1.0) - 0.5
-            for s in _SHIFTS2:
-                z = y - s
-                # distance from z to segment [-half, half]
-                seg2 = np.dot(half, half)
-                tproj = np.clip((z @ half) / seg2, -1.0, 1.0)
-                dx = z - tproj[:, None] * half
-                best = np.minimum(best, np.sqrt(np.sum(dx ** 2, axis=1)))
-        return best
+        best2 = None
+        for mid, half in zip(0.5 * (p + q), 0.5 * (q - p)):
+            seg2 = np.dot(half, half)
+            yx = np.mod(x - mid[0] + 0.5, 1.0) - 0.5
+            yy = np.mod(y - mid[1] + 0.5, 1.0) - 0.5
+            for sx in (-1.0, 0.0, 1.0):
+                zx = yx - sx
+                zx_half = zx * half[0]
+                for sy in (-1.0, 0.0, 1.0):
+                    # squared distance from z to the segment [-half, half], in place
+                    zy = yy - sy
+                    t = zx_half + zy * half[1]
+                    t /= seg2
+                    np.clip(t, -1.0, 1.0, out=t)
+                    dx = t * half[0]
+                    np.subtract(zx, dx, out=dx)
+                    dx *= dx
+                    t *= half[1]
+                    np.subtract(zy, t, out=t)
+                    t *= t
+                    dx += t
+                    best2 = dx if best2 is None else np.minimum(best2, dx, out=best2)
+        return np.sqrt(best2, out=best2)
 
     def fourier_coefficients(self, freqs: np.ndarray) -> np.ndarray:
         """Exact Fourier transform of the polygon via the divergence identity.

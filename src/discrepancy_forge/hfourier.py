@@ -1,23 +1,41 @@
 """Fourier coefficients of the boundary-layer majorant H_R on the torus.
 
 H_R(x) = psi(2 R dist(x, boundary Omega)) / 4 = gamma * I(R dist(x, boundary)).
-Coefficients are computed by tensor-grid quadrature (an FFT of H sampled on
-an n x n grid, n a power of two at least max(8R, 256) times an oversampling
-factor), with a per-coefficient error estimate from one grid refinement.
+Coefficients are computed by tensor-grid quadrature: the 2-d DFT of H sampled
+on an n x n grid, n a power of two at least max(8R, 256) times an
+oversampling factor. The grid is evaluated one strip of rows at a time (about
+2^20 points, an even number of rows): each strip's distances and I(R dist)
+are computed once, the strip is transformed along its rows, and only the
+2 kmax + 1 wanted columns are kept; one transform along the columns of that
+n x (2 kmax + 1) array finishes the block, so memory is O(n kmax), not O(n^2).
+A guard estimates those bytes first and raises ConfigError when they exceed
+physical memory.
+
+The per-coefficient error estimate is the change from the n/2 grid. Its
+point (i, j) is the n grid point (2i, 2j) bitwise, so the coarse strip is
+the fine strip at [::2, ::2] and no point is evaluated twice.
+`h_function_grid` evaluates H on a whole grid for callers that need the
+values themselves (psi(R dist) = 4 H_{R/2} in the sandwich checks).
 The k = 0 coefficient of balls can be cross-checked through the coarea
 disintegration over boundary shells, kept here as `h_zero_by_coarea`.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import ConfigError, QuadratureError
 from .frequencies import integer_ball
 from .geometry import Ball, TorusSet
 from .kernel import KernelTable
+
+
+# points per strip of grid rows evaluated at once, and bytes held per strip point
+_STRIP_POINTS = 1 << 20
+_STRIP_BYTES_PER_POINT = 64
 
 
 def _fft_resolution(R: float, oversample: int) -> int:
@@ -27,16 +45,9 @@ def _fft_resolution(R: float, oversample: int) -> int:
 
 
 def h_function_grid(set_: TorusSet, kernel: KernelTable, R: float, n: int) -> np.ndarray:
+    """H_R on the whole n x n grid (i/n, j/n)."""
     dist = set_.distance_grid(n)
     return kernel.gamma * kernel.tail_integral(R * dist)
-
-
-def _coefficient_block(set_: TorusSet, kernel: KernelTable, R: float,
-                       n: int, kmax: int) -> np.ndarray:
-    grid = h_function_grid(set_, kernel, R, n)
-    fhat = np.fft.fft2(grid) / (n * n)
-    idx = np.arange(-kmax, kmax + 1) % n
-    return fhat[np.ix_(idx, idx)]
 
 
 @dataclass
@@ -85,20 +96,47 @@ def h_coefficient_table(set_: TorusSet, kernel: KernelTable, R: float, *,
         raise QuadratureError(
             f"kmax {kmax} too close to Nyquist of the n = {n} grid; "
             "raise the oversampling factor")
-    fine = _coefficient_block(set_, kernel, R, n, kmax)
+    width = 2 * kmax + 1
+    rows = 2 * max(1, _STRIP_POINTS // (2 * n))
+    _check_memory(n, width, rows, refine)
+    idx = np.arange(-kmax, kmax + 1)
+    fine = np.empty((n, width), dtype=complex)
+    coarse = np.empty((n // 2, width), dtype=complex) if refine else None
+    for start in range(0, n, rows):
+        strip = slice(start, start + rows)
+        h = kernel.gamma * kernel.tail_integral(R * set_.distance_grid(n, rows=strip))
+        fine[strip] = _row_fft(h, idx)
+        if refine:
+            # the n/2 grid point (i, j) is the n grid point (2i, 2j), bitwise
+            coarse[start // 2:(start + rows) // 2] = _row_fft(h[::2, ::2], idx)
+    block = _column_fft(fine, idx)
     if refine:
-        coarse = _coefficient_block(set_, kernel, R, n // 2, kmax)
-        err = np.abs(fine - coarse) + 1e-15 * kernel.gamma
+        err = np.abs(block - _column_fft(coarse, idx)) + 1e-15 * kernel.gamma
     else:
-        err = np.full(fine.shape, np.nan)
-    return HCoefficientTable(R=float(R), kmax=kmax, grid_n=n, block=fine, err=err)
+        err = np.full(block.shape, np.nan)
+    return HCoefficientTable(R=float(R), kmax=kmax, grid_n=n, block=block, err=err)
 
 
-def h_coefficient(set_: TorusSet, kernel: KernelTable, R: float, k, **kwargs) -> complex:
-    """Single coefficient H_R-hat(k); convenience wrapper over the table."""
-    k = np.asarray(k, dtype=np.int64)
-    table = h_coefficient_table(set_, kernel, R, kmax=int(np.max(np.abs(k))) or 1, **kwargs)
-    return complex(table.values(k.reshape(1, -1))[0])
+def _row_fft(strip: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Columns `idx` (mod m) of the DFT along the rows of a strip of an m x m grid."""
+    return np.fft.fft(strip, axis=1)[:, idx % strip.shape[1]]
+
+
+def _column_fft(cols: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Finish the 2-d DFT of an m x m grid whose kept columns are `cols`."""
+    m = len(cols)
+    return np.fft.fft(cols, axis=0)[idx % m] / (m * m)
+
+
+def _check_memory(n: int, width: int, rows: int, refine: bool) -> None:
+    """Raise ConfigError if the table's arrays would not fit in physical memory."""
+    kept = (n + n // 2 if refine else n) + n   # kept columns plus one column FFT
+    estimate = 16 * width * kept + _STRIP_BYTES_PER_POINT * rows * n
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if estimate > physical:
+        raise ConfigError(
+            f"H-table on the {n} x {n} grid needs about {estimate / 2**30:.1f} GiB, "
+            f"more than the {physical / 2**30:.1f} GiB of physical memory")
 
 
 def h_zero_by_coarea(ball: Ball, kernel: KernelTable, R: float, *, n: int = 20001) -> float:

@@ -21,7 +21,8 @@ quadrature.
 Tables plus monotone (PCHIP) interpolants are what downstream modules
 consume; the tail beyond the table is replaced by a fitted power envelope
 that can only over-estimate I, which is the safe direction for every
-majorization it feeds.
+majorization it feeds. The cache file's `version` is bumped whenever a change
+moves table numbers, so tables written by older code are rebuilt, not reused.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ class KernelTable:
     def to_dict(self) -> dict:
         return {
             "format": "discrepancy-forge-kernel",
-            "version": 1,
+            "version": 2,
             "dimension": self.dimension,
             "khat_grid": self.khat_grid.tolist(),
             "khat": self.khat.tolist(),
@@ -263,7 +264,7 @@ class KernelTable:
     def from_dict(cls, data: dict) -> "KernelTable":
         if not isinstance(data, dict) or data.get("format") != "discrepancy-forge-kernel":
             raise ValueError("not a kernel table document")
-        if data.get("version") != 1:
+        if data.get("version") != 2:
             raise ValueError(f"unsupported kernel table version {data.get('version')}")
         return cls(
             dimension=int(data["dimension"]),

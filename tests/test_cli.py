@@ -152,6 +152,24 @@ def test_kernel_cache_survives_torn_file(tmp_path):
     assert torn_out.read_bytes() == fresh_out.read_bytes()
 
 
+def test_kernel_cache_from_older_version_is_rebuilt(tmp_path):
+    fresh_cache = tmp_path / "fresh.json"
+    old_cache = tmp_path / "old.json"
+    fresh_out = tmp_path / "fresh-report.json"
+    old_out = tmp_path / "old-report.json"
+    assert run_cli(["kernel-build", "--kernel-cache", str(fresh_cache),
+                    "--out", str(fresh_out)]) == EXIT_OK
+    doc = json.loads(fresh_cache.read_text())
+    assert doc["version"] == 2
+    doc["version"] = 1
+    old_cache.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    # a table written by older code is a miss: rebuilt and overwritten
+    assert run_cli(["kernel-build", "--kernel-cache", str(old_cache),
+                    "--out", str(old_out)]) == EXIT_OK
+    assert json.loads(old_cache.read_text())["version"] == 2
+    assert old_out.read_bytes() == fresh_out.read_bytes()
+
+
 def test_determinism_byte_identical(tmp_path):
     args_template = ["bound", "--set", BALL, "--points", LATTICE256, "--R", "16"]
     outs = []

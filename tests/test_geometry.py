@@ -82,6 +82,44 @@ def test_fat_box_distance_against_brute_force():
     assert np.max(np.abs(d - best)) < 1e-3
 
 
+@pytest.mark.parametrize("set_", [
+    Box((0.05, 0.1), (0.95, 0.8)),
+    Box((0.6, 0.0), (0.9, 0.3)),
+    Ball((0.5, 0.5), 0.25),
+    Ball((0.1, 0.93), 0.3),
+    ConvexPolytope(((0.3, 0.25), (0.75, 0.35), (0.7, 0.7), (0.25, 0.6)), epsilon=0.3),
+    random_convex_polygon(np.random.default_rng(11), 6),
+], ids=["fat-box", "edge-box", "ball", "wrapped-ball", "quad", "hexagon"])
+def test_grid_distances_match_per_point_distances(set_):
+    # the grid path broadcasts grid axes through the same formula that
+    # boundary_distances applies to the columns of a point array
+    n = 96
+    axis = np.arange(n) / n
+    X, Y = np.meshgrid(axis, axis, indexing="ij")
+    per_point = set_.boundary_distances(np.stack([X.ravel(), Y.ravel()], axis=1))
+    grid = set_.distance_grid(n)
+    assert grid.shape == (n, n)
+    assert np.max(np.abs(grid - per_point.reshape(n, n))) <= 2e-16
+    assert np.array_equal(set_.distance_grid(n, rows=slice(30, 64)), grid[30:64])
+
+
+def test_polygon_distance_matches_per_point_segment_loop():
+    # independent route: every point against every edge segment and 3 x 3
+    # translate, with vector dot products
+    poly = ConvexPolytope(((0.05, 0.05), (0.7, 0.1), (0.1, 0.7)), epsilon=0.1)
+    pts = np.random.default_rng(6).random((4000, 2))
+    p, q = poly.edges()
+    best = np.full(len(pts), np.inf)
+    for a, b in zip(p, q):
+        e = b - a
+        for shift in np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float):
+            rel = pts - (a + shift)
+            t = np.clip(rel @ e / (e @ e), 0.0, 1.0)
+            best = np.minimum(best, np.hypot(*(rel - t[:, None] * e).T))
+    # points and vertices lie in [0, 1)^2, so shifts of -1, 0, 1 reach the nearest copy
+    assert np.max(np.abs(poly.boundary_distances(pts) - best)) <= 1e-15
+
+
 # -- measure and Fourier coefficients ----------------------------------------
 
 def test_box_fourier_modulus():

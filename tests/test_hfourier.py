@@ -1,19 +1,37 @@
 """Boundary-layer coefficient tables and the empirical decay constant."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from discrepancy_forge.errors import QuadratureError
+from discrepancy_forge.errors import ConfigError, QuadratureError
 from discrepancy_forge.frequencies import integer_ball
-from discrepancy_forge.geometry import Ball, Box, minkowski_content
+from discrepancy_forge.geometry import Ball, Box, ConvexPolytope, minkowski_content
 from discrepancy_forge.hfourier import (
+    _fft_resolution,
     f_constant,
-    h_coefficient,
     h_coefficient_table,
     h_zero_by_coarea,
 )
 
 BALL = Ball((0.5, 0.5), 0.25)
+QUAD = ConvexPolytope(((0.3, 0.25), (0.75, 0.35), (0.7, 0.7), (0.25, 0.6)), epsilon=0.3)
+
+
+def h_coefficient(set_, kernel, R, k, **kwargs) -> complex:
+    """Single coefficient H_R-hat(k), read from a table that covers it."""
+    k = np.asarray(k, dtype=np.int64)
+    table = h_coefficient_table(set_, kernel, R, kmax=int(np.max(np.abs(k))) or 1, **kwargs)
+    return complex(table.values(k.reshape(1, -1))[0])
+
+
+def full_grid_block(set_, kernel, R, n, kmax):
+    """Coefficient block by one fft2 of H on the whole n x n grid."""
+    grid = kernel.gamma * kernel.tail_integral(R * set_.distance_grid(n))
+    fhat = np.fft.fft2(grid) / (n * n)
+    idx = np.arange(-kmax, kmax + 1) % n
+    return fhat[np.ix_(idx, idx)]
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +77,50 @@ def test_zero_coefficient_remark_inequality(kernel2):
 def test_single_coefficient_wrapper(kernel2, table16):
     val = h_coefficient(BALL, kernel2, 16.0, (1, 0), oversample=4)
     assert val == pytest.approx(complex(table16.values(np.array([[1, 0]]))[0]), abs=1e-12)
+
+
+@pytest.mark.parametrize("oversample", [2, 8])
+@pytest.mark.parametrize("R", [8.0, 64.0])
+@pytest.mark.parametrize("set_", [BALL, QUAD], ids=["ball", "quad"])
+def test_strip_table_matches_full_grid_fft(kernel2, set_, R, oversample):
+    # oracle: fft2 of H on the whole fine grid, and on a separately
+    # evaluated n/2 grid for the refinement estimate; the table takes the
+    # n/2 grid from its fine strips at [::2, ::2]
+    n = _fft_resolution(R, oversample)
+    kmax = int(np.ceil(R))
+    fine = full_grid_block(set_, kernel2, R, n, kmax)
+    coarse = full_grid_block(set_, kernel2, R, n // 2, kmax)
+    err = np.abs(fine - coarse) + 1e-15 * kernel2.gamma
+    table = h_coefficient_table(set_, kernel2, R, oversample=oversample)
+    plain = h_coefficient_table(set_, kernel2, R, oversample=oversample, refine=False)
+    assert table.grid_n == plain.grid_n == n
+    assert np.array_equal(plain.block, table.block)
+    assert np.all(np.isnan(plain.err))
+    # both routes evaluate the same distances and the same 1-d transforms
+    assert np.array_equal(table.block, fine)
+    assert np.array_equal(table.err, err)
+
+
+def test_table_memory_is_strip_bounded(kernel2):
+    # R = 256 at oversample 2 is a 4096 x 4096 grid: 128 MB per real copy
+    tracemalloc.start()
+    try:
+        h_coefficient_table(BALL, kernel2, 256.0, oversample=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2 ** 20
+
+
+def test_memory_guard_raises_before_allocating(kernel2):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="GiB"):
+            h_coefficient_table(BALL, kernel2, 2.0 ** 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_nyquist_guard(kernel2):
