@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .frequencies import TWO_PI
 from .geometry import ConvexPolytope
-
-TWO_PI = 2.0 * np.pi
 
 
 def _nullspace(mat: np.ndarray, d: int) -> np.ndarray:
@@ -156,23 +155,3 @@ def chain_sum(chains: ChainSystem, radius: float, *, include_boundary: bool = Tr
         total += float(np.sum(phi(chains, stripe.astype(float))))
     return total
 
-
-def fourier_sweep_csv(set_, freqs, path) -> None:
-    """Frequency sweep CSV: k, Re, Im, modulus, and the chain bound.
-
-    The bound column carries the per-polytope chain product for polygons and
-    is empty for boxes and balls (no per-set chain bound applies).
-    """
-    import csv
-
-    freqs = np.atleast_2d(np.asarray(freqs))
-    vals = set_.fourier_coefficients(freqs)
-    bounds = polytope_ft_bound(set_, freqs.astype(float)) \
-        if isinstance(set_, ConvexPolytope) else None
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k1", "k2", "re", "im", "abs", "bound"])
-        for i, (k, v) in enumerate(zip(freqs, vals)):
-            bound = repr(float(bounds[i])) if bounds is not None else ""
-            writer.writerow([int(k[0]), int(k[1]), repr(float(v.real)),
-                             repr(float(v.imag)), repr(float(abs(v))), bound])

@@ -3,13 +3,18 @@
 Subcommands: kernel-build, sandwich, bound, lattice-scaling,
 kronecker-scaling, glp-search, polytope-family, sphere-orbit.
 
+Each experiment's parameters are declared once, as the flags of its
+subcommand in `build_parser`: a flag's dest is its `params` key, and its
+parsed type and default are what the `run_*` function receives. Flags left
+unset without a default are absent from `params`.
+
 Contracts: reports are JSON with sorted keys and no timestamps or host
 information, so re-running a config reproduces outputs byte-identically
 (summation orders are fixed throughout the library, seeds are explicit
 inputs). Every report embeds the resolved config and its SHA-256 hash, plus
 the kernel-table provenance when a kernel participates. Exit codes: 0 on
 success, 2 when a named invariant check fails beyond its budget, 3 on
-configuration errors.
+configuration errors, which are raised before any kernel or table is built.
 """
 
 from __future__ import annotations
@@ -20,14 +25,14 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .chains import ChainSystem, chain_sum
 from .errors import ConfigError, InvariantViolation
-from .erdos_turan import et_bound, et_bound_r_search, optimal_R
+from .erdos_turan import et_bound, et_bound_r_search, optimal_R, polytope_family_bound
 from .geometry import TorusSet, set_from_json
 from .glp import PhiBall, search
 from .hfourier import h_coefficient_table
@@ -43,7 +48,9 @@ from .kernel import (
 from .majorant import majorant_pair, sandwich_csv, sandwich_report
 from .pointsets import (
     PointSet,
+    korobov,
     kronecker,
+    lattice,
     pointset_from_descriptor,
     schmidt_sum,
     weyl_spectrum,
@@ -56,6 +63,15 @@ EXIT_OK = 0
 EXIT_INVARIANT = 2
 EXIT_CONFIG = 3
 
+# fixed acceptance thresholds of the scaling experiments (printed in their reports)
+SLOPE_TARGET = -0.5       # lattice: bound ~ m^(-1/2)
+SLOPE_TOLERANCE = 0.1
+SLOPE_MAX = -0.3          # kronecker: the bound must at least decay like m^(-0.3)
+
+# values used when the optional flag is not given (the flag is then absent from params)
+KRONECKER_X = (float(np.sqrt(2) - 1), float(np.sqrt(3) - 1))
+SPHERE_CAP = "0,0,1,0.5235987755982988"  # the polar cap of angular radius pi/6
+
 
 @dataclass
 class ExperimentConfig:
@@ -63,12 +79,11 @@ class ExperimentConfig:
 
     kind: str
     params: dict
-    seed: int = 0
-    out: str | None = None
-    csv_out: str | None = None
-    kernel_cache: str | None = None
-    kernel_params: dict = field(default_factory=lambda: {
-        "d": 2, "grid_step": 1.0 / 256, "x_max": 25.0, "t_max": 30.0})
+    seed: int
+    out: str | None
+    csv_out: str | None
+    kernel_cache: str | None
+    kernel_params: dict
 
     def canonical(self) -> dict:
         """Scientific inputs only: output locations do not change results."""
@@ -122,6 +137,19 @@ def get_kernel(config: ExperimentConfig) -> KernelTable:
 def _require(condition: bool, check: str, observed: float, allowed: float) -> None:
     if not condition:
         raise InvariantViolation(check, observed, allowed)
+
+
+def _require_valid(rep, check: str = "bound validity") -> None:
+    """The certified bound (plus its uncertainty) covers the true discrepancy."""
+    _require(rep.bound + rep.uncertainty >= rep.true_discrepancy, check,
+             rep.bound + rep.uncertainty, rep.true_discrepancy)
+
+
+def _write_csv(path, header: list, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _json_or_file(spec, what: str) -> dict:
@@ -189,13 +217,12 @@ def run_sandwich(config: ExperimentConfig) -> dict:
     params = config.params
     set_ = _load_set(params)
     kernel = get_kernel(config)
-    grid_n = int(params.get("grid_n", 512))
-    oversample = int(params.get("oversample", 8))
+    grid_n, oversample = params["grid_n"], params["oversample"]
     max_budget = params.get("max_budget")
     per_r = []
     for R in params["R"]:
-        pair = majorant_pair(set_, kernel, float(R), oversample=oversample)
-        rep = sandwich_report(pair, set_, kernel, float(R), grid_n)
+        pair = majorant_pair(set_, kernel, R, oversample=oversample)
+        rep = sandwich_report(pair, set_, kernel, R, grid_n)
         per_r.append({
             "R": rep.R, "budget": rep.budget,
             "lower_violation": rep.lower_violation,
@@ -210,12 +237,12 @@ def run_sandwich(config: ExperimentConfig) -> dict:
         worst = max(rep.lower_violation, rep.upper_violation, rep.width_violation)
         _require(worst <= rep.budget, f"sandwich violation at R={R}", worst, rep.budget)
         if max_budget is not None:
-            _require(rep.budget <= float(max_budget), f"sandwich budget at R={R}",
-                     rep.budget, float(max_budget))
+            _require(rep.budget <= max_budget, f"sandwich budget at R={R}",
+                     rep.budget, max_budget)
         if config.csv_out:
             stem = Path(config.csv_out)
             path = stem.with_name(f"{stem.stem}_R{int(R)}{stem.suffix or '.csv'}")
-            sandwich_csv(pair, set_, kernel, float(R), grid_n, path)
+            sandwich_csv(pair, set_, kernel, R, grid_n, path)
     return {"set": set_.to_json(), "grid_n": grid_n, "oversample": oversample,
             "results": per_r, "kernel_provenance": kernel.provenance}
 
@@ -225,42 +252,38 @@ def run_bound(config: ExperimentConfig) -> dict:
     set_ = _load_set(params)
     points = _load_points(params)
     kernel = get_kernel(config)
-    alpha = float(params.get("alpha", 1.0))
-    beta = float(params.get("beta", 1.0))
-    eps = float(params.get("eps", 0.1))
-    r_spec = params["R"]
-    exponents = {"alpha": alpha, "beta": beta}
+    alpha, beta, r_spec = params["alpha"], params["beta"], params["R"]
 
     report = search_table = None
-    if isinstance(r_spec, str) and r_spec.startswith("auto:"):
-        rule = r_spec.split(":", 1)[1]
-        if rule in ("lattice", "kronecker"):
-            R = optimal_R(rule, points.size, points.dimension, alpha, beta, eps=eps)
-            R = max(R, 4.0)
-        elif rule == "search":
-            formula = max(optimal_R("lattice", points.size, points.dimension,
-                                    alpha, beta), 4.0)
-            report, search_table = et_bound_r_search(set_, points, kernel,
-                                                     formula_R=formula)
-            R = report.R
-        else:
-            raise ConfigError(f"unknown R rule {rule!r}")
+    if r_spec == "auto:search":
+        formula = max(optimal_R("lattice", points.size, points.dimension,
+                                alpha, beta), 4.0)
+        report, search_table = et_bound_r_search(set_, points, kernel,
+                                                 formula_R=formula)
+        R = report.R
+    elif isinstance(r_spec, str):
+        R = max(optimal_R(r_spec.split(":", 1)[1], points.size, points.dimension,
+                          alpha, beta, eps=params["eps"]), 4.0)
     else:
-        R = float(r_spec)
+        R = r_spec
     if report is None or config.csv_out:
         # one table and one spectrum (et_bound's oversample) serve the bound and its CSV
         h_table = h_coefficient_table(set_, kernel, R, oversample=2)
         spectrum = weyl_spectrum(points, R)
     if report is None:
         report = et_bound(set_, points, kernel, R, h_table=h_table, spectrum=spectrum,
-                          exponents=exponents)
-
-    _require(report.bound + report.uncertainty >= report.true_discrepancy,
-             "bound validity", report.bound + report.uncertainty,
-             report.true_discrepancy)
+                          exponents={"alpha": alpha, "beta": beta})
+    _require_valid(report)
 
     if config.csv_out:
-        _write_bound_csv(config.csv_out, set_, h_table, spectrum)
+        chi = set_.fourier_coefficients(spectrum.freqs)
+        h_vals = np.abs(h_table.values(spectrum.freqs))
+        _write_csv(config.csv_out,
+                   ["k1", "k2", "chi_re", "chi_im", "chi_abs", "h_abs", "weyl", "term"],
+                   ([int(k[0]), int(k[1]), repr(float(c.real)), repr(float(c.imag)),
+                     repr(float(abs(c))), repr(float(h)), repr(float(w)),
+                     repr(float((abs(c) + h) * w))]
+                    for k, c, h, w in zip(spectrum.freqs, chi, h_vals, spectrum.values)))
     doc = report.to_json()
     doc["kernel_provenance"] = kernel.provenance
     if search_table is not None:
@@ -268,51 +291,36 @@ def run_bound(config: ExperimentConfig) -> dict:
     return doc
 
 
-def _write_bound_csv(path, set_, h_table, spectrum) -> None:
-    chi = set_.fourier_coefficients(spectrum.freqs)
-    h_vals = np.abs(h_table.values(spectrum.freqs))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k1", "k2", "chi_re", "chi_im", "chi_abs", "h_abs",
-                         "weyl", "term"])
-        for k, c, h, w in zip(spectrum.freqs, chi, h_vals, spectrum.values):
-            term = (abs(c) + h) * w
-            writer.writerow([int(k[0]), int(k[1]), repr(float(c.real)),
-                             repr(float(c.imag)), repr(float(abs(c))),
-                             repr(float(h)), repr(float(w)), repr(float(term))])
+def _scaling_rows(set_: TorusSet, kernel: KernelTable, ms: list, rule: str,
+                  points_for, exponents: dict) -> tuple[list, float]:
+    """Per size m: the bound at the rule's R, its validity check and its row;
+    then the log-log slope of the bound against m."""
+    rows = []
+    for m in ms:
+        R = max(optimal_R(rule, m, set_.dimension, **exponents), 4.0)
+        rep = et_bound(set_, points_for(m), kernel, R, exponents=exponents)
+        _require_valid(rep, f"bound validity at m={m}")
+        rows.append({"m": m, "R": rep.R, "bound": rep.bound,
+                     "true_discrepancy": rep.true_discrepancy})
+    slope = float(np.polyfit(np.log(ms), np.log([r["bound"] for r in rows]), 1)[0])
+    return rows, slope
 
 
 def run_lattice_scaling(config: ExperimentConfig) -> dict:
     params = config.params
     set_ = _load_set(params)
     kernel = get_kernel(config)
-    alpha = float(params.get("alpha", 1.0))
-    beta = float(params.get("beta", 1.0))
-    ms = [int(m) for m in params["m"]]
-    rows = []
-    for m in ms:
-        from .pointsets import lattice as lattice_points
-        R = max(optimal_R("lattice", m, set_.dimension, alpha, beta), 4.0)
-        rep = et_bound(set_, lattice_points(m, set_.dimension), kernel, R,
-                       exponents={"alpha": alpha, "beta": beta})
-        _require(rep.bound + rep.uncertainty >= rep.true_discrepancy,
-                 f"bound validity at m={m}", rep.bound + rep.uncertainty,
-                 rep.true_discrepancy)
-        rows.append({"m": m, "R": rep.R, "bound": rep.bound,
-                     "true_discrepancy": rep.true_discrepancy})
-    slope = float(np.polyfit(np.log(ms), np.log([r["bound"] for r in rows]), 1)[0])
-    target = float(params.get("slope_target", -0.5))
-    tol = float(params.get("slope_tolerance", 0.1))
-    _require(abs(slope - target) <= tol, "lattice scaling slope", slope, target)
+    rows, slope = _scaling_rows(set_, kernel, params["m"], "lattice",
+                                lambda m: lattice(m, set_.dimension),
+                                {"alpha": params["alpha"], "beta": params["beta"]})
+    _require(abs(slope - SLOPE_TARGET) <= SLOPE_TOLERANCE, "lattice scaling slope",
+             slope, SLOPE_TARGET)
     if config.csv_out:
-        with open(config.csv_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m", "R", "bound", "true_discrepancy"])
-            for r in rows:
-                writer.writerow([r["m"], repr(r["R"]), repr(r["bound"]),
-                                 repr(r["true_discrepancy"])])
+        _write_csv(config.csv_out, ["m", "R", "bound", "true_discrepancy"],
+                   ([r["m"], repr(r["R"]), repr(r["bound"]), repr(r["true_discrepancy"])]
+                    for r in rows))
     return {"set": set_.to_json(), "rows": rows, "slope": slope,
-            "slope_target": target, "slope_tolerance": tol,
+            "slope_target": SLOPE_TARGET, "slope_tolerance": SLOPE_TOLERANCE,
             "kernel_provenance": kernel.provenance}
 
 
@@ -320,54 +328,42 @@ def run_kronecker_scaling(config: ExperimentConfig) -> dict:
     params = config.params
     set_ = _load_set(params)
     kernel = get_kernel(config)
-    x = tuple(float(v) for v in params.get("x", (np.sqrt(2) - 1, np.sqrt(3) - 1)))
-    eps = float(params.get("eps", 0.1))
+    x = tuple(params.get("x", KRONECKER_X))
     d = set_.dimension
 
     schmidt_rows = []
-    for R in params.get("schmidt_R", (64, 128, 256, 512)):
-        val = schmidt_sum(x, float(R))
-        schmidt_rows.append({"R": int(R), "sum": val,
+    for R in params["schmidt_R"]:
+        val = schmidt_sum(x, R)
+        schmidt_rows.append({"R": R, "sum": val,
                              "ratio": val / np.log(1 + R) ** (d + 1)})
     ratios = [r["ratio"] for r in schmidt_rows]
     spread = max(ratios) / min(ratios)
     _require(spread <= 4.0, "schmidt ratio spread", spread, 4.0)
 
-    ms = [int(m) for m in params["m"]]
-    rows = []
-    for m in ms:
-        R = max(optimal_R("kronecker", m, d, 1.0, 1.0, eps=eps), 4.0)
-        rep = et_bound(set_, kronecker(x, m), kernel, R,
-                       exponents={"alpha": 1.0, "beta": 1.0, "eps": eps})
-        _require(rep.bound + rep.uncertainty >= rep.true_discrepancy,
-                 f"bound validity at m={m}", rep.bound + rep.uncertainty,
-                 rep.true_discrepancy)
-        rows.append({"m": m, "R": rep.R, "bound": rep.bound,
-                     "true_discrepancy": rep.true_discrepancy})
-    slope = float(np.polyfit(np.log(ms), np.log([r["bound"] for r in rows]), 1)[0])
-    slope_max = float(params.get("slope_max", -0.3))
-    _require(slope <= slope_max, "kronecker scaling slope", slope, slope_max)
+    rows, slope = _scaling_rows(set_, kernel, params["m"], "kronecker",
+                                lambda m: kronecker(x, m),
+                                {"alpha": 1.0, "beta": 1.0, "eps": params["eps"]})
+    _require(slope <= SLOPE_MAX, "kronecker scaling slope", slope, SLOPE_MAX)
     return {"set": set_.to_json(), "x": list(x), "schmidt": schmidt_rows,
             "schmidt_spread": spread, "rows": rows, "slope": slope,
-            "slope_max": slope_max, "kernel_provenance": kernel.provenance}
+            "slope_max": SLOPE_MAX, "kernel_provenance": kernel.provenance}
 
 
-def _chain_system(params: dict, d: int) -> ChainSystem:
-    spec = params.get("X", "coordinate")
+def _chain_system(params: dict) -> ChainSystem:
+    d, spec = params["d"], params["X"]
     if spec == "coordinate":
         return ChainSystem.coordinate(d)
-    normals = json.loads(spec) if isinstance(spec, str) else spec
-    return ChainSystem.from_normals(np.asarray(normals, dtype=float))
+    chains = ChainSystem.from_normals(np.asarray(json.loads(spec), dtype=float))
+    if chains.dimension != d:
+        raise ConfigError(f"--X normals have dimension {chains.dimension}, but d = {d}")
+    return chains
 
 
 def run_glp_search(config: ExperimentConfig) -> dict:
     params = config.params
-    d = int(params.get("d", 2))
-    m = int(params["m"])
-    chains = _chain_system(params, d)
-    strategy = params.get("strategy", "exhaustive")
-    cert = search(m, chains, strategy, n_samples=int(params.get("n_samples", 128)),
-                  seed=config.seed)
+    d, m, strategy = params["d"], params["m"], params["strategy"]
+    chains = _chain_system(params)
+    cert = search(m, chains, strategy, n_samples=params["n_samples"], seed=config.seed)
     if strategy == "exhaustive":
         _require(cert.value <= cert.average, "minimizer beats average",
                  cert.value, cert.average)
@@ -381,25 +377,22 @@ def run_glp_search(config: ExperimentConfig) -> dict:
 
 
 def run_polytope_family(config: ExperimentConfig) -> dict:
-    from .erdos_turan import polytope_family_bound
-    from .pointsets import korobov as korobov_points
     params = config.params
-    d = int(params.get("d", 2))
-    chains = _chain_system(params, d)
-    m = int(params["m"])
+    d, m = params["d"], params["m"]
+    chains = _chain_system(params)
     g = params.get("g")
     if g is None:
         phi_ball = PhiBall.build(chains, m)
         cert = search(m, chains, "exhaustive", phi_ball=phi_ball)
         g = list(cert.g)
-    points = korobov_points(g, m)
+    points = korobov(g, m)
     spectrum = weyl_spectrum(points, float(m))
     fam = polytope_family_bound(chains, spectrum, float(m))
 
     ratio_rows = []
-    for R in params.get("chain_sum_R", (16, 64, 256, 1024, 4096)):
-        total = chain_sum(chains, float(R))
-        ratio_rows.append({"R": int(R), "sum": total,
+    for R in params["chain_sum_R"]:
+        total = chain_sum(chains, R)
+        ratio_rows.append({"R": R, "sum": total,
                            "ratio": total / np.log(2 + R) ** d})
     ratios = [r["ratio"] for r in ratio_rows]
     spread = max(ratios) / min(ratios)
@@ -407,52 +400,50 @@ def run_polytope_family(config: ExperimentConfig) -> dict:
 
     if config.csv_out:
         phis = PhiBall.build(chains, m)
-        vals = spectrum.values
-        with open(config.csv_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k1", "k2", "phi", "weyl", "term"])
-            for k, p, w in zip(phis.freqs, phis.values, vals):
-                writer.writerow([int(k[0]), int(k[1]), repr(float(p)),
-                                 repr(float(w)), repr(float(p * w))])
+        _write_csv(config.csv_out, ["k1", "k2", "phi", "weyl", "term"],
+                   ([int(k[0]), int(k[1]), repr(float(p)), repr(float(w)),
+                     repr(float(p * w))]
+                    for k, p, w in zip(phis.freqs, phis.values, spectrum.values)))
     return {"m": m, "g": list(g), "bound": fam.value, "r_term": fam.r_term,
             "sum_term": fam.sum_term, "chain_sums": ratio_rows,
             "chain_sum_spread": spread}
 
 
+def _cap(spec: str) -> Cap:
+    vals = [float(v) for v in spec.split(",")]
+    if len(vals) != 4:
+        raise ConfigError(f"cap {spec!r} is not px,py,pz,theta")
+    return Cap(tuple(vals[:3]), vals[3])
+
+
 def run_sphere_orbit(config: ExperimentConfig) -> dict:
     params = config.params
-    k = int(params["k"])
-    base = np.asarray([float(v) for v in params.get("base", (0.0, 0.0, 1.0))])
-    base = base / np.linalg.norm(base)
+    k, L, delta = params["k"], params.get("L"), params["delta"]
+    base = np.asarray(params["base"])
+    norm = np.linalg.norm(base)
+    if base.shape != (3,) or not 0 < norm < np.inf:
+        raise ConfigError(f"base must be a nonzero finite 3-vector, got {params['base']}")
+    caps = [_cap(spec) for spec in params.get("caps", [SPHERE_CAP])]
+    if L is not None and L < 1:
+        raise ConfigError(f"L must be >= 1, got {L}")
+
+    base = base / norm
     words = enumerate_words(k)
     orb = orbit(base, words)
-    caps = []
-    for spec in params.get("caps", ["0,0,1,0.5235987755982988"]):
-        if isinstance(spec, str):
-            vals = [float(v) for v in spec.split(",")]
-        else:
-            vals = [float(v) for v in spec]
-        caps.append(Cap(tuple(vals[:3]), vals[3]))
-
     doc = {"k": k, "m": orb.size, "base": [float(v) for v in base], "caps": []}
-    L = params.get("L")
     rho_value = None
-    if L:
-        rho = rho_hat(words, int(L))
+    if L is not None:
+        rho = rho_hat(words, L)
         doc["rho_hat"] = rho.to_json()
         rho_value = rho.value
-    delta = float(params.get("delta", 1.0))
     for cap in caps:
         entry = {"cap": cap.to_json(), "discrepancy": set_discrepancy(orb, cap)}
         if rho_value is not None:
             entry["bound"] = sphere_bound(orb.size, cap, delta, rho_value).to_json()
         doc["caps"].append(entry)
     if config.csv_out:
-        with open(config.csv_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "z"])
-            for p in orb.points:
-                writer.writerow([repr(float(p[0])), repr(float(p[1])), repr(float(p[2]))])
+        _write_csv(config.csv_out, ["x", "y", "z"],
+                   ([repr(float(v)) for v in p] for p in orb.points))
     return doc
 
 
@@ -507,6 +498,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+def _list_of(cast, min_len: int = 1):
+    """argparse type: a comma-separated list of at least min_len values."""
+    def parse(text: str) -> list:
+        vals = [cast(v) for v in text.split(",") if v != ""]
+        if len(vals) < min_len:
+            raise argparse.ArgumentTypeError(
+                f"needs at least {min_len} comma-separated values, got {text!r}")
+        return vals
+    parse.__name__ = f"{cast.__name__} list"
+    return parse
+
+
+def _r_spec(text: str):
+    """bound --R: a degree, or auto:<lattice|kronecker|search>."""
+    if text.startswith("auto:"):
+        if text[5:] not in ("lattice", "kronecker", "search"):
+            raise argparse.ArgumentTypeError(f"unknown R rule {text[5:]!r}")
+        return text
+    return float(text)
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="report JSON path")
     sub.add_argument("--csv-out", help="CSV data path (experiment specific)")
@@ -518,26 +530,19 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kernel-t-max", type=float, default=30.0)
 
 
-def _config_from(args: argparse.Namespace, kind: str, params: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        kind=kind, params=params, seed=args.seed, out=args.out,
-        csv_out=args.csv_out, kernel_cache=args.kernel_cache,
-        kernel_params={"d": args.kernel_d, "grid_step": args.kernel_grid_step,
-                       "x_max": args.kernel_x_max, "t_max": args.kernel_t_max})
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="discrepancy-forge",
                      description="majorant kernels and discrepancy bounds")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("kernel-build", parents=[], help="build/cache a kernel table")
+    p = subs.add_parser("kernel-build", help="build/cache a kernel table")
     _add_common(p)
 
     p = subs.add_parser("sandwich", help="sandwich polynomials and violations")
     _add_common(p)
     p.add_argument("--set", required=True, help="set JSON (inline or file path)")
-    p.add_argument("--R", required=True, help="comma-separated degree list")
+    p.add_argument("--R", type=_list_of(float), required=True,
+                   help="comma-separated degree list")
     p.add_argument("--grid-n", type=int, default=512)
     p.add_argument("--oversample", type=int, default=8)
     p.add_argument("--max-budget", type=float)
@@ -546,7 +551,8 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--set", required=True)
     p.add_argument("--points", required=True, help="point descriptor JSON")
-    p.add_argument("--R", required=True, help="number or auto:<lattice|kronecker|search>")
+    p.add_argument("--R", type=_r_spec, required=True,
+                   help="number or auto:<lattice|kronecker|search>")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=0.1)
@@ -554,23 +560,26 @@ def build_parser() -> _Parser:
     p = subs.add_parser("lattice-scaling", help="bound decay across lattice sizes")
     _add_common(p)
     p.add_argument("--set", required=True)
-    p.add_argument("--m", required=True, help="comma-separated lattice sizes")
+    p.add_argument("--m", type=_list_of(int, 2), required=True,
+                   help="comma-separated lattice sizes (at least two)")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
 
     p = subs.add_parser("kronecker-scaling", help="Schmidt sums and bound decay")
     _add_common(p)
     p.add_argument("--set", required=True)
-    p.add_argument("--m", required=True)
-    p.add_argument("--x", help="comma-separated generator coordinates")
+    p.add_argument("--m", type=_list_of(int, 2), required=True,
+                   help="comma-separated point counts (at least two)")
+    p.add_argument("--x", type=_list_of(float),
+                   help="comma-separated generator coordinates (default: sqrt2-1,sqrt3-1)")
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--schmidt-R", default="64,128,256,512")
+    p.add_argument("--schmidt-R", type=_list_of(int), default="64,128,256,512")
 
     p = subs.add_parser("glp-search", help="good lattice point search")
     _add_common(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--X", default="coordinate")
+    p.add_argument("--X", default="coordinate", help="'coordinate' or JSON normals")
     p.add_argument("--strategy", default="exhaustive",
                    choices=["exhaustive", "random", "korobov-rank1"])
     p.add_argument("--n-samples", type=int, default=128)
@@ -579,69 +588,32 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--X", default="coordinate")
-    p.add_argument("--g", help="comma-separated generator (default: searched)")
-    p.add_argument("--chain-sum-R", default="16,64,256,1024,4096")
+    p.add_argument("--X", default="coordinate", help="'coordinate' or JSON normals")
+    p.add_argument("--g", type=_list_of(int),
+                   help="comma-separated generator (default: searched)")
+    p.add_argument("--chain-sum-R", type=_list_of(int), default="16,64,256,1024,4096")
 
     p = subs.add_parser("sphere-orbit", help="rotation orbit, rho_hat, cap bounds")
     _add_common(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--base", default="0,0,1")
-    p.add_argument("--cap", action="append", default=None,
-                   help="px,py,pz,theta (repeatable)")
-    p.add_argument("--L", type=int)
+    p.add_argument("--base", type=_list_of(float), default="0,0,1")
+    p.add_argument("--cap", dest="caps", action="append",
+                   help="px,py,pz,theta (repeatable; default: the polar cap, theta = pi/6)")
+    p.add_argument("--L", type=int, help="harmonic degree cutoff for rho_hat (>= 1)")
     p.add_argument("--delta", type=float, default=1.0)
 
     return parser
 
 
-def _parse_list(text: str, cast=float) -> list:
-    return [cast(v) for v in str(text).split(",") if v != ""]
-
-
 def _namespace_to_config(args: argparse.Namespace) -> ExperimentConfig:
-    cmd = args.command
-    if cmd == "kernel-build":
-        return _config_from(args, cmd, {})
-    if cmd == "sandwich":
-        params = {"set": args.set, "R": _parse_list(args.R),
-                  "grid_n": args.grid_n, "oversample": args.oversample}
-        if args.max_budget is not None:
-            params["max_budget"] = args.max_budget
-        return _config_from(args, cmd, params)
-    if cmd == "bound":
-        r_val = args.R if str(args.R).startswith("auto:") else float(args.R)
-        return _config_from(args, cmd, {
-            "set": args.set, "points": args.points, "R": r_val,
-            "alpha": args.alpha, "beta": args.beta, "eps": args.eps})
-    if cmd == "lattice-scaling":
-        return _config_from(args, cmd, {
-            "set": args.set, "m": _parse_list(args.m, int),
-            "alpha": args.alpha, "beta": args.beta})
-    if cmd == "kronecker-scaling":
-        params = {"set": args.set, "m": _parse_list(args.m, int), "eps": args.eps,
-                  "schmidt_R": _parse_list(args.schmidt_R, int)}
-        if args.x:
-            params["x"] = _parse_list(args.x)
-        return _config_from(args, cmd, params)
-    if cmd == "glp-search":
-        return _config_from(args, cmd, {
-            "m": args.m, "d": args.d, "X": args.X, "strategy": args.strategy,
-            "n_samples": args.n_samples})
-    if cmd == "polytope-family":
-        params = {"m": args.m, "d": args.d, "X": args.X,
-                  "chain_sum_R": _parse_list(args.chain_sum_R, int)}
-        if args.g:
-            params["g"] = _parse_list(args.g, int)
-        return _config_from(args, cmd, params)
-    if cmd == "sphere-orbit":
-        params = {"k": args.k, "base": _parse_list(args.base), "delta": args.delta}
-        if args.cap:
-            params["caps"] = args.cap
-        if args.L:
-            params["L"] = args.L
-        return _config_from(args, cmd, params)
-    raise ConfigError(f"unknown command {cmd!r}")
+    """Common flags fill the config's fields; every other flag that is set is a param."""
+    ns = vars(args).copy()
+    kernel_params = {key: ns.pop(f"kernel_{key}")
+                     for key in ("d", "grid_step", "x_max", "t_max")}
+    fields = {key: ns.pop(key) for key in ("seed", "out", "csv_out", "kernel_cache")}
+    kind = ns.pop("command")
+    return ExperimentConfig(kind=kind, kernel_params=kernel_params, **fields,
+                            params={k: v for k, v in ns.items() if v is not None})
 
 
 def main(argv=None) -> int:

@@ -132,7 +132,7 @@ def et_bound_r_search(set_: TorusSet, points: PointSet, kernel: KernelTable, *,
     constant; never worse, because the formula candidate participates.
     """
     candidates = [float(2 ** j) for j in range(2, 13) if 2 ** j <= r_cap]
-    if formula_R is not None and formula_R >= 4:
+    if formula_R is not None and formula_R >= 4 and float(formula_R) not in candidates:
         candidates.append(float(formula_R))
     table = []
     best = None

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+TWO_PI = 2.0 * np.pi  # phase scale of e(k . x) = exp(2 pi i k . x)
+
 
 def integer_ball(radius: float, d: int, *, include_boundary: bool = False,
                  include_zero: bool = False) -> np.ndarray:

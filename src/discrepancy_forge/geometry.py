@@ -26,9 +26,9 @@ from pathlib import Path
 import numpy as np
 from scipy.special import j1
 
+from .frequencies import TWO_PI
 from .quadrature import gauss_nodes
 
-TWO_PI = 2.0 * np.pi
 _SHIFTS2 = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
 
 

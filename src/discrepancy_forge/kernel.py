@@ -38,6 +38,7 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.special import j0, j1
 
 from .errors import QuadratureError
+from .frequencies import TWO_PI
 from .quadrature import integrate_refined, panel_nodes
 
 SUPPORT_RADIUS = 0.5
@@ -46,7 +47,6 @@ SUPPORTED_DIMENSIONS = (1, 2, 3)
 # surface measure of the unit sphere S^{d-1}
 SPHERE_SURFACE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
-TWO_PI = 2.0 * np.pi
 EXP_MINUS_2PI = float(np.exp(-TWO_PI))
 
 

@@ -18,12 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frequencies import integer_ball
+from .frequencies import TWO_PI, integer_ball
 from .geometry import TorusSet
 from .hfourier import HCoefficientTable, h_coefficient_table, h_function_grid
 from .kernel import KernelTable
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)

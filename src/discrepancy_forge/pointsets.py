@@ -9,17 +9,13 @@ use the closed Dirichlet-kernel form.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ResonanceError
-from .frequencies import integer_ball
+from .frequencies import TWO_PI, integer_ball
 from .geometry import TorusSet
-
-TWO_PI = 2.0 * np.pi
 
 
 def is_prime(n: int) -> bool:
@@ -57,19 +53,6 @@ class PointSet:
     @property
     def dimension(self) -> int:
         return self.points.shape[1]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{j + 1}" for j in range(self.dimension)])
-            for row in self.points:
-                writer.writerow([repr(float(v)) for v in row])
-
-    @classmethod
-    def from_csv(cls, path) -> "PointSet":
-        rows = list(csv.reader(Path(path).open()))
-        pts = np.asarray([[float(v) for v in row] for row in rows[1:]], dtype=float)
-        return cls(points=pts, descriptor={"kind": "explicit"})
 
 
 def lattice(m: int, d: int) -> PointSet:

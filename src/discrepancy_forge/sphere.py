@@ -24,8 +24,6 @@ import numpy as np
 
 from .errors import QuadratureError
 
-TWO_PI = 2.0 * np.pi
-
 _GEN_INT = {
     "a": np.array([[-3, -4, 0], [4, -3, 0], [0, 0, 5]], dtype=np.int64),   # about z
     "b": np.array([[5, 0, 0], [0, -3, -4], [0, 4, -3]], dtype=np.int64),   # about x

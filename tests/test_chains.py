@@ -77,19 +77,3 @@ def test_general_normals_chain_containment():
         top, line = np.asarray(chain[0]), np.asarray(chain[1])
         assert top.shape == (2, 2) and line.shape == (1, 2)
 
-
-def test_fourier_sweep_csv(tmp_path):
-    from discrepancy_forge.chains import fourier_sweep_csv
-    from discrepancy_forge.frequencies import integer_ball
-
-    tri = ConvexPolytope(((0.1, 0.1), (0.4, 0.15), (0.2, 0.45)), epsilon=0.4)
-    path = tmp_path / "sweep.csv"
-    freqs = integer_ball(4, 2)
-    fourier_sweep_csv(tri, freqs, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k1,k2,re,im,abs,bound"
-    assert len(lines) == len(freqs) + 1
-    # modulus column dominated by bound column on every row
-    for line in lines[1:]:
-        parts = line.split(",")
-        assert float(parts[4]) <= float(parts[5]) + 1e-12

@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from discrepancy_forge.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
+from discrepancy_forge import cli
+from discrepancy_forge.cli import (
+    EXIT_CONFIG,
+    EXIT_INVARIANT,
+    EXIT_OK,
+    _namespace_to_config,
+    build_parser,
+    main,
+)
 from discrepancy_forge.kernel import load_kernel
 
 BALL = '{"variant":"ball","center":[0.5,0.5],"radius":0.25}'
@@ -189,3 +197,113 @@ def test_lattice_scaling_subcommand(tmp_path):
     report = json.loads(out.read_text())["report"]
     assert abs(report["slope"] + 0.5) <= 0.1
     assert csv_out.read_text().startswith("m,R,bound,true_discrepancy")
+
+
+def _no_expensive_work(*args, **kwargs):
+    pytest.fail("a malformed input reached a kernel, table or search")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sphere-orbit", "--k", "1", "--cap", "0,0,1"],
+    ["sphere-orbit", "--k", "1", "--cap", "0,0,1,0.5,0.5"],
+    ["sphere-orbit", "--k", "1", "--base", "0,0,0"],
+    ["sphere-orbit", "--k", "1", "--L", "0"],
+    ["lattice-scaling", "--set", BALL, "--m="],
+    ["lattice-scaling", "--set", BALL, "--m", "1024"],
+    ["kronecker-scaling", "--set", BALL, "--m", "65536"],
+    ["sandwich", "--set", BALL, "--R="],
+    ["kronecker-scaling", "--set", BALL, "--m", "65536,262144", "--x="],
+    ["glp-search", "--m", "101", "--d", "3", "--X", "[[1,0],[0,1]]"],
+    ["polytope-family", "--m", "101", "--d", "3", "--X", "[[1,0],[0,1]]"],
+], ids=["cap-3-values", "cap-5-values", "base-zero", "L-zero", "m-empty",
+        "lattice-one-size", "kronecker-one-size", "R-empty", "x-empty", "glp-X-dimension",
+        "family-X-dimension"])
+def test_malformed_input_exits_3_before_any_work(argv, monkeypatch):
+    for name in ("get_kernel", "enumerate_words", "search"):
+        monkeypatch.setattr(cli, name, _no_expensive_work)
+    assert run_cli(argv) == EXIT_CONFIG
+
+
+_SET_FLAGS = ["--set", BALL]
+_ALL_COMMON = ["--seed", "7", "--kernel-d", "3", "--kernel-grid-step", "0.005",
+               "--kernel-x-max", "20", "--kernel-t-max", "24", "--kernel-cache", "k.json",
+               "--out", "r.json", "--csv-out", "c.csv"]
+_DEFAULT_KERNEL = {"d": 2, "grid_step": 0.00390625, "t_max": 30.0, "x_max": 25.0}
+_ALL_KERNEL = {"d": 3, "grid_step": 0.005, "t_max": 24.0, "x_max": 20.0}
+_SQUARE_X = "[[1,0],[0,1],[1,1]]"
+
+# (argv, params, config_hash) with no optional flag and with every optional flag;
+# the hashes are those of the earlier per-subcommand translation of the flags
+CONFIG_CONTRACT = [
+    (["kernel-build"], {},
+     "edd1c57dccf63013e62919930295524d65d1a598ec75d537b65ef6c29926698f"),
+    (["kernel-build", *_ALL_COMMON], {},
+     "83881fe2dbde90bfee02f4d898fa867f94363758a97f8c8f99bab0645676d7ff"),
+    (["sandwich", *_SET_FLAGS, "--R", "8,16"],
+     {"R": [8.0, 16.0], "grid_n": 512, "oversample": 8, "set": BALL},
+     "8352eab049de861503f5abe4359f71b8b372bb42558d7e5171560bb1eb996ddf"),
+    (["sandwich", *_SET_FLAGS, "--R", "8,16", "--grid-n", "64", "--oversample", "4",
+      "--max-budget", "0.01", *_ALL_COMMON],
+     {"R": [8.0, 16.0], "grid_n": 64, "max_budget": 0.01, "oversample": 4, "set": BALL},
+     "ebc1231e167c8da95dd43ce1aa778d25b05571a6a684a4a06c05d8c8c0353b04"),
+    (["bound", *_SET_FLAGS, "--points", LATTICE256, "--R", "16"],
+     {"R": 16.0, "alpha": 1.0, "beta": 1.0, "eps": 0.1, "points": LATTICE256, "set": BALL},
+     "a88bdda5ad57f72677b252159eb783d30b2b162143e730b9da92570027664ec0"),
+    (["bound", *_SET_FLAGS, "--points", LATTICE256, "--R", "auto:search", "--alpha", "0.5",
+      "--beta", "1.5", "--eps", "0.2", *_ALL_COMMON],
+     {"R": "auto:search", "alpha": 0.5, "beta": 1.5, "eps": 0.2, "points": LATTICE256,
+      "set": BALL},
+     "20ea6830d756eb497bd0dd96218f645288e14829fa105c54d3256c0104ac630c"),
+    (["lattice-scaling", *_SET_FLAGS, "--m", "256,1024"],
+     {"alpha": 1.0, "beta": 1.0, "m": [256, 1024], "set": BALL},
+     "47842a5a43c5c22ed80623e2aaad8a52401644826504897b8e8c26cc0ad11f6b"),
+    (["lattice-scaling", *_SET_FLAGS, "--m", "256,1024", "--alpha", "0.5", "--beta", "1.5",
+      *_ALL_COMMON],
+     {"alpha": 0.5, "beta": 1.5, "m": [256, 1024], "set": BALL},
+     "2dc02082341e963737c216769894e36602c928f8221ffe76abdfe24ab8974ae0"),
+    (["kronecker-scaling", *_SET_FLAGS, "--m", "65536,262144"],
+     {"eps": 0.1, "m": [65536, 262144], "schmidt_R": [64, 128, 256, 512], "set": BALL},
+     "3e10899b3bf06119251321256e98fb9a30dd6e896d8d46798c551f480b92891b"),
+    (["kronecker-scaling", *_SET_FLAGS, "--m", "65536,262144", "--x", "0.25,0.5",
+      "--eps", "0.2", "--schmidt-R", "32,64", *_ALL_COMMON],
+     {"eps": 0.2, "m": [65536, 262144], "schmidt_R": [32, 64], "set": BALL,
+      "x": [0.25, 0.5]},
+     "178775b57fb739cb33a7765538102b36cb59579b1a743dd4a54d1d7e67b16f53"),
+    (["glp-search", "--m", "101"],
+     {"X": "coordinate", "d": 2, "m": 101, "n_samples": 128, "strategy": "exhaustive"},
+     "5ef8d7b4a5db149ea4767413b461f9869921662095251518b04bdb64368ef1e0"),
+    (["glp-search", "--m", "101", "--d", "2", "--X", _SQUARE_X, "--strategy", "random",
+      "--n-samples", "16", *_ALL_COMMON],
+     {"X": _SQUARE_X, "d": 2, "m": 101, "n_samples": 16, "strategy": "random"},
+     "1fe3bef428cfdb66c510241111ad8175bfd3ffa492cc3962306004a2fb52eb06"),
+    (["polytope-family", "--m", "101"],
+     {"X": "coordinate", "chain_sum_R": [16, 64, 256, 1024, 4096], "d": 2, "m": 101},
+     "2bf2c7a591f07bc45a8092c786ab2fba0d2d2bd2ff75254ff2d02211178d84ef"),
+    (["polytope-family", "--m", "101", "--d", "2", "--X", _SQUARE_X, "--g", "1,44",
+      "--chain-sum-R", "16,64", *_ALL_COMMON],
+     {"X": _SQUARE_X, "chain_sum_R": [16, 64], "d": 2, "g": [1, 44], "m": 101},
+     "d73d3ef635ce0e27e8950a4c9abbb2ab6482a034a46457d94c4e645c119bf743"),
+    (["sphere-orbit", "--k", "1"],
+     {"base": [0.0, 0.0, 1.0], "delta": 1.0, "k": 1},
+     "b7d2cc56ba7c7eb22af0a368546bedc63f6601b89a0bdc1899cba1605243239c"),
+    (["sphere-orbit", "--k", "1", "--base", "0,1,1", "--cap", "0,0,1,0.5",
+      "--cap", "1,0,0,1.0", "--L", "3", "--delta", "0.5", *_ALL_COMMON],
+     {"L": 3, "base": [0.0, 1.0, 1.0], "caps": ["0,0,1,0.5", "1,0,0,1.0"], "delta": 0.5,
+      "k": 1},
+     "daccdbeecef3a0fa2ad6ea768c01960b1a89cd81a8e4bbc2d93a1d97edb15303"),
+]
+
+
+@pytest.mark.parametrize("argv, params, digest", CONFIG_CONTRACT,
+                         ids=[f"{c[0][0]}-{'all' if '--seed' in c[0] else 'none'}"
+                              for c in CONFIG_CONTRACT])
+def test_config_contract(argv, params, digest):
+    # parsing only: the config embedded in every report, and its hash, stay fixed
+    config = _namespace_to_config(build_parser().parse_args(argv))
+    full = "--seed" in argv
+    assert config.canonical() == {
+        "kind": argv[0], "params": params, "seed": 7 if full else 0,
+        "kernel_params": _ALL_KERNEL if full else _DEFAULT_KERNEL}
+    assert config.digest() == digest
+    assert (config.out, config.csv_out, config.kernel_cache) == (
+        ("r.json", "c.csv", "k.json") if full else (None, None, None))

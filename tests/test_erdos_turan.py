@@ -73,6 +73,12 @@ def test_grid_search_never_worse_than_formula(kernel2):
     assert formula_bound and best.bound <= formula_bound[0]
 
 
+def test_r_search_builds_each_R_once(kernel2):
+    # the formula R = 16 is already a power-of-two candidate
+    _, table = et_bound_r_search(BALL, lattice(256, d=2), kernel2, formula_R=16.0, r_cap=32)
+    assert [r for r, _ in table] == [4.0, 8.0, 16.0, 32.0]
+
+
 def test_polytope_family_bound_korobov_restriction():
     cs = ChainSystem.coordinate(2)
     ps = korobov((1, 33), 101)

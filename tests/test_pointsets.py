@@ -153,10 +153,3 @@ def test_descriptor_round_trip():
         again = pointset_from_descriptor(ps.descriptor)
         assert np.allclose(again.points, ps.points)
 
-
-def test_csv_round_trip(tmp_path):
-    ps = korobov((1, 3), 5)
-    path = tmp_path / "points.csv"
-    ps.to_csv(path)
-    again = PointSet.from_csv(path)
-    assert np.array_equal(again.points, ps.points)
