@@ -75,6 +75,7 @@ from .sphere import (  # noqa: F401
     HarmonicBlock,
     RotationWord,
     SphereOrbit,
+    ball_rho_hat,
     enumerate_words,
     hecke_block,
     lps_generators,

@@ -12,6 +12,11 @@ The chain functional
 controls the Fourier decay of the family of polyhedra with facets parallel
 to X; the companion per-polytope bound replaces 1 by the diameter lambda and
 runs over the polytope's own face chains.
+
+`phi` computes each distinct subspace's factor once per call and multiplies
+the chain products in chain order, so its values equal the chain-by-chain
+evaluation bitwise. Phi(-xi) = Phi(xi) bitwise, so sums over the integer
+ball (`chain_sum` here, `glp.PhiBall`) evaluate one half of it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frequencies import TWO_PI
+from .frequencies import TWO_PI, integer_ball_chunked
 from .geometry import ConvexPolytope
 
 
@@ -109,15 +114,25 @@ class ChainSystem:
 
 
 def phi(chains: ChainSystem, xi) -> np.ndarray | float:
-    """Chain functional Phi(xi); vectorized over rows of xi."""
+    """Chain functional Phi(xi); vectorized over rows of xi.
+
+    Chains share subspaces (every chain starts at R^d), so each distinct
+    subspace's factor is computed once per call; the chain products still
+    multiply in chain order, so the values do not depend on the sharing.
+    """
     X = np.atleast_2d(np.asarray(xi, dtype=float))
+    d = chains.dimension
+    factors: dict[tuple, np.ndarray] = {}
     total = np.zeros(len(X))
     for chain in chains.chain_bases:
         prod = np.ones(len(X))
         for basis in chain:
-            norm = np.sqrt(((X @ np.asarray(basis).T) ** 2).sum(1))
-            with np.errstate(divide="ignore"):
-                prod *= np.minimum(1.0, 1.0 / (TWO_PI * norm))
+            key = _projector_key(basis, d)
+            if key not in factors:
+                norm = np.sqrt(((X @ np.asarray(basis).T) ** 2).sum(1))
+                with np.errstate(divide="ignore"):
+                    factors[key] = np.minimum(1.0, 1.0 / (TWO_PI * norm))
+            prod *= factors[key]
         total += prod
     if np.ndim(xi) == 1:
         return float(total[0])
@@ -147,11 +162,20 @@ def polytope_ft_bound(polytope: ConvexPolytope, xi) -> np.ndarray | float:
 
 
 def chain_sum(chains: ChainSystem, radius: float, *, include_boundary: bool = True) -> float:
-    """Sum of Phi over integer frequencies 1 <= |k| <= radius (chunked)."""
-    from .frequencies import integer_ball_chunked
+    """Sum of Phi over integer frequencies 1 <= |k| <= radius (chunked).
+
+    Phi(-k) = Phi(k) exactly, so the sum runs over the lexicographically
+    positive half of the ball (first nonzero coordinate > 0) and is doubled.
+    """
     total = 0.0
     for stripe in integer_ball_chunked(radius, chains.dimension,
                                        include_boundary=include_boundary):
-        total += float(np.sum(phi(chains, stripe.astype(float))))
-    return total
+        if stripe[0, 0] > 0:
+            half = stripe                       # a d = 2 stripe k1 > 0; k1 < 0 mirrors it
+        elif np.array_equal(stripe[0], -stripe[-1]):
+            half = stripe[len(stripe) // 2:]    # closed under k -> -k, in lexicographic order
+        else:
+            continue
+        total += float(np.sum(phi(chains, half.astype(float))))
+    return 2.0 * total
 

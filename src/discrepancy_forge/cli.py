@@ -55,7 +55,7 @@ from .pointsets import (
     schmidt_sum,
     weyl_spectrum,
 )
-from .sphere import Cap, enumerate_words, orbit, rho_hat, set_discrepancy, sphere_bound
+from .sphere import Cap, ball_rho_hat, enumerate_words, orbit, set_discrepancy, sphere_bound
 
 CACHE_ENV = "DISCREPANCY_FORGE_CACHE"
 
@@ -327,9 +327,11 @@ def run_lattice_scaling(config: ExperimentConfig) -> dict:
 def run_kronecker_scaling(config: ExperimentConfig) -> dict:
     params = config.params
     set_ = _load_set(params)
-    kernel = get_kernel(config)
     x = tuple(params.get("x", KRONECKER_X))
     d = set_.dimension
+    if len(x) != d:
+        raise ConfigError(f"--x has {len(x)} coordinates, but the set has dimension {d}")
+    kernel = get_kernel(config)
 
     schmidt_rows = []
     for R in params["schmidt_R"]:
@@ -381,6 +383,9 @@ def run_polytope_family(config: ExperimentConfig) -> dict:
     d, m = params["d"], params["m"]
     chains = _chain_system(params)
     g = params.get("g")
+    if g is not None and len(g) != d:
+        raise ConfigError(f"--g has {len(g)} entries, but d = {d}")
+    phi_ball = None
     if g is None:
         phi_ball = PhiBall.build(chains, m)
         cert = search(m, chains, "exhaustive", phi_ball=phi_ball)
@@ -399,11 +404,12 @@ def run_polytope_family(config: ExperimentConfig) -> dict:
     _require(spread <= 4.0, "chain sum log-power spread", spread, 4.0)
 
     if config.csv_out:
-        phis = PhiBall.build(chains, m)
+        if phi_ball is None:
+            phi_ball = PhiBall.build(chains, m)
         _write_csv(config.csv_out, ["k1", "k2", "phi", "weyl", "term"],
                    ([int(k[0]), int(k[1]), repr(float(p)), repr(float(w)),
                      repr(float(p * w))]
-                    for k, p, w in zip(phis.freqs, phis.values, spectrum.values)))
+                    for k, p, w in zip(phi_ball.freqs, phi_ball.values, spectrum.values)))
     return {"m": m, "g": list(g), "bound": fam.value, "r_term": fam.r_term,
             "sum_term": fam.sum_term, "chain_sums": ratio_rows,
             "chain_sum_spread": spread}
@@ -424,6 +430,8 @@ def run_sphere_orbit(config: ExperimentConfig) -> dict:
     if base.shape != (3,) or not 0 < norm < np.inf:
         raise ConfigError(f"base must be a nonzero finite 3-vector, got {params['base']}")
     caps = [_cap(spec) for spec in params.get("caps", [SPHERE_CAP])]
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
     if L is not None and L < 1:
         raise ConfigError(f"L must be >= 1, got {L}")
 
@@ -433,7 +441,7 @@ def run_sphere_orbit(config: ExperimentConfig) -> dict:
     doc = {"k": k, "m": orb.size, "base": [float(v) for v in base], "caps": []}
     rho_value = None
     if L is not None:
-        rho = rho_hat(words, L)
+        rho = ball_rho_hat(k, L)
         doc["rho_hat"] = rho.to_json()
         rho_value = rho.value
     for cap in caps:

@@ -38,11 +38,14 @@ def integer_ball(radius: float, d: int, *, include_boundary: bool = False,
 def integer_ball_chunked(radius: float, d: int, *, include_boundary: bool = False):
     """Yield stripes of the punctured ball, for radii too large to materialize.
 
-    Stripes are slices of constant first coordinate, ascending; within a
-    stripe the remaining coordinates are lexicographic.
+    Stripes are nonempty slices of constant first coordinate, ascending;
+    within a stripe the remaining coordinates are lexicographic. For d != 2
+    the whole ball is one stripe.
     """
     if d != 2:
-        yield integer_ball(radius, d, include_boundary=include_boundary)
+        ball = integer_ball(radius, d, include_boundary=include_boundary)
+        if len(ball):
+            yield ball
         return
     kmax = int(np.floor(radius))
     r2 = float(radius) ** 2

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import j1
 
 from .frequencies import TWO_PI
 from .quadrature import gauss_nodes
@@ -250,6 +249,7 @@ class Ball(TorusSet):
         r = self.radius
         safe = np.where(norm == 0, 1.0, norm)
         if self.dimension == 2:
+            from scipy.special import j1  # imported here: scipy is slow to load
             radial = r * j1(TWO_PI * r * safe) / safe
         else:
             u = TWO_PI * r * safe

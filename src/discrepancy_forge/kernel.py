@@ -32,10 +32,14 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
-from scipy.special import j0, j1
+
+# scipy is imported inside the functions that call it: it is most of the
+# package's import time, and experiments that use no kernel never call it
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import QuadratureError
 from .frequencies import TWO_PI
@@ -127,6 +131,7 @@ def _radial_transform(d: int, r: np.ndarray, wf: np.ndarray, s: np.ndarray) -> n
         if d == 1:
             j = np.cos(TWO_PI * rs)
         elif d == 2:
+            from scipy.special import j0
             j = j0(TWO_PI * rs)
         else:
             j = np.sinc(2.0 * rs)    # sin(2 pi r s) / (2 pi r s), 1 at s = 0
@@ -192,6 +197,7 @@ class KernelTable:
     _tail_interp: PchipInterpolator = field(init=False, repr=False)
 
     def __post_init__(self):
+        from scipy.interpolate import CubicSpline, PchipInterpolator
         self._khat_spline = CubicSpline(self.khat_grid, self.khat, bc_type="clamped")
         self._k_interp = PchipInterpolator(self.kvals_grid, self.kvals)
         self._tail_interp = PchipInterpolator(self.tail_grid, self.tail)
@@ -328,6 +334,7 @@ class _MasterRepresentation:
             inner = 2.0 * self.coeff
             omega = SPHERE_SURFACE[1]
         elif self.d == 2:
+            from scipy.special import j1
             prim = t[None, :] * j1(np.outer(a, t)) / a[:, None]
             prim_hi = hi * j1(a * hi) / a
             inner = TWO_PI * self.coeff * self.nodes
@@ -370,6 +377,7 @@ def build_kernel_table(d: int, bump: BumpProfile, x_max: float = 25.0, t_max: fl
     conv_grid, _ = autocorrelation_values(bump, khat_grid)
     khat_tab = (1.0 + khat_grid ** 2) ** (-decay) * conv_grid
     khat_tab[-1] = 0.0  # support constraint is exact
+    from scipy.interpolate import CubicSpline
     spline = CubicSpline(khat_grid, khat_tab, bc_type="clamped")
     khat_accuracy = float(np.max(np.abs(spline(nodes) - khat_nodes))) + conv_err
 

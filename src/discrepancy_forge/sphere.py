@@ -14,6 +14,14 @@ spectral radius rho(m); reports always carry the truncation degree L.
 D^l is assembled per word from its zyz Euler angles, with the middle factor
 exp(-i beta Jy) obtained from one Hermitian eigendecomposition of Jy per
 degree (exact integer spectrum), which stays unitary to ~1e-12 at l = 50.
+
+`rho_hat` averages over the word set it is given. For the ball of all
+reduced words of length <= k, `ball_rho_hat` needs no words: the sum S_n of
+D^l over the words of length exactly n is a polynomial in the generator sum
+S_1 (the Hecke operator of Lubotzky, Phillips and Sarnak), with S_2 =
+S_1^2 - 6 and S_{n+1} = S_1 S_n - 5 S_{n-1}, so one eigvalsh of the
+Hermitian S_1 per degree gives the ball block's spectrum. The word-set path
+stays as its oracle.
 """
 
 from __future__ import annotations
@@ -305,6 +313,37 @@ class RhoHatResult:
 
 def rho_hat(words, L: int) -> RhoHatResult:
     norms = [hecke_block(words, ell).norm for ell in range(1, L + 1)]
+    return RhoHatResult(value=float(max(norms)), L=int(L), per_degree=tuple(norms))
+
+
+def hecke_ball_sum(lam, k: int):
+    """sum_{n <= k} p_n(lam): the eigenvalue of S_0 + ... + S_k where S_1 has lam.
+
+    p_0 = 1, p_1 = lam, p_2 = lam^2 - 6 and p_{n+1} = lam p_n - 5 p_{n-1};
+    at the trivial eigenvalue lam = 6 the sum is word_count(k).
+    """
+    lam = np.asarray(lam, dtype=float)
+    p = [np.ones_like(lam), lam]
+    for n in range(2, k + 1):
+        p.append(lam * p[-1] - (6.0 if n == 2 else 5.0) * p[-2])
+    return sum(p[:k + 1])
+
+
+def ball_rho_hat(k: int, L: int) -> RhoHatResult:
+    """rho_hat(enumerate_words(k), L), from the six generator blocks alone.
+
+    The ball average in degree l is hecke_ball_sum(S_1, k) / word_count(k),
+    with S_1 = 6 hecke_block(generators, l), so one eigvalsh of S_1 per degree
+    gives its spectrum; no word list is built, so k is not capped at 8.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    gens = list(lps_generators().values())
+    m = word_count(k)
+    norms = []
+    for ell in range(1, L + 1):
+        lam = np.linalg.eigvalsh(6.0 * hecke_block(gens, ell).matrix)
+        norms.append(float(np.max(np.abs(hecke_ball_sum(lam, k) / m))))
     return RhoHatResult(value=float(max(norms)), L=int(L), per_degree=tuple(norms))
 
 

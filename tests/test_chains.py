@@ -1,9 +1,13 @@
 """Chain systems, the chain functional, and the per-polytope Fourier bound."""
 
+import math
+
 import numpy as np
 import pytest
+from oracles import phi_per_chain
 
 from discrepancy_forge.chains import ChainSystem, chain_sum, phi, polytope_ft_bound
+from discrepancy_forge.frequencies import integer_ball
 from discrepancy_forge.geometry import ConvexPolytope
 
 TWO_PI = 2 * np.pi
@@ -77,3 +81,31 @@ def test_general_normals_chain_containment():
         top, line = np.asarray(chain[0]), np.asarray(chain[1])
         assert top.shape == (2, 2) and line.shape == (1, 2)
 
+
+_FAMILIES = {"coordinate-1": ChainSystem.coordinate(1),
+             "coordinate-2": ChainSystem.coordinate(2),
+             "coordinate-3": ChainSystem.coordinate(3),
+             "four-normals-2": ChainSystem.from_normals([[1, 0], [0, 1], [1, 1], [1, -2]])}
+
+
+@pytest.mark.parametrize("name", list(_FAMILIES))
+def test_phi_bitwise_equals_per_chain_oracle(name):
+    # shared subspace factors are computed once, but each chain product keeps its order
+    cs = _FAMILIES[name]
+    d = cs.dimension
+    rng = np.random.default_rng(5)
+    xi = np.concatenate([integer_ball(12 if d == 3 else 40, d, include_zero=True),
+                         rng.normal(scale=20.0, size=(500, d))])
+    assert np.array_equal(phi(cs, xi), phi_per_chain(cs, xi))
+    assert phi(cs, xi[7]) == phi_per_chain(cs, xi[7])[0]
+
+
+@pytest.mark.parametrize("d, radii", [(2, (16, 64, 256, 1024)), (3, (4, 8, 16, 24))])
+def test_chain_sum_half_ball_matches_full_ball_oracle(d, radii):
+    # chain_sum doubles the lexicographically positive half; the oracle sums the
+    # per-chain Phi over the whole ball |k| <= R, exactly rounded
+    cs = ChainSystem.coordinate(d)
+    for R in radii:
+        ball = integer_ball(R, d, include_boundary=True).astype(float)
+        expected = math.fsum(phi_per_chain(cs, ball))
+        assert chain_sum(cs, R) == pytest.approx(expected, rel=1e-13, abs=0.0)

@@ -1,6 +1,11 @@
 """CLI experiments: subcommands, exit-code contract, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,13 +220,57 @@ def _no_expensive_work(*args, **kwargs):
     ["kronecker-scaling", "--set", BALL, "--m", "65536,262144", "--x="],
     ["glp-search", "--m", "101", "--d", "3", "--X", "[[1,0],[0,1]]"],
     ["polytope-family", "--m", "101", "--d", "3", "--X", "[[1,0],[0,1]]"],
+    ["sphere-orbit", "--k", "0"],
+    ["sphere-orbit", "--k", "0", "--L", "2"],
+    ["kronecker-scaling", "--set", BALL, "--m", "65536,262144", "--x", "0.4142135623730951"],
+    ["polytope-family", "--m", "101", "--g", "1"],
 ], ids=["cap-3-values", "cap-5-values", "base-zero", "L-zero", "m-empty",
         "lattice-one-size", "kronecker-one-size", "R-empty", "x-empty", "glp-X-dimension",
-        "family-X-dimension"])
+        "family-X-dimension", "k-zero", "k-zero-with-L", "x-dimension", "g-length"])
 def test_malformed_input_exits_3_before_any_work(argv, monkeypatch):
-    for name in ("get_kernel", "enumerate_words", "search"):
+    for name in ("get_kernel", "enumerate_words", "search", "korobov", "chain_sum",
+                 "ball_rho_hat"):
         monkeypatch.setattr(cli, name, _no_expensive_work)
     assert run_cli(argv) == EXIT_CONFIG
+
+
+def test_polytope_family_builds_one_phi_ball(tmp_path, monkeypatch):
+    # the exhaustive search's ball also feeds the CSV
+    builds = []
+    build = cli.PhiBall.build
+
+    def counting_build(chains, m):
+        builds.append(m)
+        return build(chains, m)
+
+    monkeypatch.setattr(cli.PhiBall, "build", staticmethod(counting_build))
+    csv_out = tmp_path / "phi.csv"
+    assert run_cli(["polytope-family", "--m", "101", "--chain-sum-R", "16,64",
+                    "--out", str(tmp_path / "r.json"), "--csv-out", str(csv_out)]) == EXIT_OK
+    assert builds == [101]
+    assert csv_out.read_text().startswith("k1,k2,phi,weyl,term")
+
+
+_NO_KERNEL_RUNS = [["glp-search", "--m", "101"],
+                   ["polytope-family", "--m", "31", "--chain-sum-R", "16,64"],
+                   ["sphere-orbit", "--k", "2", "--L", "4"]]
+
+
+def test_experiments_without_a_kernel_never_import_scipy(tmp_path):
+    # scipy is most of the import time; only kernel and Bessel-function code loads it
+    script = textwrap.dedent("""
+        import json, sys
+        from discrepancy_forge.cli import main
+        for argv in json.loads(sys.argv[1]):
+            assert main(argv + ["--out", sys.argv[2]]) == 0, argv
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(_NO_KERNEL_RUNS),
+                           str(tmp_path / "r.json")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 _SET_FLAGS = ["--set", BALL]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import phi_per_chain
 
 from discrepancy_forge.chains import ChainSystem, phi
 from discrepancy_forge.frequencies import integer_ball
@@ -117,3 +118,11 @@ def test_certificate_serialization():
     doc = cert.to_json()
     assert doc["m"] == 7 and len(doc["g"]) == 2
     assert doc["value"] <= doc["average"]
+
+
+def test_phi_ball_bitwise_equals_per_chain_oracle():
+    # the second half of the ball is the first half negated and reversed
+    for cs in (CS2, ChainSystem.from_normals([[1, 0], [0, 1], [1, 1]])):
+        ball = PhiBall.build(cs, 101)
+        assert np.array_equal(ball.freqs, integer_ball(101, 2))
+        assert np.array_equal(ball.values, phi_per_chain(cs, ball.freqs.astype(float)))

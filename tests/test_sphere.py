@@ -7,7 +7,9 @@ from discrepancy_forge.sphere import (
     Cap,
     CapUnion,
     all_distinct,
+    ball_rho_hat,
     enumerate_words,
+    hecke_ball_sum,
     hecke_block,
     lps_generators,
     orbit,
@@ -161,6 +163,22 @@ def test_ball_rho_hat_above_generator_threshold(words1):
     ball_value = rho_hat(words1, 20).value
     assert ball_value == pytest.approx(0.751538, abs=1e-4)
     assert ball_value > 2 * np.sqrt(5) / 6
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_ball_rho_hat_matches_word_average(k):
+    # the Hecke recurrence against the average of D^l over the enumerated ball
+    fast = ball_rho_hat(k, 20)
+    oracle = rho_hat(enumerate_words(k), 20)
+    assert fast.L == oracle.L == 20
+    assert np.max(np.abs(np.subtract(fast.per_degree, oracle.per_degree))) <= 1e-12
+    assert abs(fast.value - oracle.value) <= 1e-12
+
+
+def test_hecke_ball_sum_counts_words_at_trivial_degree():
+    # S_1 acts as 6 on constants, and S_n as the number of words of length n
+    for k in range(0, 13):
+        assert hecke_ball_sum(6.0, k) == word_count(k)
 
 
 def test_rho_hat_decreasing_in_k():
