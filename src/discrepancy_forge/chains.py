@@ -15,8 +15,8 @@ runs over the polytope's own face chains.
 
 `phi` computes each distinct subspace's factor once per call and multiplies
 the chain products in chain order, so its values equal the chain-by-chain
-evaluation bitwise. Phi(-xi) = Phi(xi) bitwise, so sums over the integer
-ball (`chain_sum` here, `glp.PhiBall`) evaluate one half of it.
+evaluation bitwise. Phi(-xi) = Phi(xi) bitwise, so `chain_sum` evaluates the
+lexicographically positive half of the ball and doubles it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frequencies import TWO_PI, integer_ball_chunked
+from .frequencies import TWO_PI, positive_half_chunked
 from .geometry import ConvexPolytope
 
 
@@ -165,17 +165,10 @@ def chain_sum(chains: ChainSystem, radius: float, *, include_boundary: bool = Tr
     """Sum of Phi over integer frequencies 1 <= |k| <= radius (chunked).
 
     Phi(-k) = Phi(k) exactly, so the sum runs over the lexicographically
-    positive half of the ball (first nonzero coordinate > 0) and is doubled.
+    positive half of the ball and is doubled.
     """
     total = 0.0
-    for stripe in integer_ball_chunked(radius, chains.dimension,
-                                       include_boundary=include_boundary):
-        if stripe[0, 0] > 0:
-            half = stripe                       # a d = 2 stripe k1 > 0; k1 < 0 mirrors it
-        elif np.array_equal(stripe[0], -stripe[-1]):
-            half = stripe[len(stripe) // 2:]    # closed under k -> -k, in lexicographic order
-        else:
-            continue
+    for half in positive_half_chunked(radius, chains.dimension,
+                                      include_boundary=include_boundary):
         total += float(np.sum(phi(chains, half.astype(float))))
     return 2.0 * total
-

@@ -38,19 +38,39 @@ def integer_ball(radius: float, d: int, *, include_boundary: bool = False,
 def integer_ball_chunked(radius: float, d: int, *, include_boundary: bool = False):
     """Yield stripes of the punctured ball, for radii too large to materialize.
 
-    Stripes are nonempty slices of constant first coordinate, ascending;
-    within a stripe the remaining coordinates are lexicographic. For d != 2
-    the whole ball is one stripe.
+    Stripes are slices of constant first coordinate, ascending; within a
+    stripe the remaining coordinates are lexicographic.
+    """
+    if d != 2:
+        yield integer_ball(radius, d, include_boundary=include_boundary)
+        return
+    kmax = int(np.floor(radius))
+    yield from _stripes(radius, range(-kmax, kmax + 1), include_boundary)
+
+
+def positive_half_chunked(radius: float, d: int, *, include_boundary: bool = False):
+    """Yield the lexicographically positive half of the punctured ball (first
+    nonzero coordinate > 0), in chunks of lexicographic order.
+
+    k -> -k maps this half onto the rest of the ball, so a sum of an even
+    function over the ball is twice its sum over these rows. A chunk closed
+    under negation and without 0 holds its positive half in its upper half,
+    since its lexicographic order reversed is its order negated.
     """
     if d != 2:
         ball = integer_ball(radius, d, include_boundary=include_boundary)
-        if len(ball):
-            yield ball
+        yield ball[len(ball) // 2:]
         return
+    for stripe in _stripes(radius, range(int(np.floor(radius)) + 1), include_boundary):
+        yield stripe if stripe[0, 0] > 0 else stripe[len(stripe) // 2:]
+
+
+def _stripes(radius: float, k1_values, include_boundary: bool):
+    """The nonempty d = 2 stripes of constant first coordinate k1, in k1_values order."""
     kmax = int(np.floor(radius))
     r2 = float(radius) ** 2
     axis = np.arange(-kmax, kmax + 1, dtype=np.int64)
-    for k1 in range(-kmax, kmax + 1):
+    for k1 in k1_values:
         norm2 = float(k1) ** 2 + axis.astype(float) ** 2
         keep = (norm2 <= r2) if include_boundary else (norm2 < r2)
         keep &= norm2 > 0

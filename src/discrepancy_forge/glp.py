@@ -35,11 +35,8 @@ class PhiBall:
 
     @classmethod
     def build(cls, chains: ChainSystem, m: int) -> "PhiBall":
-        """Phi on the first half of the ball, mirrored: the lexicographic order
-        reversed is the order negated, and Phi(-k) = Phi(k) exactly."""
         freqs = integer_ball(m, chains.dimension)
-        first = phi(chains, freqs[:len(freqs) // 2].astype(float))
-        return cls(m=int(m), freqs=freqs, values=np.concatenate([first, first[::-1]]))
+        return cls(m=int(m), freqs=freqs, values=phi(chains, freqs.astype(float)))
 
     @property
     def total(self) -> float:

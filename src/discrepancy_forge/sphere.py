@@ -342,6 +342,8 @@ def ball_rho_hat(k: int, L: int) -> RhoHatResult:
     m = word_count(k)
     norms = []
     for ell in range(1, L + 1):
+        # hecke_block also takes eigvalsh(T) for its .norm; the second one on
+        # a (2l+1)-square block costs far less than building the block
         lam = np.linalg.eigvalsh(6.0 * hecke_block(gens, ell).matrix)
         norms.append(float(np.max(np.abs(hecke_ball_sum(lam, k) / m))))
     return RhoHatResult(value=float(max(norms)), L=int(L), per_degree=tuple(norms))

@@ -7,7 +7,7 @@ import pytest
 from oracles import phi_per_chain
 
 from discrepancy_forge.chains import ChainSystem, chain_sum, phi, polytope_ft_bound
-from discrepancy_forge.frequencies import integer_ball
+from discrepancy_forge.frequencies import integer_ball, positive_half_chunked
 from discrepancy_forge.geometry import ConvexPolytope
 
 TWO_PI = 2 * np.pi
@@ -109,3 +109,11 @@ def test_chain_sum_half_ball_matches_full_ball_oracle(d, radii):
         ball = integer_ball(R, d, include_boundary=True).astype(float)
         expected = math.fsum(phi_per_chain(cs, ball))
         assert chain_sum(cs, R) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("d, R", [(1, 9), (2, 13), (3, 5)])
+def test_positive_half_and_its_negation_tile_the_ball(d, R):
+    ball = integer_ball(R, d, include_boundary=True)
+    half = np.concatenate(list(positive_half_chunked(R, d, include_boundary=True)))
+    assert np.array_equal(half, ball[len(ball) // 2:])
+    assert np.array_equal(-half[::-1], ball[:len(ball) // 2])

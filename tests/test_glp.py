@@ -121,7 +121,7 @@ def test_certificate_serialization():
 
 
 def test_phi_ball_bitwise_equals_per_chain_oracle():
-    # the second half of the ball is the first half negated and reversed
+    # phi shares subspace factors across chains; the values must not move
     for cs in (CS2, ChainSystem.from_normals([[1, 0], [0, 1], [1, 1]])):
         ball = PhiBall.build(cs, 101)
         assert np.array_equal(ball.freqs, integer_ball(101, 2))
