@@ -55,7 +55,15 @@ from .pointsets import (
     schmidt_sum,
     weyl_spectrum,
 )
-from .sphere import Cap, ball_rho_hat, enumerate_words, orbit, set_discrepancy, sphere_bound
+from .sphere import (
+    MAX_DEGREE,
+    Cap,
+    ball_rho_hat,
+    enumerate_words,
+    orbit,
+    set_discrepancy,
+    sphere_bound,
+)
 
 CACHE_ENV = "DISCREPANCY_FORGE_CACHE"
 
@@ -364,6 +372,8 @@ def _chain_system(params: dict) -> ChainSystem:
 def run_glp_search(config: ExperimentConfig) -> dict:
     params = config.params
     d, m, strategy = params["d"], params["m"], params["strategy"]
+    if strategy == "random" and params["n_samples"] < 1:
+        raise ConfigError(f"--n-samples must be >= 1, got {params['n_samples']}")
     chains = _chain_system(params)
     cert = search(m, chains, strategy, n_samples=params["n_samples"], seed=config.seed)
     if strategy == "exhaustive":
@@ -385,6 +395,8 @@ def run_polytope_family(config: ExperimentConfig) -> dict:
     g = params.get("g")
     if g is not None and len(g) != d:
         raise ConfigError(f"--g has {len(g)} entries, but d = {d}")
+    if min(params["chain_sum_R"]) < 1:
+        raise ConfigError(f"--chain-sum-R values must be >= 1, got {params['chain_sum_R']}")
     phi_ball = None
     if g is None:
         phi_ball = PhiBall.build(chains, m)
@@ -432,8 +444,8 @@ def run_sphere_orbit(config: ExperimentConfig) -> dict:
     caps = [_cap(spec) for spec in params.get("caps", [SPHERE_CAP])]
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    if L is not None and L < 1:
-        raise ConfigError(f"L must be >= 1, got {L}")
+    if L is not None and not 1 <= L <= MAX_DEGREE:
+        raise ConfigError(f"L must be in [1, {MAX_DEGREE}], got {L}")
 
     base = base / norm
     words = enumerate_words(k)
@@ -607,7 +619,8 @@ def build_parser() -> _Parser:
     p.add_argument("--base", type=_list_of(float), default="0,0,1")
     p.add_argument("--cap", dest="caps", action="append",
                    help="px,py,pz,theta (repeatable; default: the polar cap, theta = pi/6)")
-    p.add_argument("--L", type=int, help="harmonic degree cutoff for rho_hat (>= 1)")
+    p.add_argument("--L", type=int,
+                   help=f"harmonic degree cutoff for rho_hat (1 to {MAX_DEGREE})")
     p.add_argument("--delta", type=float, default=1.0)
 
     return parser

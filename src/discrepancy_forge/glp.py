@@ -8,10 +8,16 @@ The mean of S over all g is at most (m-1)^-1 sum over the whole ball of Phi,
 so a minimizer does at least as well as that average certificate; exhaustive
 search realizes the existence argument constructively.
 
-For d = 2 the congruence set depends on g only through a = -g1 * g2^-1 mod m,
-so one pass over the k ball bins Phi by the residue class a = k2 * k1^-1 and
-the full (m-1)^2 search collapses to m-1 exact lookups. This is an exact
-reformulation of the double loop (tested against it at small m).
+For d = 2 the congruence set depends on g only through a = -g1 * g2^-1 mod m:
+g . k = 0 (mod m) exactly when k2 = a k1, and inside |k| < m no row with
+k1 = 0 (mod m) qualifies. So one pass over the k ball assigns each row its
+residue class a = k2 * k1^-1 and every d = 2 strategy becomes m-1 lookups
+in a table of class sums. `random` and `korobov-rank1` look up sums taken as
+`congruence_sum` takes them, over each class's values in ascending order, so
+every entry equals `congruence_sum` bitwise. `exhaustive` still bins the
+rows in ball order with one weighted bincount, whose sums differ from those
+in the last bits; its picks and the reports built on them keep that order.
+For d != 2 each candidate is a `congruence_sum` of its own.
 """
 
 from __future__ import annotations
@@ -82,22 +88,34 @@ def congruence_sum(g, m: int, chains: ChainSystem, *,
     return float(np.sum(np.sort(phi_ball.values[mask])))
 
 
+def _residue_class(k: np.ndarray, m: int) -> np.ndarray:
+    """Class a = k2 * k1^-1 (mod m) of each pair k (last axis), -1 where k1 = 0 (mod m)."""
+    k1 = k[..., 0] % m
+    inv = np.array([0] + [pow(j, -1, m) for j in range(1, m)], dtype=np.int64)
+    return np.where(k1 != 0, (k[..., 1] % m) * inv[k1] % m, -1)
+
+
+def _class_of(g: np.ndarray, m: int) -> np.ndarray:
+    """Class of generators g (last axis): g . k = 0 (mod m) iff k has the class of (g2, -g1)."""
+    return _residue_class(np.stack([g[..., 1], -g[..., 0]], axis=-1), m)
+
+
 def _residue_class_sums(phi_ball: PhiBall) -> np.ndarray:
-    """S_class[a] = sum of Phi over {k1 != 0 mod m, k2 = a k1 (mod m)}; d = 2."""
-    m = phi_ball.m
-    k1 = phi_ball.freqs[:, 0] % m
-    k2 = phi_ball.freqs[:, 1] % m
-    usable = k1 != 0  # k1 = 0 (mod m) rows can never satisfy the congruence
-    inv = np.zeros(m, dtype=np.int64)
-    for j in range(1, m):
-        inv[j] = pow(j, m - 2, m)
-    a = (k2[usable] * inv[k1[usable]]) % m
-    return np.bincount(a, weights=phi_ball.values[usable], minlength=m)
+    """S_class[a] = sum of Phi over {k1 != 0 mod m, k2 = a k1 (mod m)} in ball order; d = 2."""
+    a = _residue_class(phi_ball.freqs, phi_ball.m)
+    usable = a >= 0  # k1 = 0 (mod m) rows can never satisfy the congruence
+    return np.bincount(a[usable], weights=phi_ball.values[usable], minlength=phi_ball.m)
 
 
-def _class_of(g: np.ndarray, m: int) -> int:
-    g2_inv = pow(int(g[1]), m - 2, m)
-    return int((-int(g[0]) * g2_inv) % m)
+def _sorted_class_sums(phi_ball: PhiBall) -> np.ndarray:
+    """S_class[a] summed as `congruence_sum` sums it, so bitwise equal to it; d = 2."""
+    a = _residue_class(phi_ball.freqs, phi_ball.m)
+    usable = a >= 0
+    a, values = a[usable], phi_ball.values[usable]
+    ordered = values[np.lexsort((values, a))]  # by class, ascending within each class
+    counts = np.bincount(a, minlength=phi_ball.m)
+    ends = np.cumsum(counts)
+    return np.array([np.sum(ordered[e - c:e]) for c, e in zip(counts, ends)])
 
 
 def search(m: int, chains: ChainSystem, strategy: str = "exhaustive", *,
@@ -106,8 +124,9 @@ def search(m: int, chains: ChainSystem, strategy: str = "exhaustive", *,
     """Search for a good generator; always attaches the average certificate.
 
     exhaustive: all (m-1)^d generators (d = 2 via the residue-class reduction;
-    requires (m-1)^d <= 1e7). random: n_samples seeded draws. korobov-rank1:
-    generators (1, a, a^2, ...) over a in [1, m-1].
+    requires (m-1)^d <= 1e7). random: n_samples >= 1 seeded draws.
+    korobov-rank1: generators (1, a, a^2, ...) over a in [1, m-1]. For d = 2,
+    random and korobov-rank1 candidates are class-table lookups.
     """
     if not is_prime(m):
         raise ValueError(f"modulus must be prime, got {m}")
@@ -119,6 +138,8 @@ def search(m: int, chains: ChainSystem, strategy: str = "exhaustive", *,
             raise ValueError(f"exhaustive search infeasible: (m-1)^d = {(m - 1) ** d:.2e}")
         if d != 2:
             raise ValueError("exhaustive search is implemented for d = 2 only")
+    if strategy == "random" and n_samples < 1:
+        raise ValueError(f"random search needs n_samples >= 1, got {n_samples}")
     if phi_ball is None:
         phi_ball = PhiBall.build(chains, m)
     average = phi_ball.total / (m - 1)
@@ -130,21 +151,18 @@ def search(m: int, chains: ChainSystem, strategy: str = "exhaustive", *,
         g = np.array([m - best_a, 1], dtype=np.int64)
         exact_mean = float(np.mean(class_sums[1:]))
         searched = (m - 1) ** 2
-    elif strategy == "random":
-        rng = np.random.default_rng(seed)
-        cands = rng.integers(1, m, size=(n_samples, d))
-        g = min(cands, key=lambda cg: congruence_sum(cg, m, chains, phi_ball=phi_ball))
-        searched = n_samples
-    else:  # korobov-rank1
-        best_val, g = np.inf, None
-        for a in range(1, m):
-            cand = np.array([pow(a, j, m) for j in range(d)], dtype=np.int64)
-            if np.any(cand < 1):
-                continue
-            val = congruence_sum(cand, m, chains, phi_ball=phi_ball)
-            if val < best_val:
-                best_val, g = val, cand
-        searched = m - 1
+    else:
+        if strategy == "random":
+            cands = np.random.default_rng(seed).integers(1, m, size=(n_samples, d))
+        else:  # korobov-rank1; no power of a in [1, m-1] is 0 mod a prime m
+            cands = np.array([[pow(a, j, m) for j in range(d)] for a in range(1, m)],
+                             dtype=np.int64)
+        if d == 2:
+            vals = _sorted_class_sums(phi_ball)[_class_of(cands, m)]
+        else:
+            vals = [congruence_sum(c, m, chains, phi_ball=phi_ball) for c in cands]
+        g = cands[int(np.argmin(vals))]  # the first of equal minima, as the scan order gives
+        searched = len(cands)
 
     value = congruence_sum(g, m, chains, phi_ball=phi_ball)
     return GlpCertificate(
@@ -154,16 +172,3 @@ def search(m: int, chains: ChainSystem, strategy: str = "exhaustive", *,
         exact_mean=exact_mean,
         best_to_average=float(value / average) if average > 0 else np.nan,
     )
-
-
-def exhaustive_table(m: int, chains: ChainSystem) -> dict:
-    """All (m-1)^2 generator values, for small m; keys are (g1, g2)."""
-    if chains.dimension != 2:
-        raise ValueError("d = 2 only")
-    phi_ball = PhiBall.build(chains, m)
-    class_sums = _residue_class_sums(phi_ball)
-    out = {}
-    for g1 in range(1, m):
-        for g2 in range(1, m):
-            out[(g1, g2)] = float(class_sums[_class_of(np.array([g1, g2]), m)])
-    return out

@@ -211,6 +211,7 @@ def set_discrepancy(orb: SphereOrbit, region) -> float:
 # ---------------------------------------------------------------------------
 
 _WIGNER_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+MAX_DEGREE = 50  # highest harmonic degree checked to stay unitary to ~1e-12
 
 
 def _wigner_eig(ell: int) -> tuple[np.ndarray, np.ndarray]:
@@ -269,8 +270,8 @@ class HarmonicBlock:
 
 def hecke_block(words, ell: int, *, unitarity_checks: int = 8) -> HarmonicBlock:
     """T restricted to degree ell: m^-1 sum of D^l over the word set."""
-    if ell > 50:
-        raise ValueError("degree capped at 50")
+    if ell > MAX_DEGREE:
+        raise ValueError(f"degree capped at {MAX_DEGREE}")
     mats = np.stack([w.matrix for w in words])
     angles = np.array([euler_zyz(m) for m in mats])
     levels, U = _wigner_eig(ell)

@@ -224,9 +224,13 @@ def _no_expensive_work(*args, **kwargs):
     ["sphere-orbit", "--k", "0", "--L", "2"],
     ["kronecker-scaling", "--set", BALL, "--m", "65536,262144", "--x", "0.4142135623730951"],
     ["polytope-family", "--m", "101", "--g", "1"],
+    ["glp-search", "--m", "101", "--strategy", "random", "--n-samples", "0"],
+    ["polytope-family", "--m", "31", "--chain-sum-R", "0,16"],
+    ["sphere-orbit", "--k", "1", "--L", "51"],
 ], ids=["cap-3-values", "cap-5-values", "base-zero", "L-zero", "m-empty",
         "lattice-one-size", "kronecker-one-size", "R-empty", "x-empty", "glp-X-dimension",
-        "family-X-dimension", "k-zero", "k-zero-with-L", "x-dimension", "g-length"])
+        "family-X-dimension", "k-zero", "k-zero-with-L", "x-dimension", "g-length",
+        "n-samples-zero", "chain-sum-R-zero", "L-above-cap"])
 def test_malformed_input_exits_3_before_any_work(argv, monkeypatch):
     for name in ("get_kernel", "enumerate_words", "search", "korobov", "chain_sum",
                  "ball_rho_hat"):

@@ -2,18 +2,34 @@
 
 import numpy as np
 import pytest
-from oracles import phi_per_chain
+from oracles import exhaustive_table, phi_per_chain, search_per_candidate
 
+from discrepancy_forge import glp
 from discrepancy_forge.chains import ChainSystem, phi
 from discrepancy_forge.frequencies import integer_ball
 from discrepancy_forge.glp import (
     PhiBall,
+    _sorted_class_sums,
     congruence_sum,
-    exhaustive_table,
     search,
 )
 
 CS2 = ChainSystem.coordinate(2)
+CHAINS = {"coordinate": CS2,
+          "four-normal": ChainSystem.from_normals([[1, 0], [0, 1], [1, 1], [1, -1]]),
+          "coordinate-3d": ChainSystem.coordinate(3)}
+
+
+@pytest.fixture(scope="module")
+def ball_of():
+    """Each (chain system, m) Phi ball built once for the module; read-only."""
+    balls = {}
+
+    def get(name, m):
+        if (name, m) not in balls:
+            balls[name, m] = PhiBall.build(CHAINS[name], m)
+        return balls[name, m]
+    return get
 
 
 def brute_force_sum(g, m):
@@ -108,6 +124,8 @@ def test_validation():
         search(6, CS2)
     with pytest.raises(ValueError):
         search(3571, CS2, "exhaustive")          # (m-1)^2 > 1e7
+    with pytest.raises(ValueError, match="n_samples"):
+        search(101, CS2, "random", n_samples=0)  # no candidate to pick
     cs3 = ChainSystem.coordinate(3)
     with pytest.raises(ValueError):
         search(101, cs3, "exhaustive")           # d = 2 only for exhaustive
@@ -126,3 +144,46 @@ def test_phi_ball_bitwise_equals_per_chain_oracle():
         ball = PhiBall.build(cs, 101)
         assert np.array_equal(ball.freqs, integer_ball(101, 2))
         assert np.array_equal(ball.values, phi_per_chain(cs, ball.freqs.astype(float)))
+
+
+@pytest.mark.parametrize("name", ["coordinate", "four-normal"])
+@pytest.mark.parametrize("m", [5, 31, 101, 401])
+def test_sorted_class_table_bitwise_equals_congruence_sum(m, name, ball_of):
+    # class a holds the generator (m - a, 1): -g1 * g2^-1 = a (mod m)
+    ball = ball_of(name, m)
+    table = _sorted_class_sums(ball)
+    assert len(table) == m
+    for a in range(1, m):
+        assert table[a] == congruence_sum((m - a, 1), m, CHAINS[name], phi_ball=ball), a
+
+
+@pytest.mark.parametrize("name, m, strategy, seed", [
+    *[(name, m, "korobov-rank1", 0) for name in ("coordinate", "four-normal")
+      for m in (101, 401)],
+    *[(name, 101, "random", seed) for name in ("coordinate", "four-normal")
+      for seed in range(4)],
+    ("coordinate-3d", 31, "korobov-rank1", 0),
+    ("coordinate-3d", 31, "random", 1),
+])
+def test_search_matches_per_candidate_loop(name, m, strategy, seed, ball_of):
+    # d = 2 looks candidates up in the class table; d = 3 sums each one
+    ball = ball_of(name, m)
+    cert = search(m, CHAINS[name], strategy, seed=seed, phi_ball=ball)
+    assert (cert.g, cert.value) == search_per_candidate(m, CHAINS[name], strategy,
+                                                        seed=seed, phi_ball=ball)
+
+
+@pytest.mark.parametrize("strategy", ["korobov-rank1", "random"])
+def test_d2_search_computes_one_congruence_sum(strategy, monkeypatch, ball_of):
+    # candidates are class-table lookups; only the winner's value is recomputed
+    calls = []
+    original = glp.congruence_sum
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(glp, "congruence_sum", counting)
+    cert = search(101, CS2, strategy, phi_ball=ball_of("coordinate", 101))
+    assert len(calls) == 1
+    assert tuple(int(v) for v in calls[0]) == cert.g
