@@ -37,6 +37,7 @@ from .geometry import TorusSet, set_from_json
 from .glp import PhiBall, search
 from .hfourier import h_coefficient_table
 from .kernel import (
+    EXP_MINUS_2PI,
     DecayProfile,
     KernelTable,
     build_bump,
@@ -198,7 +199,7 @@ def run_kernel_build(config: ExperimentConfig) -> dict:
     profile = DecayProfile.from_kernel(table)
     step = table.tail_grid[1] - table.tail_grid[0]
     shift = int(round(1.0 / step))
-    ratio_margin = float(np.min(table.tail[shift:] - np.exp(-2 * np.pi) * table.tail[:-shift]))
+    ratio_margin = float(np.min(table.tail[shift:] - EXP_MINUS_2PI * table.tail[:-shift]))
     report = {
         "dimension": table.dimension,
         "gamma": table.gamma,
@@ -262,23 +263,21 @@ def run_bound(config: ExperimentConfig) -> dict:
     kernel = get_kernel(config)
     alpha, beta, r_spec = params["alpha"], params["beta"], params["R"]
 
-    report = search_table = None
+    search_table = None
     if r_spec == "auto:search":
         formula = max(optimal_R("lattice", points.size, points.dimension,
                                 alpha, beta), 4.0)
-        report, search_table = et_bound_r_search(set_, points, kernel,
-                                                 formula_R=formula)
-        R = report.R
-    elif isinstance(r_spec, str):
-        R = max(optimal_R(r_spec.split(":", 1)[1], points.size, points.dimension,
-                          alpha, beta, eps=params["eps"]), 4.0)
+        report, search_table, h_table, spectrum = et_bound_r_search(
+            set_, points, kernel, formula_R=formula)
     else:
-        R = r_spec
-    if report is None or config.csv_out:
+        if isinstance(r_spec, str):
+            R = max(optimal_R(r_spec.split(":", 1)[1], points.size, points.dimension,
+                              alpha, beta, eps=params["eps"]), 4.0)
+        else:
+            R = r_spec
         # one table and one spectrum (et_bound's oversample) serve the bound and its CSV
         h_table = h_coefficient_table(set_, kernel, R, oversample=2)
         spectrum = weyl_spectrum(points, R)
-    if report is None:
         report = et_bound(set_, points, kernel, R, h_table=h_table, spectrum=spectrum,
                           exponents={"alpha": alpha, "beta": beta})
     _require_valid(report)

@@ -125,23 +125,28 @@ def optimal_R(rule: str, m: int, d: int, alpha: float, beta: float, *,
 
 def et_bound_r_search(set_: TorusSet, points: PointSet, kernel: KernelTable, *,
                       formula_R: float | None = None, r_cap: int = 512,
-                      oversample: int = 2) -> tuple[DiscrepancyReport, list]:
+                      oversample: int = 2
+                      ) -> tuple[DiscrepancyReport, list, HCoefficientTable, WeylSpectrum]:
     """Minimize the bound over a power-of-two R grid plus the formula R.
 
-    Returns (best report, [(R, bound), ...] table). Often beats the formula
-    constant; never worse, because the formula candidate participates.
+    Returns (best report, [(R, bound), ...] table, the best R's H-table and
+    Weyl spectrum). One spectrum at the largest candidate is restricted to
+    each R. Often beats the formula constant; never worse, because the
+    formula candidate participates.
     """
     candidates = [float(2 ** j) for j in range(2, 13) if 2 ** j <= r_cap]
     if formula_R is not None and formula_R >= 4 and float(formula_R) not in candidates:
         candidates.append(float(formula_R))
+    spectrum = weyl_spectrum(points, max(candidates))
     table = []
-    best = None
+    best = best_h = None
     for R in candidates:
-        rep = et_bound(set_, points, kernel, R, oversample=oversample)
+        h_table = h_coefficient_table(set_, kernel, R, oversample=oversample)
+        rep = et_bound(set_, points, kernel, R, h_table=h_table, spectrum=spectrum)
         table.append((R, rep.bound))
         if best is None or rep.bound < best.bound:
-            best = rep
-    return best, table
+            best, best_h = rep, h_table
+    return best, table, best_h, spectrum.restrict(best.R)
 
 
 # ---------------------------------------------------------------------------

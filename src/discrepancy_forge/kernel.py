@@ -18,11 +18,16 @@ once to map (F m)^2 back to radii. K is F applied to khat on a fixed node
 set, so K, I(t) and radial masses are closed-form sums with no nested
 quadrature.
 
-Tables plus monotone (PCHIP) interpolants are what downstream modules
-consume; the tail beyond the table is replaced by a fitted power envelope
-that can only over-estimate I, which is the safe direction for every
+Downstream modules consume the tables through one numpy piecewise-cubic
+Hermite evaluator: monotone (PCHIP) slopes for I, computed when a table is
+loaded, and the clamped cubic spline's knot slopes for khat, stored in the
+table. It repeats scipy's arithmetic, so its values are bitwise those of
+scipy's interpolants; scipy is used only to build a table, and loading one
+imports none of it. The tail beyond the table is replaced by a fitted power
+envelope that can only over-estimate I, which is the safe direction for every
 majorization it feeds. The cache file's `version` is bumped whenever a change
-moves table numbers, so tables written by older code are rebuilt, not reused.
+moves table numbers or adds a field, so tables written by older code are
+rebuilt, not reused.
 """
 
 from __future__ import annotations
@@ -32,15 +37,11 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 # scipy is imported inside the functions that call it: it is most of the
-# package's import time, and experiments that use no kernel never call it
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline, PchipInterpolator
-
+# package's import time, and only building a table needs it
 from .errors import QuadratureError
 from .frequencies import TWO_PI
 from .quadrature import integrate_refined, panel_nodes
@@ -169,6 +170,107 @@ def autocorrelation_values(bump: BumpProfile, s) -> tuple[np.ndarray, float]:
 # kernel table
 # ---------------------------------------------------------------------------
 
+# points per evaluation block: the dozen passes over a block stay in cache
+_HERMITE_BLOCK = 1 << 14
+
+
+class _CubicHermite:
+    """Piecewise cubic on uniformly spaced knots from knot values and slopes.
+
+    Without `slopes` the knot slopes are those of scipy's PchipInterpolator
+    (monotone); the clamped cubic spline of khat passes its stored slopes.
+    The coefficients, the interval rule (the last knot <= v, clipped to the
+    end intervals, which extrapolate) and the order of every addition and
+    multiplication are those of scipy's CubicHermiteSpline and PPoly, so the
+    values are bitwise those of scipy's interpolant on the same knots and
+    slopes. Raises ValueError unless there are at least 3 knots, uniformly
+    spaced (within a quarter step, which the one-step interval correction
+    needs), with one value and one slope per knot.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, slopes: np.ndarray | None = None):
+        n = len(x)
+        step = (x[-1] - x[0]) / (n - 1) if n > 2 else 0.0
+        if not (step > 0 and y.shape == (n,)
+                and np.all(np.abs(x - (x[0] + step * np.arange(n))) <= 0.25 * step)):
+            raise ValueError("a cubic table needs >= 3 uniform knots and one value per knot")
+        if slopes is None:
+            slopes = _pchip_slopes(x, y)
+        elif slopes.shape != (n,):
+            raise ValueError(f"a cubic table needs one slope per knot: {slopes.shape} for {n}")
+        dx = np.diff(x)
+        secant = np.diff(y) / dx
+        t = (slopes[:-1] + slopes[1:] - 2 * secant) / dx
+        self.x, self.step = x, step
+        self.c0 = t / dx
+        self.c1 = (secant - slopes[:-1]) / dx - t
+        self.c2 = slopes[:-1]
+        self.c3 = y[:-1]
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        """Values at the points of the 1-d array v."""
+        x, last = self.x, len(self.x) - 2
+        out = np.empty_like(v)
+        size = min(len(v), _HERMITE_BLOCK)
+        s, s2, tmp = np.empty(size), np.empty(size), np.empty(size)
+        idx, flag = np.empty(size, dtype=np.intp), np.empty(size, dtype=bool)
+        for a in range(0, len(v), _HERMITE_BLOCK):
+            vb, ob = v[a:a + _HERMITE_BLOCK], out[a:a + _HERMITE_BLOCK]
+            n = len(vb)
+            sb, s2b, tb, i, f = s[:n], s2[:n], tmp[:n], idx[:n], flag[:n]
+            # interval: guess from the uniform step, then at most one step either way
+            np.subtract(vb, x[0], out=sb)
+            sb /= self.step
+            np.clip(sb, 0, last, out=sb)
+            i[...] = sb
+            np.take(x, i, out=sb)
+            i -= np.greater(sb, vb, out=f)
+            i += 1
+            np.take(x, i, out=sb)
+            i -= np.greater(sb, vb, out=f)
+            np.clip(i, 0, last, out=i)
+            np.subtract(vb, np.take(x, i, out=sb), out=sb)
+            # c3 + c2 s + c1 (s s) + c0 ((s s) s), summed left to right as scipy does
+            np.take(self.c2, i, out=ob)
+            ob *= sb
+            ob += np.take(self.c3, i, out=tb)
+            np.multiply(sb, sb, out=s2b)
+            np.take(self.c1, i, out=tb)
+            tb *= s2b
+            ob += tb
+            s2b *= sb
+            np.take(self.c0, i, out=tb)
+            tb *= s2b
+            ob += tb
+        return out
+
+
+def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Knot slopes of scipy's PchipInterpolator (Fritsch-Carlson, Moler's ends)."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    slopes = np.zeros_like(y)
+    slopes[1:-1][~flat] = 1.0 / whmean[~flat]
+    slopes[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    slopes[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return slopes
+
+
+def _pchip_end_slope(h0, h1, m0, m1) -> float:
+    """One-sided three-point end slope, limited to keep the end monotone."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
 @dataclass
 class KernelTable:
     """Tabulated radial kernel K, transform khat, tail integral I, constants.
@@ -180,6 +282,7 @@ class KernelTable:
     dimension: int
     khat_grid: np.ndarray
     khat: np.ndarray
+    khat_slopes: np.ndarray       # knot slopes of the clamped cubic spline of khat
     kvals_grid: np.ndarray
     kvals: np.ndarray
     tail_grid: np.ndarray
@@ -192,15 +295,12 @@ class KernelTable:
     tail_envelope_coeff: float    # C with |K(s)| <= C s^-(d+2) for s >= x_max
     khat_accuracy: float
     provenance: dict
-    _khat_spline: CubicSpline = field(init=False, repr=False)
-    _k_interp: PchipInterpolator = field(init=False, repr=False)
-    _tail_interp: PchipInterpolator = field(init=False, repr=False)
+    _khat_spline: _CubicHermite = field(init=False, repr=False)
+    _tail_interp: _CubicHermite = field(init=False, repr=False)
 
     def __post_init__(self):
-        from scipy.interpolate import CubicSpline, PchipInterpolator
-        self._khat_spline = CubicSpline(self.khat_grid, self.khat, bc_type="clamped")
-        self._k_interp = PchipInterpolator(self.kvals_grid, self.kvals)
-        self._tail_interp = PchipInterpolator(self.tail_grid, self.tail)
+        self._khat_spline = _CubicHermite(self.khat_grid, self.khat, self.khat_slopes)
+        self._tail_interp = _CubicHermite(self.tail_grid, self.tail)
 
     # -- evaluators ---------------------------------------------------------
 
@@ -210,16 +310,6 @@ class KernelTable:
         out = np.zeros_like(r)
         inside = r < 1.0
         out[inside] = self._khat_spline(r[inside])
-        return out if out.ndim else float(out)
-
-    def kernel_value(self, s):
-        """K(s) by monotone cubic interpolation; power envelope beyond x_max."""
-        s = np.asarray(s, dtype=float)
-        out = np.empty_like(s)
-        inside = s <= self.x_max
-        out[inside] = self._k_interp(s[inside])
-        if np.any(~inside):
-            out[~inside] = self.tail_envelope_coeff * s[~inside] ** (-(self.dimension + 2))
         return out if out.ndim else float(out)
 
     def tail_envelope(self, t):
@@ -235,12 +325,14 @@ class KernelTable:
         envelope remainder), so psi built on it stays a majorant.
         """
         t = np.asarray(t, dtype=float)
-        out = np.empty_like(t)
         inside = t <= self.t_max
-        out[inside] = self._tail_interp(t[inside])
-        if np.any(~inside):
+        if inside.all():  # no copy gathers the points and none scatters them back
+            out = self._tail_interp(t.ravel()).reshape(t.shape)
+        else:
+            out = np.empty_like(t)
+            out[inside] = self._tail_interp(t[inside])
             out[~inside] = self.tail_envelope(t[~inside])
-        out = np.maximum(out, 0.0)
+        np.maximum(out, 0.0, out=out)
         return out if out.ndim else float(out)
 
     # -- serialization ------------------------------------------------------
@@ -248,10 +340,11 @@ class KernelTable:
     def to_dict(self) -> dict:
         return {
             "format": "discrepancy-forge-kernel",
-            "version": 2,
+            "version": 3,
             "dimension": self.dimension,
             "khat_grid": self.khat_grid.tolist(),
             "khat": self.khat.tolist(),
+            "khat_slopes": self.khat_slopes.tolist(),
             "kvals_grid": self.kvals_grid.tolist(),
             "kvals": self.kvals.tolist(),
             "tail_grid": self.tail_grid.tolist(),
@@ -270,12 +363,14 @@ class KernelTable:
     def from_dict(cls, data: dict) -> "KernelTable":
         if not isinstance(data, dict) or data.get("format") != "discrepancy-forge-kernel":
             raise ValueError("not a kernel table document")
-        if data.get("version") != 2:
+        if data.get("version") != 3:
             raise ValueError(f"unsupported kernel table version {data.get('version')}")
+        # a missing or short khat_slopes fails the evaluator's knot check (ValueError)
         return cls(
             dimension=int(data["dimension"]),
             khat_grid=np.asarray(data["khat_grid"], dtype=float),
             khat=np.asarray(data["khat"], dtype=float),
+            khat_slopes=np.asarray(data.get("khat_slopes", ()), dtype=float),
             kvals_grid=np.asarray(data["kvals_grid"], dtype=float),
             kvals=np.asarray(data["kvals"], dtype=float),
             tail_grid=np.asarray(data["tail_grid"], dtype=float),
@@ -380,6 +475,8 @@ def build_kernel_table(d: int, bump: BumpProfile, x_max: float = 25.0, t_max: fl
     from scipy.interpolate import CubicSpline
     spline = CubicSpline(khat_grid, khat_tab, bc_type="clamped")
     khat_accuracy = float(np.max(np.abs(spline(nodes) - khat_nodes))) + conv_err
+    # spline.c[2] holds the slope at each knot but the last, where "clamped" fixes 0
+    khat_slopes = np.append(spline.c[2], 0.0)
 
     kvals_grid = np.arange(0.0, x_max + 0.5 * kvals_step, kvals_step)
     kvals = master.kernel(kvals_grid)
@@ -426,7 +523,7 @@ def build_kernel_table(d: int, bump: BumpProfile, x_max: float = 25.0, t_max: fl
 
     return KernelTable(
         dimension=d,
-        khat_grid=khat_grid, khat=khat_tab,
+        khat_grid=khat_grid, khat=khat_tab, khat_slopes=khat_slopes,
         kvals_grid=kvals_grid, kvals=kvals,
         tail_grid=tail_grid, tail=tail,
         gamma=gamma, x_max=float(x_max), t_max=float(t_max),

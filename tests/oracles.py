@@ -4,6 +4,7 @@ import numpy as np
 
 from discrepancy_forge.chains import ChainSystem
 from discrepancy_forge.glp import PhiBall, _class_of, _residue_class_sums, congruence_sum
+from discrepancy_forge.kernel import KernelTable, _CubicHermite
 
 TWO_PI = 2 * np.pi
 
@@ -52,3 +53,14 @@ def exhaustive_table(m: int, chains: ChainSystem) -> dict:
         for g2 in range(1, m):
             out[(g1, g2)] = float(class_sums[_class_of(np.array([g1, g2]), m)])
     return out
+
+
+def kernel_value(table: KernelTable, s):
+    """K(s) by monotone cubic interpolation; power envelope beyond x_max."""
+    s = np.asarray(s, dtype=float)
+    out = np.empty_like(s)
+    inside = s <= table.x_max
+    out[inside] = _CubicHermite(table.kvals_grid, table.kvals)(s[inside])
+    if np.any(~inside):
+        out[~inside] = table.tail_envelope_coeff * s[~inside] ** (-(table.dimension + 2))
+    return out if out.ndim else float(out)

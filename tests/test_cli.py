@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from discrepancy_forge import cli
+from discrepancy_forge import cli, erdos_turan
 from discrepancy_forge.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -19,7 +19,8 @@ from discrepancy_forge.cli import (
     build_parser,
     main,
 )
-from discrepancy_forge.kernel import load_kernel
+from discrepancy_forge.hfourier import h_coefficient_table
+from discrepancy_forge.kernel import load_kernel, save_kernel
 
 BALL = '{"variant":"ball","center":[0.5,0.5],"radius":0.25}'
 LATTICE256 = '{"kind":"lattice","m":256,"d":2}'
@@ -173,14 +174,54 @@ def test_kernel_cache_from_older_version_is_rebuilt(tmp_path):
     assert run_cli(["kernel-build", "--kernel-cache", str(fresh_cache),
                     "--out", str(fresh_out)]) == EXIT_OK
     doc = json.loads(fresh_cache.read_text())
-    assert doc["version"] == 2
-    doc["version"] = 1
+    assert doc["version"] == 3
+    doc["version"] = 2
     old_cache.write_text(json.dumps(doc, sort_keys=True) + "\n")
     # a table written by older code is a miss: rebuilt and overwritten
     assert run_cli(["kernel-build", "--kernel-cache", str(old_cache),
                     "--out", str(old_out)]) == EXIT_OK
-    assert json.loads(old_cache.read_text())["version"] == 2
+    assert json.loads(old_cache.read_text())["version"] == 3
     assert old_out.read_bytes() == fresh_out.read_bytes()
+
+
+def test_kernel_cache_with_truncated_khat_slopes_is_rebuilt(tmp_path):
+    fresh_cache = tmp_path / "fresh.json"
+    short_cache = tmp_path / "short.json"
+    fresh_out = tmp_path / "fresh-report.json"
+    short_out = tmp_path / "short-report.json"
+    assert run_cli(["kernel-build", "--kernel-cache", str(fresh_cache),
+                    "--out", str(fresh_out)]) == EXIT_OK
+    doc = json.loads(fresh_cache.read_text())
+    full = doc["khat_slopes"]
+    doc["khat_slopes"] = full[:-1]
+    short_cache.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    # a current-version table without a slope per knot is a miss as well
+    assert run_cli(["kernel-build", "--kernel-cache", str(short_cache),
+                    "--out", str(short_out)]) == EXIT_OK
+    assert json.loads(short_cache.read_text())["khat_slopes"] == full
+    assert short_out.read_bytes() == fresh_out.read_bytes()
+
+
+def test_r_search_csv_reuses_the_winning_table(tmp_path, monkeypatch):
+    tables = []
+
+    def counting_table(*args, **kwargs):
+        tables.append(args[2])
+        return h_coefficient_table(*args, **kwargs)
+
+    monkeypatch.setattr(erdos_turan, "h_coefficient_table", counting_table)
+    monkeypatch.setattr(cli, "h_coefficient_table", counting_table)
+    out, csv_out = tmp_path / "search.json", tmp_path / "search.csv"
+    assert run_cli(["bound", "--set", BALL, "--points", LATTICE256, "--R", "auto:search",
+                    "--out", str(out), "--csv-out", str(csv_out)]) == EXIT_OK
+    report = json.loads(out.read_text())["report"]
+    # one H-table per candidate R; the CSV reuses the winner's
+    assert tables == [r for r, _ in report["search_table"]]
+    # and equals the CSV of a plain run at the winning R, byte for byte
+    plain_csv = tmp_path / "plain.csv"
+    assert run_cli(["bound", "--set", BALL, "--points", LATTICE256, "--R", repr(report["R"]),
+                    "--out", str(tmp_path / "plain.json"), "--csv-out", str(plain_csv)]) == EXIT_OK
+    assert plain_csv.read_bytes() == csv_out.read_bytes()
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -275,6 +316,42 @@ def test_experiments_without_a_kernel_never_import_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+_QUAD = ('{"variant":"polytope","epsilon":0.3,'
+         '"vertices":[[0.3,0.25],[0.75,0.35],[0.7,0.7],[0.25,0.6]]}')
+
+
+def test_warm_kernel_runs_import_scipy_only_for_bessel_functions(tmp_path, kernel2):
+    # loading a table evaluates it with numpy alone; balls still need scipy.special's j1
+    cache = tmp_path / "kernel.json"
+    save_kernel(kernel2, cache)
+    script = textwrap.dedent("""
+        import json, sys
+        from discrepancy_forge.cli import main
+        from discrepancy_forge.kernel import load_kernel
+        cache, out, quad, ball = sys.argv[1:]
+        loaded = []
+        def scipy_modules():
+            loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        load_kernel(cache)
+        scipy_modules()
+        common = ["--kernel-cache", cache, "--out", out]
+        assert main(["bound", "--set", quad, "--points", '{"kind":"korobov","g":[1,33],"m":101}',
+                     "--R", "8", *common]) == 0
+        scipy_modules()
+        assert main(["sandwich", "--set", ball, "--R", "8", "--grid-n", "64", *common]) == 0
+        scipy_modules()
+        print(json.dumps(loaded))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script, str(cache), str(tmp_path / "r.json"),
+                           _QUAD, BALL], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    after_load, after_bound, after_sandwich = json.loads(proc.stdout.splitlines()[-1])
+    assert after_load == [] and after_bound == []
+    assert "scipy.special" in after_sandwich
+    assert not any(m.startswith("scipy.interpolate") for m in after_sandwich)
 
 
 _SET_FLAGS = ["--set", BALL]

@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import kernel_value
 from scipy.integrate import quad, simpson
+from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.special import j0
 
 from discrepancy_forge.kernel import (
     DecayProfile,
     KernelTable,
+    _CubicHermite,
     autocorrelation_values,
     build_bump,
     build_kernel_table,
@@ -140,7 +145,7 @@ def test_gamma_matches_monte_carlo_ball_integral(kernel2):
     rng = np.random.default_rng(7)
     n = 10 ** 6
     radii = np.sqrt(rng.random(n))  # uniform on the unit disk
-    vals = kernel2.kernel_value(radii)
+    vals = kernel_value(kernel2, radii)
     est = np.pi * vals.mean()
     se = np.pi * vals.std(ddof=1) / np.sqrt(n)
     assert abs(est - kernel2.ball_mass) < 3 * se
@@ -214,11 +219,64 @@ def test_serialization_round_trip(tmp_path, kernel2):
 
 
 @pytest.mark.parametrize("d", [1, 3])
-def test_other_dimensions_build(d):
-    bump = build_bump(d, 1.0 / 128)
-    tab = build_kernel_table(d, bump)
+def test_other_dimensions_build(d, kernel_tables):
+    tab = kernel_tables[d]
     assert abs(tab.tail_integral(0.0) - 1.0) < 1e-6
     assert tab.kvals.min() >= -tab.quadrature_tolerance
     step = tab.tail_grid[1] - tab.tail_grid[0]
     shift = int(round(1.0 / step))
     assert np.all(tab.tail[shift:] >= EXP_MINUS_2PI * tab.tail[:-shift] - 1e-9)
+
+
+def _scipy_pairs(table):
+    """(numpy evaluator, scipy interpolant, knots) for the tail, kvals and khat tables."""
+    return [
+        (table._tail_interp, PchipInterpolator(table.tail_grid, table.tail), table.tail_grid),
+        (_CubicHermite(table.kvals_grid, table.kvals),
+         PchipInterpolator(table.kvals_grid, table.kvals), table.kvals_grid),
+        (table._khat_spline, CubicSpline(table.khat_grid, table.khat, bc_type="clamped"),
+         table.khat_grid),
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_hermite_evaluators_equal_scipy_bitwise(d, kernel_tables):
+    table = kernel_tables[d]
+    rng = np.random.default_rng(d)
+    for ours, ref, x in _scipy_pairs(table):
+        pts = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                              [0.0, x[-1]], rng.uniform(x[0], x[-1], 200_000)])
+        assert np.array_equal(ours(pts), ref(pts))
+    # the public evaluators: I(t) (clipped at 0; the envelope beyond t_max) on
+    # 2-d grids inside the table and reaching beyond it, and khat on [0, 1)
+    for t_hi in (table.t_max, 1.5 * table.t_max):
+        t = np.concatenate([[0.0, table.t_max], rng.uniform(0.0, t_hi, 99_998)])
+        t = t.reshape(200, 500)
+        tail = np.where(t <= table.t_max, PchipInterpolator(table.tail_grid, table.tail)(t),
+                        table.tail_envelope(np.maximum(t, table.t_max)))
+        assert np.array_equal(table.tail_integral(t), np.maximum(tail, 0.0))
+    r = rng.uniform(0.0, 1.0, 100_000)
+    khat = CubicSpline(table.khat_grid, table.khat, bc_type="clamped")(r)
+    assert np.array_equal(table.khat_value(r), khat)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.floats(-1.0, 31.0, allow_subnormal=True), min_size=1, max_size=64))
+def test_hermite_evaluators_equal_scipy_at_drawn_points(kernel2, values):
+    pts = np.asarray(values)
+    for ours, ref, _ in _scipy_pairs(kernel2):
+        assert np.array_equal(ours(pts), ref(pts))
+
+
+def test_table_without_khat_slopes_is_rejected(kernel2):
+    doc = kernel2.to_dict()
+    assert doc["version"] == 3
+    assert KernelTable.from_dict(doc).khat_slopes.tolist() == doc["khat_slopes"]
+    for slopes in (None, doc["khat_slopes"][:-1]):
+        broken = dict(doc)
+        if slopes is None:
+            del broken["khat_slopes"]
+        else:
+            broken["khat_slopes"] = slopes
+        with pytest.raises(ValueError):
+            KernelTable.from_dict(broken)
