@@ -2,11 +2,16 @@
 
 Modules: `kernel` (radial kernel tables, tail integral, decay profile),
 `geometry` (torus set models), `chains` (subspace chain systems and the
-polytope Fourier bounds), `hfourier` (boundary-layer coefficients),
+polytope Fourier bounds), `hfourier` (boundary-layer coefficient tables),
 `pointsets` (lattice/Kronecker/Korobov families, Weyl spectra, discrepancy),
 `majorant` (sandwich polynomials), `erdos_turan` (bound assembly and R
 rules), `glp` (good-lattice-point search), `sphere` (rotation orbits and
 Hecke blocks), `cli` (batch experiments).
+
+On the torus, the Minkowski content M(alpha, Omega) and the decay constant
+F(alpha, beta, Omega) are hypotheses of the construction that no report
+uses; the test suite cross-checks them against its own oracles. (The
+sphere report computes the Minkowski content of its caps.)
 """
 
 __version__ = "0.1.0"
@@ -30,18 +35,11 @@ from .geometry import (  # noqa: F401
     Ball,
     Box,
     ConvexPolytope,
-    MinkowskiContent,
     TorusSet,
-    minkowski_content,
     set_from_json,
 )
 from .glp import GlpCertificate, PhiBall, congruence_sum, search  # noqa: F401
-from .hfourier import (  # noqa: F401
-    FConstantReport,
-    HCoefficientTable,
-    f_constant,
-    h_coefficient_table,
-)
+from .hfourier import HCoefficientTable, h_coefficient_table  # noqa: F401
 from .kernel import (  # noqa: F401
     BumpProfile,
     DecayProfile,
@@ -57,6 +55,7 @@ from .majorant import (  # noqa: F401
     SandwichReport,
     TrigPolynomial,
     majorant_pair,
+    sandwich_grids,
     sandwich_report,
 )
 from .pointsets import (  # noqa: F401

@@ -25,7 +25,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,7 @@ from .kernel import (
     psi,
     save_kernel,
 )
-from .majorant import majorant_pair, sandwich_csv, sandwich_report
+from .majorant import majorant_pair, sandwich_csv, sandwich_grids, sandwich_report
 from .pointsets import (
     PointSet,
     korobov,
@@ -225,24 +225,21 @@ def run_kernel_build(config: ExperimentConfig) -> dict:
 def run_sandwich(config: ExperimentConfig) -> dict:
     params = config.params
     set_ = _load_set(params)
+    grid_n, oversample, rs = params["grid_n"], params["oversample"], params["R"]
+    if oversample < 1:
+        raise ConfigError(f"--oversample must be >= 1, got {oversample}")
+    if not all(R >= 4 for R in rs):
+        raise ConfigError(f"--R values must be >= 4, got {rs}")
+    if not grid_n >= 4 * max(rs):
+        raise ConfigError(f"--grid-n must be at least 4 max(R) = {4 * max(rs):g}, got {grid_n}")
     kernel = get_kernel(config)
-    grid_n, oversample = params["grid_n"], params["oversample"]
     max_budget = params.get("max_budget")
     per_r = []
-    for R in params["R"]:
+    for R in rs:
         pair = majorant_pair(set_, kernel, R, oversample=oversample)
-        rep = sandwich_report(pair, set_, kernel, R, grid_n)
-        per_r.append({
-            "R": rep.R, "budget": rep.budget,
-            "lower_violation": rep.lower_violation,
-            "lower_violation_fraction": rep.lower_violation_fraction,
-            "upper_violation": rep.upper_violation,
-            "upper_violation_fraction": rep.upper_violation_fraction,
-            "width_violation": rep.width_violation,
-            "width_violation_fraction": rep.width_violation_fraction,
-            "max_width": rep.max_width,
-            "observed_width_ratio": rep.observed_width_ratio,
-        })
+        grids = sandwich_grids(pair, set_, kernel, grid_n)
+        rep = sandwich_report(pair, grids)
+        per_r.append({k: v for k, v in asdict(rep).items() if k != "grid_n"})
         worst = max(rep.lower_violation, rep.upper_violation, rep.width_violation)
         _require(worst <= rep.budget, f"sandwich violation at R={R}", worst, rep.budget)
         if max_budget is not None:
@@ -250,8 +247,7 @@ def run_sandwich(config: ExperimentConfig) -> dict:
                      rep.budget, max_budget)
         if config.csv_out:
             stem = Path(config.csv_out)
-            path = stem.with_name(f"{stem.stem}_R{int(R)}{stem.suffix or '.csv'}")
-            sandwich_csv(pair, set_, kernel, R, grid_n, path)
+            sandwich_csv(grids, stem.with_name(f"{stem.stem}_R{R:g}{stem.suffix or '.csv'}"))
     return {"set": set_.to_json(), "grid_n": grid_n, "oversample": oversample,
             "results": per_r, "kernel_provenance": kernel.provenance}
 

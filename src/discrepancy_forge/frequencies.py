@@ -35,19 +35,6 @@ def integer_ball(radius: float, d: int, *, include_boundary: bool = False,
     return pts[keep]
 
 
-def integer_ball_chunked(radius: float, d: int, *, include_boundary: bool = False):
-    """Yield stripes of the punctured ball, for radii too large to materialize.
-
-    Stripes are slices of constant first coordinate, ascending; within a
-    stripe the remaining coordinates are lexicographic.
-    """
-    if d != 2:
-        yield integer_ball(radius, d, include_boundary=include_boundary)
-        return
-    kmax = int(np.floor(radius))
-    yield from _stripes(radius, range(-kmax, kmax + 1), include_boundary)
-
-
 def positive_half_chunked(radius: float, d: int, *, include_boundary: bool = False):
     """Yield the lexicographically positive half of the punctured ball (first
     nonzero coordinate > 0), in chunks of lexicographic order.
@@ -61,16 +48,11 @@ def positive_half_chunked(radius: float, d: int, *, include_boundary: bool = Fal
         ball = integer_ball(radius, d, include_boundary=include_boundary)
         yield ball[len(ball) // 2:]
         return
-    for stripe in _stripes(radius, range(int(np.floor(radius)) + 1), include_boundary):
-        yield stripe if stripe[0, 0] > 0 else stripe[len(stripe) // 2:]
-
-
-def _stripes(radius: float, k1_values, include_boundary: bool):
-    """The nonempty d = 2 stripes of constant first coordinate k1, in k1_values order."""
+    # stripes of constant first coordinate k1 >= 0; the k1 = 0 stripe keeps its upper half
     kmax = int(np.floor(radius))
     r2 = float(radius) ** 2
     axis = np.arange(-kmax, kmax + 1, dtype=np.int64)
-    for k1 in k1_values:
+    for k1 in range(kmax + 1):
         norm2 = float(k1) ** 2 + axis.astype(float) ** 2
         keep = (norm2 <= r2) if include_boundary else (norm2 < r2)
         keep &= norm2 > 0
@@ -79,4 +61,4 @@ def _stripes(radius: float, k1_values, include_boundary: bool):
             stripe = np.empty((len(k2), 2), dtype=np.int64)
             stripe[:, 0] = k1
             stripe[:, 1] = k2
-            yield stripe
+            yield stripe if k1 > 0 else stripe[len(stripe) // 2:]

@@ -4,8 +4,7 @@ Each set is the periodization Omega* + Z^d of a base body whose translates
 are disjoint. All models provide exact measure, exact periodic boundary
 distance, exact membership (with a recorded boundary convention), Fourier
 coefficients (closed forms for boxes and balls; divergence-theorem recursion
-for polygons), and boundary-shell volumes (closed Steiner-type forms where
-available, otherwise seeded Monte Carlo through `shell_measure_mc`).
+for polygons), and a JSON descriptor.
 Each model writes its distance formula once, on per-axis coordinate arrays
 that broadcast: `boundary_distances` passes the columns of a point array,
 `distance_grid` passes the grid axes as a column and a row, so an n x n grid
@@ -61,10 +60,6 @@ class TorusSet:
 
     def fourier_coefficient(self, k) -> complex:
         return complex(self.fourier_coefficients(np.atleast_2d(np.asarray(k)))[0])
-
-    def shell_measure(self, t):
-        """mu{dist(x, boundary) < t}, exact closed form, or None if unsupported."""
-        return None
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -160,46 +155,8 @@ class Box(TorusSet):
             out *= np.where(k == 0, b[j] - a[j], factor)
         return out
 
-    def shell_measure(self, t):
-        t = np.asarray(t, dtype=float)
-        w = self.widths
-        g = 1.0 - w
-        if self.dimension == 1:
-            dil = w[0] + 2 * np.minimum(t, g[0] / 2)
-            ero = np.maximum(w[0] - 2 * t, 0.0)
-        elif self.dimension == 2:
-            dil = (w[0] * w[1]
-                   + 2 * w[0] * np.minimum(t, g[1] / 2)
-                   + 2 * w[1] * np.minimum(t, g[0] / 2)
-                   + 4 * _quarter_disk_in_rect(t, g[0] / 2, g[1] / 2))
-            ero = np.maximum(w[0] - 2 * t, 0.0) * np.maximum(w[1] - 2 * t, 0.0)
-        else:
-            return None
-        out = np.clip(dil - ero, 0.0, 1.0)
-        return out if out.ndim else float(out)
-
     def to_json(self) -> dict:
         return {"variant": "box", "a": list(self.a), "b": list(self.b)}
-
-
-def _quarter_disk_in_rect(t, u: float, v: float):
-    """Area of {0<=x<=u, 0<=y<=v, x^2+y^2 < t^2}, vectorized over t >= 0."""
-    t = np.asarray(t, dtype=float)
-    full = np.minimum(t, np.hypot(u, v))
-    x_v = np.sqrt(np.maximum(full ** 2 - v ** 2, 0.0))  # below y=v up to here
-    x1 = np.minimum(u, x_v)
-    x2 = np.minimum(u, full)
-
-    def prim(x, tt):
-        # antiderivative of sqrt(tt^2 - x^2)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            val = 0.5 * (x * np.sqrt(np.maximum(tt ** 2 - x ** 2, 0.0))
-                         + tt ** 2 * np.arcsin(np.clip(np.divide(x, np.where(tt == 0, 1.0, tt)), -1, 1)))
-        return np.where(tt == 0, 0.0, val)
-
-    area = v * x1 + prim(x2, full) - prim(x1, full)
-    area = np.where(t ** 2 >= u ** 2 + v ** 2, u * v, area)
-    return np.where(t <= 0, 0.0, area)
 
 
 # ---------------------------------------------------------------------------
@@ -256,32 +213,8 @@ class Ball(TorusSet):
             radial = (np.sin(u) - u * np.cos(u)) / (2 * np.pi ** 2 * safe ** 3)
         return np.where(norm == 0, self.measure(), phase * radial)
 
-    def shell_measure(self, t):
-        t = np.asarray(t, dtype=float)
-        r = self.radius
-        if self.dimension == 2:
-            out = _torus_disk_area(r + t) - _torus_disk_area(np.maximum(r - t, 0.0))
-        else:
-            if np.any(r + t > 0.5):
-                return None
-            out = 4.0 / 3.0 * np.pi * ((r + t) ** 3 - np.maximum(r - t, 0.0) ** 3)
-        out = np.clip(out, 0.0, 1.0)
-        return out if out.ndim else float(out)
-
     def to_json(self) -> dict:
         return {"variant": "ball", "center": list(self.center), "radius": self.radius}
-
-
-def _torus_disk_area(rho):
-    """Volume of a torus ball of radius rho in T^2 (disk clipped by the cell)."""
-    rho = np.asarray(rho, dtype=float)
-    plain = np.pi * rho ** 2
-    r_safe = np.where(rho <= 0.5, 1.0, rho)
-    segment = r_safe ** 2 * np.arccos(np.clip(0.5 / r_safe, 0.0, 1.0)) \
-        - 0.5 * np.sqrt(np.maximum(r_safe ** 2 - 0.25, 0.0))
-    clipped = plain - 4.0 * segment
-    out = np.where(rho <= 0.5, plain, np.where(rho >= np.sqrt(0.5), 1.0, clipped))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -452,62 +385,6 @@ def _signed_area2(verts: np.ndarray) -> float:
 
 def _cross(u, v) -> float:
     return float(u[0] * v[1] - u[1] * v[0])
-
-
-# ---------------------------------------------------------------------------
-# shells / Minkowski content
-# ---------------------------------------------------------------------------
-
-def shell_measure_mc(set_: TorusSet, t, *, samples: int = 10 ** 6, seed: int = 0):
-    """Monte Carlo mu{dist < t} with standard errors, for sets without closed forms."""
-    rng = np.random.default_rng(seed)
-    pts = rng.random((samples, set_.dimension))
-    dists = np.sort(set_.boundary_distances(pts))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    mu = np.searchsorted(dists, t, side="left") / samples
-    se = np.sqrt(np.maximum(mu * (1 - mu), 0.0) / samples)
-    return mu, se
-
-
-@dataclass(frozen=True)
-class MinkowskiContent:
-    alpha: float
-    value: float
-    t_argmax: float
-    boundary_attained: bool
-    standard_error: float
-    method: str
-
-
-def minkowski_content(set_: TorusSet, alpha: float, t_grid=None, *,
-                      mc_samples: int = 10 ** 6, seed: int = 0) -> MinkowskiContent:
-    """M(alpha, Omega) = sup_t t^-alpha mu{dist(x, boundary) < t} over a t grid.
-
-    Exact shell volumes where the set provides them, Monte Carlo otherwise
-    (standard error of the maximizing ratio reported).
-    """
-    if not 0 <= alpha <= 1:
-        raise ValueError("alpha must lie in [0, 1]")
-    if t_grid is None:
-        t_grid = np.geomspace(1e-4, 1.0, 200)
-    t_grid = np.asarray(t_grid, dtype=float)
-    mu = set_.shell_measure(t_grid)
-    if mu is not None:
-        se = np.zeros_like(t_grid)
-        method = "exact"
-    else:
-        mu, se = shell_measure_mc(set_, t_grid, samples=mc_samples, seed=seed)
-        method = "monte-carlo"
-    ratios = np.minimum(mu, 1.0) * t_grid ** (-alpha)
-    idx = int(np.argmax(ratios))
-    return MinkowskiContent(
-        alpha=float(alpha),
-        value=float(ratios[idx]),
-        t_argmax=float(t_grid[idx]),
-        boundary_attained=idx in (0, len(t_grid) - 1),
-        standard_error=float(se[idx] * t_grid[idx] ** (-alpha)),
-        method=method,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -66,20 +66,6 @@ class TrigPolynomial:
             raise ValueError("synthesis lost realness: coefficients not Hermitian")
         return out
 
-    def to_json(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "degree": self.degree,
-            "freqs": [[int(v) for v in k] for k in self.freqs],
-            "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TrigPolynomial":
-        coeffs = np.array([complex(re, im) for re, im in data["coeffs"]])
-        return cls(dimension=int(data["dimension"]), degree=float(data["degree"]),
-                   freqs=np.asarray(data["freqs"], dtype=np.int64), coeffs=coeffs)
-
 
 @dataclass(frozen=True)
 class MajorantPair:
@@ -143,24 +129,25 @@ class SandwichReport:
                    self.width_violation) <= self.budget
 
 
-def _psi_grid(set_: TorusSet, kernel: KernelTable, R: float, n: int) -> np.ndarray:
-    """psi(R dist) on the n x n grid, as 4 H_{R/2}(dist) = 4 gamma I(R dist / 2).
+def sandwich_grids(pair: MajorantPair, set_: TorusSet, kernel: KernelTable,
+                   grid_n: int) -> tuple:
+    """(A, B, chi, psi(R dist)) on the n x n grid (i/n, j/n), R the pair's degree.
 
-    Equal bitwise to psi(kernel, R * dist): scaling by 2 and 4 is exact.
+    Built once per R, they feed both `sandwich_report` and `sandwich_csv`.
+    psi(R dist) is taken as 4 H_{R/2} = 4 gamma I(R dist / 2), equal bitwise to
+    psi(kernel, R * dist): scaling by 2 and 4 is exact.
     """
-    return 4.0 * h_function_grid(set_, kernel, R / 2.0, n)
-
-
-def sandwich_report(pair: MajorantPair, set_: TorusSet, kernel: KernelTable,
-                    R: float, grid_n: int) -> SandwichReport:
-    """Evaluate A <= chi <= B and B - A <= psi(R dist) on an n x n grid."""
+    R = pair.lower.degree
     if grid_n < 4 * R:
         raise ValueError("grid_n must be at least 4 R per axis")
-    A = pair.lower.grid_synthesis(grid_n)
-    B = pair.upper.grid_synthesis(grid_n)
-    chi = set_.indicator_grid(grid_n)
-    bound = _psi_grid(set_, kernel, R, grid_n)
+    return (pair.lower.grid_synthesis(grid_n), pair.upper.grid_synthesis(grid_n),
+            set_.indicator_grid(grid_n), 4.0 * h_function_grid(set_, kernel, R / 2.0, grid_n))
 
+
+def sandwich_report(pair: MajorantPair, grids: tuple) -> SandwichReport:
+    """Evaluate A <= chi <= B and B - A <= psi(R dist) on the grids of `sandwich_grids`."""
+    A, B, chi, bound = grids
+    grid_n = len(chi)
     lower = A - chi
     upper = chi - B
     width = (B - A) - bound
@@ -168,7 +155,7 @@ def sandwich_report(pair: MajorantPair, set_: TorusSet, kernel: KernelTable,
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.max((B - A) / bound)
     return SandwichReport(
-        R=float(R), grid_n=int(grid_n), budget=pair.budget,
+        R=pair.lower.degree, grid_n=grid_n, budget=pair.budget,
         lower_violation=float(lower.max()),
         lower_violation_fraction=float(np.count_nonzero(lower > 0) / npts),
         upper_violation=float(upper.max()),
@@ -180,13 +167,10 @@ def sandwich_report(pair: MajorantPair, set_: TorusSet, kernel: KernelTable,
     )
 
 
-def sandwich_csv(pair: MajorantPair, set_: TorusSet, kernel: KernelTable,
-                 R: float, grid_n: int, path) -> None:
-    """Per-grid-point dump: x1, x2, chi, A, B, psi bound."""
-    A = pair.lower.grid_synthesis(grid_n)
-    B = pair.upper.grid_synthesis(grid_n)
-    chi = set_.indicator_grid(grid_n)
-    bound = _psi_grid(set_, kernel, R, grid_n)
+def sandwich_csv(grids: tuple, path) -> None:
+    """Per-grid-point dump of the grids of `sandwich_grids`: x1, x2, chi, A, B, psi bound."""
+    A, B, chi, bound = grids
+    grid_n = len(chi)
     axis = np.arange(grid_n) / grid_n
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -1,9 +1,14 @@
 """Reference implementations that the library's fast paths are tested against."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from discrepancy_forge.chains import ChainSystem
+from discrepancy_forge.frequencies import integer_ball
+from discrepancy_forge.geometry import Ball, Box, TorusSet
 from discrepancy_forge.glp import PhiBall, _class_of, _residue_class_sums, congruence_sum
+from discrepancy_forge.hfourier import _fft_resolution
 from discrepancy_forge.kernel import KernelTable, _CubicHermite
 
 TWO_PI = 2 * np.pi
@@ -64,3 +69,193 @@ def kernel_value(table: KernelTable, s):
     if np.any(~inside):
         out[~inside] = table.tail_envelope_coeff * s[~inside] ** (-(table.dimension + 2))
     return out if out.ndim else float(out)
+
+
+def full_grid_block(set_, kernel, R, n, kmax):
+    """H_R coefficients on |k|_inf <= kmax by one fft2 of H on the whole n x n grid."""
+    grid = kernel.gamma * kernel.tail_integral(R * set_.distance_grid(n))
+    fhat = np.fft.fft2(grid) / (n * n)
+    idx = np.arange(-kmax, kmax + 1) % n
+    return fhat[np.ix_(idx, idx)]
+
+
+# -- boundary shells and Minkowski content -----------------------------------
+
+def shell_measure(set_: TorusSet, t):
+    """mu{dist(x, boundary) < t} in closed form: boxes in d = 1, 2 and balls in
+    d = 2, or d = 3 while r + t <= 1/2. None for any other set or t."""
+    t = np.asarray(t, dtype=float)
+    if isinstance(set_, Box) and set_.dimension <= 2:
+        w = set_.widths
+        g = 1.0 - w
+        if set_.dimension == 1:
+            dil = w[0] + 2 * np.minimum(t, g[0] / 2)
+            ero = np.maximum(w[0] - 2 * t, 0.0)
+        else:
+            dil = (w[0] * w[1]
+                   + 2 * w[0] * np.minimum(t, g[1] / 2)
+                   + 2 * w[1] * np.minimum(t, g[0] / 2)
+                   + 4 * _quarter_disk_in_rect(t, g[0] / 2, g[1] / 2))
+            ero = np.maximum(w[0] - 2 * t, 0.0) * np.maximum(w[1] - 2 * t, 0.0)
+        out = dil - ero
+    elif isinstance(set_, Ball) and set_.dimension == 2:
+        r = set_.radius
+        out = _torus_disk_area(r + t) - _torus_disk_area(np.maximum(r - t, 0.0))
+    elif isinstance(set_, Ball) and not np.any(set_.radius + t > 0.5):
+        r = set_.radius
+        out = 4.0 / 3.0 * np.pi * ((r + t) ** 3 - np.maximum(r - t, 0.0) ** 3)
+    else:
+        return None
+    out = np.clip(out, 0.0, 1.0)
+    return out if out.ndim else float(out)
+
+
+def _quarter_disk_in_rect(t, u: float, v: float):
+    """Area of {0<=x<=u, 0<=y<=v, x^2+y^2 < t^2}, vectorized over t >= 0."""
+    t = np.asarray(t, dtype=float)
+    full = np.minimum(t, np.hypot(u, v))
+    x_v = np.sqrt(np.maximum(full ** 2 - v ** 2, 0.0))  # below y=v up to here
+    x1 = np.minimum(u, x_v)
+    x2 = np.minimum(u, full)
+
+    def prim(x, tt):
+        # antiderivative of sqrt(tt^2 - x^2)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            val = 0.5 * (x * np.sqrt(np.maximum(tt ** 2 - x ** 2, 0.0))
+                         + tt ** 2 * np.arcsin(np.clip(np.divide(x, np.where(tt == 0, 1.0, tt)), -1, 1)))
+        return np.where(tt == 0, 0.0, val)
+
+    area = v * x1 + prim(x2, full) - prim(x1, full)
+    area = np.where(t ** 2 >= u ** 2 + v ** 2, u * v, area)
+    return np.where(t <= 0, 0.0, area)
+
+
+def _torus_disk_area(rho):
+    """Volume of a torus ball of radius rho in T^2 (disk clipped by the cell)."""
+    rho = np.asarray(rho, dtype=float)
+    plain = np.pi * rho ** 2
+    r_safe = np.where(rho <= 0.5, 1.0, rho)
+    segment = r_safe ** 2 * np.arccos(np.clip(0.5 / r_safe, 0.0, 1.0)) \
+        - 0.5 * np.sqrt(np.maximum(r_safe ** 2 - 0.25, 0.0))
+    clipped = plain - 4.0 * segment
+    out = np.where(rho <= 0.5, plain, np.where(rho >= np.sqrt(0.5), 1.0, clipped))
+    return out
+
+
+def shell_measure_mc(set_: TorusSet, t, *, samples: int = 10 ** 6, seed: int = 0):
+    """Monte Carlo mu{dist < t} with standard errors, for sets without closed forms."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((samples, set_.dimension))
+    dists = np.sort(set_.boundary_distances(pts))
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    mu = np.searchsorted(dists, t, side="left") / samples
+    se = np.sqrt(np.maximum(mu * (1 - mu), 0.0) / samples)
+    return mu, se
+
+
+@dataclass(frozen=True)
+class MinkowskiContent:
+    alpha: float
+    value: float
+    t_argmax: float
+    boundary_attained: bool
+    standard_error: float
+    method: str
+
+
+def minkowski_content(set_: TorusSet, alpha: float, t_grid=None, *,
+                      mc_samples: int = 10 ** 6, seed: int = 0) -> MinkowskiContent:
+    """M(alpha, Omega) = sup_t t^-alpha mu{dist(x, boundary) < t} over a t grid.
+
+    Exact shell volumes where `shell_measure` has them, Monte Carlo otherwise
+    (standard error of the maximizing ratio reported).
+    """
+    if not 0 <= alpha <= 1:
+        raise ValueError("alpha must lie in [0, 1]")
+    if t_grid is None:
+        t_grid = np.geomspace(1e-4, 1.0, 200)
+    t_grid = np.asarray(t_grid, dtype=float)
+    mu = shell_measure(set_, t_grid)
+    if mu is not None:
+        se = np.zeros_like(t_grid)
+        method = "exact"
+    else:
+        mu, se = shell_measure_mc(set_, t_grid, samples=mc_samples, seed=seed)
+        method = "monte-carlo"
+    ratios = np.minimum(mu, 1.0) * t_grid ** (-alpha)
+    idx = int(np.argmax(ratios))
+    return MinkowskiContent(
+        alpha=float(alpha),
+        value=float(ratios[idx]),
+        t_argmax=float(t_grid[idx]),
+        boundary_attained=idx in (0, len(t_grid) - 1),
+        standard_error=float(se[idx] * t_grid[idx] ** (-alpha)),
+        method=method,
+    )
+
+
+# -- H_R cross-checks and the decay constant F(alpha, beta, Omega) -----------
+
+def h_zero_by_coarea(ball: Ball, kernel: KernelTable, R: float, *, n: int = 20001) -> float:
+    """H_R-hat(0) for a ball via the coarea (shell) disintegration.
+
+    Stieltjes sum of gamma I(R t) against the exact shell measure mu{dist < t};
+    independent of the FFT route, used as a cross-check.
+    """
+    r = ball.radius
+    t_top = max(r, np.sqrt(ball.dimension) / 2.0)
+    t = np.linspace(0.0, t_top, n)
+    mu = shell_measure(ball, t)
+    mid = 0.5 * (t[1:] + t[:-1])
+    vals = kernel.gamma * kernel.tail_integral(R * mid)
+    return float(np.sum(vals * np.diff(mu)))
+
+
+@dataclass(frozen=True)
+class FConstantReport:
+    """Empirical lower bound for the smallest constant in the decay inequalities.
+
+    `indicator_part` covers |chi-hat(k)| <= c |k|^-alpha over 0 < |k| <= k_max;
+    `layer_parts` cover the psi(R dist) coefficients, |k|^-alpha off zero and
+    R^-beta at zero, per tested R.
+    """
+
+    alpha: float
+    beta: float
+    value: float
+    indicator_part: float
+    layer_parts: tuple
+    k_max: int
+    r_grid: tuple
+
+
+def f_constant(set_: TorusSet, kernel: KernelTable, alpha: float, beta: float,
+               k_max: int, r_grid, *, oversample: int = 2) -> FConstantReport:
+    d = set_.dimension
+    if not 0 <= alpha <= (d + 1) / 2:
+        raise ValueError(f"alpha must lie in [0, {(d + 1) / 2}]")
+    if not 0 <= beta <= 1:
+        raise ValueError("beta must lie in [0, 1]")
+
+    freqs = integer_ball(k_max, d, include_boundary=True)
+    norms = np.sqrt((freqs.astype(float) ** 2).sum(1))
+    chi = np.abs(set_.fourier_coefficients(freqs))
+    c_chi = float(np.max(chi * norms ** alpha))
+
+    layer_parts = []
+    for R in r_grid:
+        # psi(R dist) = 4 H_{R/2}: its coefficients on |k|_inf <= ceil(R), from
+        # the grid of the R/2 table
+        kmax = int(np.ceil(R))
+        block = full_grid_block(set_, kernel, R / 2.0, _fft_resolution(R / 2.0, oversample), kmax)
+        inner = integer_ball(R, d)
+        vals = 4.0 * np.abs(block[inner[:, 0] + kmax, inner[:, 1] + kmax])
+        inner_norms = np.sqrt((inner.astype(float) ** 2).sum(1))
+        c_k = float(np.max(vals * inner_norms ** alpha)) if len(inner) else 0.0
+        c_0 = float(4.0 * abs(block[kmax, kmax]) * R ** beta)
+        layer_parts.append((float(R), c_k, c_0))
+
+    value = max([c_chi] + [max(ck, c0) for _, ck, c0 in layer_parts])
+    return FConstantReport(alpha=float(alpha), beta=float(beta), value=value,
+                           indicator_part=c_chi, layer_parts=tuple(layer_parts),
+                           k_max=int(k_max), r_grid=tuple(float(R) for R in r_grid))

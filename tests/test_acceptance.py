@@ -28,7 +28,7 @@ from discrepancy_forge.erdos_turan import et_bound, optimal_R
 from discrepancy_forge.geometry import Ball, Box, ConvexPolytope
 from discrepancy_forge.glp import search
 from discrepancy_forge.kernel import build_bump, build_kernel_table
-from discrepancy_forge.majorant import majorant_pair, sandwich_report
+from discrepancy_forge.majorant import majorant_pair, sandwich_grids, sandwich_report
 from discrepancy_forge.pointsets import korobov, kronecker, lattice, schmidt_sum
 from discrepancy_forge.sphere import (
     Cap,
@@ -88,7 +88,7 @@ def test_criterion_2_sandwich(kernel2):
     for R in (8.0, 16.0, 32.0):
         t0 = time.time()
         pair = majorant_pair(BALL, kernel2, R, oversample=8)
-        rep = sandwich_report(pair, BALL, kernel2, R, 512)
+        rep = sandwich_report(pair, sandwich_grids(pair, BALL, kernel2, 512))
         elapsed = time.time() - t0
         _times[f"c2_R{int(R)}"] = elapsed
         worst = max(rep.lower_violation, rep.upper_violation, rep.width_violation)

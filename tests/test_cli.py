@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from discrepancy_forge import cli, erdos_turan
+from discrepancy_forge import cli, erdos_turan, majorant
 from discrepancy_forge.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -77,6 +77,26 @@ def test_sandwich_subcommand(tmp_path):
                entry["width_violation"]) <= entry["budget"]
     csv_path = tmp_path / "sandwich_R8.csv"
     assert csv_path.read_text().splitlines()[0] == "x1,x2,chi,A,B,psi_bound"
+
+
+def test_sandwich_csv_per_degree(tmp_path, monkeypatch):
+    # the report and the CSV share one synthesis of A and of B per R, and
+    # R = 8 and R = 8.5 write to different files
+    syntheses = []
+    synthesis = majorant.TrigPolynomial.grid_synthesis
+
+    def counting_synthesis(self, n):
+        syntheses.append(self.degree)
+        return synthesis(self, n)
+
+    monkeypatch.setattr(majorant.TrigPolynomial, "grid_synthesis", counting_synthesis)
+    assert run_cli(["sandwich", "--set", BALL, "--R", "8,8.5", "--grid-n", "64",
+                    "--oversample", "1", "--out", str(tmp_path / "s.json"),
+                    "--csv-out", str(tmp_path / "s.csv")]) == EXIT_OK
+    assert syntheses == [8.0, 8.0, 8.5, 8.5]
+    r8, r85 = tmp_path / "s_R8.csv", tmp_path / "s_R8.5.csv"
+    assert r8.exists() and r85.exists()
+    assert r8.read_bytes() != r85.read_bytes()
 
 
 def test_exit_code_on_invariant_violation(tmp_path):
@@ -268,10 +288,14 @@ def _no_expensive_work(*args, **kwargs):
     ["glp-search", "--m", "101", "--strategy", "random", "--n-samples", "0"],
     ["polytope-family", "--m", "31", "--chain-sum-R", "0,16"],
     ["sphere-orbit", "--k", "1", "--L", "51"],
+    ["sandwich", "--set", BALL, "--R", "8", "--oversample", "0"],
+    ["sandwich", "--set", BALL, "--R", "8,16,32", "--grid-n", "100"],
+    ["sandwich", "--set", BALL, "--R", "2"],
 ], ids=["cap-3-values", "cap-5-values", "base-zero", "L-zero", "m-empty",
         "lattice-one-size", "kronecker-one-size", "R-empty", "x-empty", "glp-X-dimension",
         "family-X-dimension", "k-zero", "k-zero-with-L", "x-dimension", "g-length",
-        "n-samples-zero", "chain-sum-R-zero", "L-above-cap"])
+        "n-samples-zero", "chain-sum-R-zero", "L-above-cap", "oversample-zero",
+        "grid-n-below-4R", "R-below-4"])
 def test_malformed_input_exits_3_before_any_work(argv, monkeypatch):
     for name in ("get_kernel", "enumerate_words", "search", "korobov", "chain_sum",
                  "ball_rho_hat"):

@@ -4,34 +4,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import f_constant, full_grid_block, h_zero_by_coarea, minkowski_content
 
-from discrepancy_forge.errors import ConfigError, QuadratureError
+from discrepancy_forge.errors import ConfigError
 from discrepancy_forge.frequencies import integer_ball
-from discrepancy_forge.geometry import Ball, Box, ConvexPolytope, minkowski_content
-from discrepancy_forge.hfourier import (
-    _fft_resolution,
-    f_constant,
-    h_coefficient_table,
-    h_zero_by_coarea,
-)
+from discrepancy_forge.geometry import Ball, Box, ConvexPolytope
+from discrepancy_forge.hfourier import _fft_resolution, h_coefficient_table
 
 BALL = Ball((0.5, 0.5), 0.25)
 QUAD = ConvexPolytope(((0.3, 0.25), (0.75, 0.35), (0.7, 0.7), (0.25, 0.6)), epsilon=0.3)
 
 
-def h_coefficient(set_, kernel, R, k, **kwargs) -> complex:
-    """Single coefficient H_R-hat(k), read from a table that covers it."""
+def h_coefficient(set_, kernel, R, k, *, oversample) -> complex:
+    """Single coefficient H_R-hat(k), read from the smallest whole-grid block that covers it."""
     k = np.asarray(k, dtype=np.int64)
-    table = h_coefficient_table(set_, kernel, R, kmax=int(np.max(np.abs(k))) or 1, **kwargs)
-    return complex(table.values(k.reshape(1, -1))[0])
-
-
-def full_grid_block(set_, kernel, R, n, kmax):
-    """Coefficient block by one fft2 of H on the whole n x n grid."""
-    grid = kernel.gamma * kernel.tail_integral(R * set_.distance_grid(n))
-    fhat = np.fft.fft2(grid) / (n * n)
-    idx = np.arange(-kmax, kmax + 1) % n
-    return fhat[np.ix_(idx, idx)]
+    kmax = int(np.max(np.abs(k))) or 1
+    block = full_grid_block(set_, kernel, R, _fft_resolution(R, oversample), kmax)
+    return complex(block[k[0] + kmax, k[1] + kmax])
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +37,7 @@ def test_hermitian_symmetry(table16):
 
 def test_refinement_agreement(kernel2, table16):
     # doubling the grid moves H-hat(1,0) by less than 1e-5
-    doubled = h_coefficient_table(BALL, kernel2, 16.0, oversample=8, refine=False)
+    doubled = h_coefficient_table(BALL, kernel2, 16.0, oversample=8)
     k = np.array([[1, 0]])
     assert abs(table16.values(k)[0] - doubled.values(k)[0]) < 1e-5
     assert table16.errors(k)[0] < 1e-5
@@ -92,10 +81,7 @@ def test_strip_table_matches_full_grid_fft(kernel2, set_, R, oversample):
     coarse = full_grid_block(set_, kernel2, R, n // 2, kmax)
     err = np.abs(fine - coarse) + 1e-15 * kernel2.gamma
     table = h_coefficient_table(set_, kernel2, R, oversample=oversample)
-    plain = h_coefficient_table(set_, kernel2, R, oversample=oversample, refine=False)
-    assert table.grid_n == plain.grid_n == n
-    assert np.array_equal(plain.block, table.block)
-    assert np.all(np.isnan(plain.err))
+    assert table.grid_n == n
     # both routes evaluate the same distances and the same 1-d transforms
     assert np.array_equal(table.block, fine)
     assert np.array_equal(table.err, err)
@@ -123,9 +109,10 @@ def test_memory_guard_raises_before_allocating(kernel2):
     assert peak < 2 ** 20
 
 
-def test_nyquist_guard(kernel2):
-    with pytest.raises(QuadratureError):
-        h_coefficient_table(BALL, kernel2, 16.0, kmax=200, oversample=1)
+@pytest.mark.parametrize("oversample", [0, -1])
+def test_oversample_below_one_is_rejected(kernel2, oversample):
+    with pytest.raises(ValueError, match="oversample"):
+        h_coefficient_table(BALL, kernel2, 16.0, oversample=oversample)
 
 
 def test_f_constant_ball_smooth_decay(kernel2):

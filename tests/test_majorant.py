@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discrepancy_forge.frequencies import integer_ball
-from discrepancy_forge.geometry import Ball
+from discrepancy_forge.geometry import Ball, ConvexPolytope
 from discrepancy_forge.kernel import psi
 from discrepancy_forge.majorant import (
     TrigPolynomial,
     majorant_pair,
+    sandwich_grids,
     sandwich_report,
 )
 
@@ -64,7 +67,7 @@ def test_synthesis_matches_evaluation(pair16):
 
 
 def test_sandwich_within_budget(kernel2, pair16):
-    report = sandwich_report(pair16, BALL, kernel2, 16.0, 512)
+    report = sandwich_report(pair16, sandwich_grids(pair16, BALL, kernel2, 512))
     assert report.within_budget
     assert report.lower_violation <= report.budget
     assert report.upper_violation <= report.budget
@@ -85,7 +88,7 @@ def test_far_field_width(kernel2):
 
 
 def test_observed_width_ratio_below_one(kernel2, pair16):
-    report = sandwich_report(pair16, BALL, kernel2, 16.0, 512)
+    report = sandwich_report(pair16, sandwich_grids(pair16, BALL, kernel2, 512))
     assert report.observed_width_ratio < 1.0
     assert report.max_width > 1.0  # the bound is loose but the width is real
 
@@ -113,9 +116,28 @@ def test_majorant_requires_degree_four(kernel2):
         majorant_pair(BALL, kernel2, 2.0)
 
 
-def test_polynomial_json_round_trip(pair16):
-    doc = pair16.upper.to_json()
-    again = TrigPolynomial.from_json(doc)
-    assert np.array_equal(again.freqs, pair16.upper.freqs)
-    assert np.allclose(again.coeffs, pair16.upper.coeffs, rtol=0, atol=0)
-    assert again.degree == pair16.upper.degree
+_unit = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def torus_sets(draw):
+    """A ball, or a strictly convex polygon inscribed in a circle of radius
+    <= 0.45, so its diameter stays below 0.9 < 1 - epsilon."""
+    center = (draw(_unit), draw(_unit))
+    radius = draw(st.floats(0.05, 0.45))
+    if draw(st.booleans()):
+        return Ball(center, radius)
+    gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=3, max_size=7)))
+    angles = draw(_unit) * 2 * np.pi + 2 * np.pi * np.cumsum(gaps) / gaps.sum()
+    verts = np.asarray(center) + radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return ConvexPolytope(tuple(map(tuple, verts)), epsilon=0.05)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(set_=torus_sets())
+def test_sandwich_holds_on_random_sets(kernel2, set_):
+    # A <= chi <= B and B - A <= psi(R dist) at R = 8, within the computed budget
+    pair = majorant_pair(set_, kernel2, 8.0)
+    report = sandwich_report(pair, sandwich_grids(pair, set_, kernel2, 64))
+    worst = max(report.lower_violation, report.upper_violation, report.width_violation)
+    assert worst <= pair.budget
