@@ -101,17 +101,6 @@ class ChainSystem:
     def coordinate(cls, d: int) -> "ChainSystem":
         return cls.from_normals(np.eye(d))
 
-    @classmethod
-    def from_polytope(cls, polytope: ConvexPolytope) -> "ChainSystem":
-        p, q = polytope.edges()
-        e = q - p
-        normals = np.stack([e[:, 1], -e[:, 0]], axis=1)
-        return cls.from_normals(normals)
-
-    @property
-    def chain_count(self) -> int:
-        return len(self.chain_bases)
-
 
 def phi(chains: ChainSystem, xi) -> np.ndarray | float:
     """Chain functional Phi(xi); vectorized over rows of xi.

@@ -513,6 +513,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+def _finite(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"needs a finite number, got {text!r}")
+    return value
+
+
 def _list_of(cast, min_len: int = 1):
     """argparse type: a comma-separated list of at least min_len values."""
     def parse(text: str) -> list:
@@ -531,7 +539,7 @@ def _r_spec(text: str):
         if text[5:] not in ("lattice", "kronecker", "search"):
             raise argparse.ArgumentTypeError(f"unknown R rule {text[5:]!r}")
         return text
-    return float(text)
+    return _finite(text)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -540,9 +548,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--kernel-cache", help="kernel table JSON cache path")
     sub.add_argument("--kernel-d", type=int, default=2)
-    sub.add_argument("--kernel-grid-step", type=float, default=1.0 / 256)
-    sub.add_argument("--kernel-x-max", type=float, default=25.0)
-    sub.add_argument("--kernel-t-max", type=float, default=30.0)
+    sub.add_argument("--kernel-grid-step", type=_finite, default=1.0 / 256)
+    sub.add_argument("--kernel-x-max", type=_finite, default=25.0)
+    sub.add_argument("--kernel-t-max", type=_finite, default=30.0)
 
 
 def build_parser() -> _Parser:
@@ -556,11 +564,11 @@ def build_parser() -> _Parser:
     p = subs.add_parser("sandwich", help="sandwich polynomials and violations")
     _add_common(p)
     p.add_argument("--set", required=True, help="set JSON (inline or file path)")
-    p.add_argument("--R", type=_list_of(float), required=True,
+    p.add_argument("--R", type=_list_of(_finite), required=True,
                    help="comma-separated degree list")
     p.add_argument("--grid-n", type=int, default=512)
     p.add_argument("--oversample", type=int, default=8)
-    p.add_argument("--max-budget", type=float)
+    p.add_argument("--max-budget", type=_finite)
 
     p = subs.add_parser("bound", help="discrepancy bound for one (set, points, R)")
     _add_common(p)
@@ -568,26 +576,26 @@ def build_parser() -> _Parser:
     p.add_argument("--points", required=True, help="point descriptor JSON")
     p.add_argument("--R", type=_r_spec, required=True,
                    help="number or auto:<lattice|kronecker|search>")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--alpha", type=_finite, default=1.0)
+    p.add_argument("--beta", type=_finite, default=1.0)
+    p.add_argument("--eps", type=_finite, default=0.1)
 
     p = subs.add_parser("lattice-scaling", help="bound decay across lattice sizes")
     _add_common(p)
     p.add_argument("--set", required=True)
     p.add_argument("--m", type=_list_of(int, 2), required=True,
                    help="comma-separated lattice sizes (at least two)")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--alpha", type=_finite, default=1.0)
+    p.add_argument("--beta", type=_finite, default=1.0)
 
     p = subs.add_parser("kronecker-scaling", help="Schmidt sums and bound decay")
     _add_common(p)
     p.add_argument("--set", required=True)
     p.add_argument("--m", type=_list_of(int, 2), required=True,
                    help="comma-separated point counts (at least two)")
-    p.add_argument("--x", type=_list_of(float),
+    p.add_argument("--x", type=_list_of(_finite),
                    help="comma-separated generator coordinates (default: sqrt2-1,sqrt3-1)")
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--eps", type=_finite, default=0.1)
     p.add_argument("--schmidt-R", type=_list_of(int), default="64,128,256,512")
 
     p = subs.add_parser("glp-search", help="good lattice point search")
@@ -611,12 +619,12 @@ def build_parser() -> _Parser:
     p = subs.add_parser("sphere-orbit", help="rotation orbit, rho_hat, cap bounds")
     _add_common(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--base", type=_list_of(float), default="0,0,1")
+    p.add_argument("--base", type=_list_of(_finite), default="0,0,1")
     p.add_argument("--cap", dest="caps", action="append",
                    help="px,py,pz,theta (repeatable; default: the polar cap, theta = pi/6)")
     p.add_argument("--L", type=int,
                    help=f"harmonic degree cutoff for rho_hat (1 to {MAX_DEGREE})")
-    p.add_argument("--delta", type=float, default=1.0)
+    p.add_argument("--delta", type=_finite, default=1.0)
 
     return parser
 

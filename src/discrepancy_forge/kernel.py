@@ -20,14 +20,15 @@ quadrature.
 
 Downstream modules consume the tables through one numpy piecewise-cubic
 Hermite evaluator: monotone (PCHIP) slopes for I, computed when a table is
-loaded, and the clamped cubic spline's knot slopes for khat, stored in the
-table. It repeats scipy's arithmetic, so its values are bitwise those of
-scipy's interpolants; scipy is used only to build a table, and loading one
-imports none of it. The tail beyond the table is replaced by a fitted power
-envelope that can only over-estimate I, which is the safe direction for every
-majorization it feeds. The cache file's `version` is bumped whenever a change
-moves table numbers or adds a field, so tables written by older code are
-rebuilt, not reused.
+loaded, and the clamped cubic spline's knot slopes for khat, computed by one
+tridiagonal sweep when the table is built and stored in it. Both repeat
+scipy's arithmetic, so the values are bitwise those of scipy's interpolants.
+Only the d = 2 build imports scipy, for the Bessel functions j0 and j1;
+d = 1 and d = 3 builds and loading any table import none of it. The tail
+beyond the table is replaced by a fitted power envelope that can only
+over-estimate I, which is the safe direction for every majorization it feeds.
+The cache file's `version` is bumped whenever a change moves table numbers or
+adds a field, so tables written by older code are rebuilt, not reused.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-# scipy is imported inside the functions that call it: it is most of the
-# package's import time, and only building a table needs it
+# scipy.special is imported inside the d = 2 branches that call j0 and j1: it
+# is most of the package's import time, and no other path needs it
 from .errors import QuadratureError
 from .frequencies import TWO_PI
 from .quadrature import integrate_refined, panel_nodes
@@ -261,6 +262,33 @@ def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return slopes
 
 
+def _clamped_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Knot slopes of scipy's CubicSpline(x, y, bc_type="clamped"): 0 at both ends.
+
+    The inner rows are the spline's continuity conditions,
+    dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
+        = 3 (dx[i] m[i-1] + dx[i-1] m[i]),
+    with secants m; the end rows are s = 0. The tridiagonal system is solved
+    by LAPACK dgtsv's elimination in the same order. With uniform knots at
+    most 1 apart (the end rows' diagonal), every pivot is at least its
+    subdiagonal, so dgtsv swaps no rows and the slopes are bitwise scipy's.
+    """
+    dx = np.diff(x)
+    m = np.diff(y) / dx
+    diag = [1.0, *(2 * (dx[:-1] + dx[1:])).tolist(), 1.0]
+    upper = [0.0, *dx[:-1].tolist()]             # row i's coefficient of s[i+1]
+    lower = [*dx[1:].tolist(), 0.0]              # row i+1's coefficient of s[i]
+    b = [0.0, *(3 * (dx[1:] * m[:-1] + dx[:-1] * m[1:])).tolist(), 0.0]
+    for i in range(len(x) - 1):
+        fact = lower[i] / diag[i]
+        diag[i + 1] -= fact * upper[i]
+        b[i + 1] -= fact * b[i]
+    b[-1] /= diag[-1]
+    for i in range(len(x) - 2, -1, -1):
+        b[i] = (b[i] - upper[i] * b[i + 1]) / diag[i]
+    return np.array(b)
+
+
 def _pchip_end_slope(h0, h1, m0, m1) -> float:
     """One-sided three-point end slope, limited to keep the end monotone."""
     d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
@@ -472,11 +500,9 @@ def build_kernel_table(d: int, bump: BumpProfile, x_max: float = 25.0, t_max: fl
     conv_grid, _ = autocorrelation_values(bump, khat_grid)
     khat_tab = (1.0 + khat_grid ** 2) ** (-decay) * conv_grid
     khat_tab[-1] = 0.0  # support constraint is exact
-    from scipy.interpolate import CubicSpline
-    spline = CubicSpline(khat_grid, khat_tab, bc_type="clamped")
+    khat_slopes = _clamped_slopes(khat_grid, khat_tab)
+    spline = _CubicHermite(khat_grid, khat_tab, khat_slopes)
     khat_accuracy = float(np.max(np.abs(spline(nodes) - khat_nodes))) + conv_err
-    # spline.c[2] holds the slope at each knot but the last, where "clamped" fixes 0
-    khat_slopes = np.append(spline.c[2], 0.0)
 
     kvals_grid = np.arange(0.0, x_max + 0.5 * kvals_step, kvals_step)
     kvals = master.kernel(kvals_grid)

@@ -13,12 +13,11 @@ silently tolerated.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frequencies import TWO_PI, integer_ball
+from .frequencies import integer_ball
 from .geometry import TorusSet
 from .hfourier import HCoefficientTable, h_coefficient_table, h_function_grid
 from .kernel import KernelTable
@@ -42,13 +41,6 @@ class TrigPolynomial:
     def mean(self) -> float:
         zero = np.all(self.freqs == 0, axis=1)
         return float(np.real(self.coeffs[zero][0])) if zero.any() else 0.0
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Direct coefficient summation at arbitrary points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        phases = np.exp(TWO_PI * 1j * (pts @ self.freqs.T.astype(float)))
-        vals = phases @ self.coeffs
-        return np.real(vals)
 
     def grid_synthesis(self, n: int) -> np.ndarray:
         """Values on the n x n grid (i/n, j/n) by inverse FFT; needs n > 2 degree."""
@@ -123,11 +115,6 @@ class SandwichReport:
     max_width: float
     observed_width_ratio: float   # sup (B - A) / psi(R dist), diagnostic only
 
-    @property
-    def within_budget(self) -> bool:
-        return max(self.lower_violation, self.upper_violation,
-                   self.width_violation) <= self.budget
-
 
 def sandwich_grids(pair: MajorantPair, set_: TorusSet, kernel: KernelTable,
                    grid_n: int) -> tuple:
@@ -172,11 +159,9 @@ def sandwich_csv(grids: tuple, path) -> None:
     A, B, chi, bound = grids
     grid_n = len(chi)
     axis = np.arange(grid_n) / grid_n
+    columns = (np.repeat(axis, grid_n), np.tile(axis, grid_n), chi, A, B, bound)
+    # the bytes of csv.writer's excel dialect: no value needs quoting, rows end in CRLF
+    rows = zip(*(map(repr, np.ravel(c).tolist()) for c in columns))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "chi", "A", "B", "psi_bound"])
-        for i in range(grid_n):
-            for j in range(grid_n):
-                writer.writerow([repr(float(axis[i])), repr(float(axis[j])),
-                                 repr(float(chi[i, j])), repr(float(A[i, j])),
-                                 repr(float(B[i, j])), repr(float(bound[i, j]))])
+        fh.write("x1,x2,chi,A,B,psi_bound\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in rows)

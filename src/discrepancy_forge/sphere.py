@@ -110,11 +110,6 @@ def enumerate_words(k: int) -> list:
     return out
 
 
-def all_distinct(words) -> bool:
-    keys = {w.canonical_key() for w in words}
-    return len(keys) == len(words)
-
-
 # ---------------------------------------------------------------------------
 # orbits and spherical regions
 # ---------------------------------------------------------------------------

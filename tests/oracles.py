@@ -1,12 +1,13 @@
 """Reference implementations that the library's fast paths are tested against."""
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from discrepancy_forge.chains import ChainSystem
 from discrepancy_forge.frequencies import integer_ball
-from discrepancy_forge.geometry import Ball, Box, TorusSet
+from discrepancy_forge.geometry import Ball, Box, ConvexPolytope, TorusSet
 from discrepancy_forge.glp import PhiBall, _class_of, _residue_class_sums, congruence_sum
 from discrepancy_forge.hfourier import _fft_resolution
 from discrepancy_forge.kernel import KernelTable, _CubicHermite
@@ -259,3 +260,73 @@ def f_constant(set_: TorusSet, kernel: KernelTable, alpha: float, beta: float,
     return FConstantReport(alpha=float(alpha), beta=float(beta), value=value,
                            indicator_part=c_chi, layer_parts=tuple(layer_parts),
                            k_max=int(k_max), r_grid=tuple(float(R) for R in r_grid))
+
+
+def all_distinct(words) -> bool:
+    keys = {w.canonical_key() for w in words}
+    return len(keys) == len(words)
+
+
+def chain_count(chains: ChainSystem) -> int:
+    return len(chains.chain_bases)
+
+
+def chain_system_from_polytope(polytope) -> ChainSystem:
+    """The chain system of a polygon's edge normals."""
+    p, q = polytope.edges()
+    e = q - p
+    normals = np.stack([e[:, 1], -e[:, 0]], axis=1)
+    return ChainSystem.from_normals(normals)
+
+
+def evaluate_polynomial(poly, points: np.ndarray) -> np.ndarray:
+    """Direct coefficient summation of a TrigPolynomial at arbitrary points."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    phases = np.exp(TWO_PI * 1j * (pts @ poly.freqs.T.astype(float)))
+    vals = phases @ poly.coeffs
+    return np.real(vals)
+
+
+def within_budget(report) -> bool:
+    """Every violation of a SandwichReport is within its budget."""
+    return max(report.lower_violation, report.upper_violation,
+               report.width_violation) <= report.budget
+
+
+def sandwich_csv_per_row(grids: tuple, path) -> None:
+    """The sandwich CSV written one csv.writer row per grid point."""
+    A, B, chi, bound = grids
+    grid_n = len(chi)
+    axis = np.arange(grid_n) / grid_n
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "chi", "A", "B", "psi_bound"])
+        for i in range(grid_n):
+            for j in range(grid_n):
+                writer.writerow([repr(float(axis[i])), repr(float(axis[j])),
+                                 repr(float(chi[i, j])), repr(float(A[i, j])),
+                                 repr(float(B[i, j])), repr(float(bound[i, j]))])
+
+
+def inscribed_polygon(center, radius: float, gaps: np.ndarray, turn: float) -> ConvexPolytope:
+    """Polygon with vertices on the circle (center, radius), at angular gaps in
+    the proportions of `gaps`, rotated by the fraction `turn` of a full turn."""
+    angles = turn * 2 * np.pi + 2 * np.pi * np.cumsum(gaps) / gaps.sum()
+    verts = np.asarray(center) + radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return ConvexPolytope(tuple(map(tuple, verts)), epsilon=0.05)
+
+
+def polygon_distances_by_segments(poly: ConvexPolytope, pts: np.ndarray) -> np.ndarray:
+    """Periodic boundary distance: every point against every edge segment and
+    3 x 3 translate, with vector dot products. Exact when each coordinate of a
+    point and of a boundary point differ by less than 1.5, so that a shift of
+    -1, 0 or 1 reaches the nearest copy."""
+    p, q = poly.edges()
+    best = np.full(len(pts), np.inf)
+    for a, b in zip(p, q):
+        e = b - a
+        for shift in np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float):
+            rel = pts - (a + shift)
+            t = np.clip(rel @ e / (e @ e), 0.0, 1.0)
+            best = np.minimum(best, np.hypot(*(rel - t[:, None] * e).T))
+    return best

@@ -20,6 +20,7 @@ plus the k = 1 identity that links them.
 import time
 
 import numpy as np
+from oracles import all_distinct
 from scipy.integrate import dblquad
 
 from discrepancy_forge.chains import ChainSystem, chain_sum, polytope_ft_bound
@@ -32,7 +33,6 @@ from discrepancy_forge.majorant import majorant_pair, sandwich_grids, sandwich_r
 from discrepancy_forge.pointsets import korobov, kronecker, lattice, schmidt_sum
 from discrepancy_forge.sphere import (
     Cap,
-    all_distinct,
     enumerate_words,
     hecke_block,
     lps_generators,

@@ -291,11 +291,18 @@ def _no_expensive_work(*args, **kwargs):
     ["sandwich", "--set", BALL, "--R", "8", "--oversample", "0"],
     ["sandwich", "--set", BALL, "--R", "8,16,32", "--grid-n", "100"],
     ["sandwich", "--set", BALL, "--R", "2"],
+    ["sandwich", "--set", BALL, "--R", "8", "--grid-n", "64", "--max-budget", "nan"],
+    ["bound", "--set", BALL, "--points", LATTICE256, "--R", "inf"],
+    ["bound", "--set", BALL, "--points", LATTICE256, "--R", "nan"],
+    ["lattice-scaling", "--set", BALL, "--m", "256,1024", "--alpha", "nan"],
+    ["kernel-build", "--kernel-x-max", "inf"],
+    ["sphere-orbit", "--k", "1", "--delta=-inf"],
 ], ids=["cap-3-values", "cap-5-values", "base-zero", "L-zero", "m-empty",
         "lattice-one-size", "kronecker-one-size", "R-empty", "x-empty", "glp-X-dimension",
         "family-X-dimension", "k-zero", "k-zero-with-L", "x-dimension", "g-length",
         "n-samples-zero", "chain-sum-R-zero", "L-above-cap", "oversample-zero",
-        "grid-n-below-4R", "R-below-4"])
+        "grid-n-below-4R", "R-below-4", "max-budget-nan", "bound-R-inf", "bound-R-nan",
+        "alpha-nan", "kernel-x-max-inf", "delta-minus-inf"])
 def test_malformed_input_exits_3_before_any_work(argv, monkeypatch):
     for name in ("get_kernel", "enumerate_words", "search", "korobov", "chain_sum",
                  "ball_rho_hat"):
@@ -340,6 +347,28 @@ def test_experiments_without_a_kernel_never_import_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_cold_kernel_builds_import_scipy_only_for_bessel_functions(tmp_path):
+    # the clamped spline's slopes come from numpy; only d = 2 needs j0 and j1
+    script = textwrap.dedent("""
+        import json, sys
+        from discrepancy_forge.cli import main
+        loaded = []
+        for d in ("1", "3", "2"):
+            assert main(["kernel-build", "--kernel-d", d, "--kernel-cache",
+                         f"{sys.argv[1]}/k{d}.json", "--out", f"{sys.argv[1]}/r{d}.json"]) == 0
+            loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        print(json.dumps(loaded))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    after_d1, after_d3, after_d2 = json.loads(proc.stdout.splitlines()[-1])
+    assert after_d1 == [] and after_d3 == []
+    assert "scipy.special" in after_d2
+    assert not any(m.startswith("scipy.interpolate") for m in after_d2)
 
 
 _QUAD = ('{"variant":"polytope","epsilon":0.3,'

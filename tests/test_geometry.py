@@ -2,7 +2,15 @@
 
 import numpy as np
 import pytest
-from oracles import minkowski_content, shell_measure, shell_measure_mc
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    inscribed_polygon,
+    minkowski_content,
+    polygon_distances_by_segments,
+    shell_measure,
+    shell_measure_mc,
+)
 from scipy.integrate import dblquad, quad
 from scipy.special import j0
 
@@ -102,16 +110,35 @@ def test_polygon_distance_matches_per_point_segment_loop():
     # translate, with vector dot products
     poly = ConvexPolytope(((0.05, 0.05), (0.7, 0.1), (0.1, 0.7)), epsilon=0.1)
     pts = np.random.default_rng(6).random((4000, 2))
-    p, q = poly.edges()
-    best = np.full(len(pts), np.inf)
-    for a, b in zip(p, q):
-        e = b - a
-        for shift in np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float):
-            rel = pts - (a + shift)
-            t = np.clip(rel @ e / (e @ e), 0.0, 1.0)
-            best = np.minimum(best, np.hypot(*(rel - t[:, None] * e).T))
-    # points and vertices lie in [0, 1)^2, so shifts of -1, 0, 1 reach the nearest copy
+    best = polygon_distances_by_segments(poly, pts)
     assert np.max(np.abs(poly.boundary_distances(pts) - best)) <= 1e-15
+
+
+_unit = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def inscribed_polygons(draw):
+    """Strictly convex polygons inscribed in a circle of radius <= 0.45 centred
+    in [0, 1)^2: vertices lie within 0.45 of the unit square."""
+    center = (draw(_unit), draw(_unit))
+    radius = draw(st.floats(0.05, 0.45))
+    gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=3, max_size=7)))
+    return inscribed_polygon(center, radius, gaps, draw(_unit))
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(poly=inscribed_polygons(), start=st.integers(0, 63), count=st.integers(1, 64))
+def test_polygon_grid_rows_match_per_point_and_segment_distances(poly, start, count):
+    # guards the 3 x 3 shift loop shared by distance_grid and boundary_distances
+    n = 64
+    axis = np.arange(n) / n
+    rows = slice(start, start + count)
+    X, Y = np.meshgrid(axis[rows], axis, indexing="ij")
+    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+    per_point = poly.boundary_distances(pts)
+    assert np.array_equal(poly.distance_grid(n, rows=rows).ravel(), per_point)
+    assert np.max(np.abs(per_point - polygon_distances_by_segments(poly, pts))) <= 1e-12
 
 
 # -- measure and Fourier coefficients ----------------------------------------

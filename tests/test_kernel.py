@@ -15,6 +15,7 @@ from discrepancy_forge.kernel import (
     DecayProfile,
     KernelTable,
     _CubicHermite,
+    _clamped_slopes,
     autocorrelation_values,
     build_bump,
     build_kernel_table,
@@ -266,6 +267,28 @@ def test_hermite_evaluators_equal_scipy_at_drawn_points(kernel2, values):
     pts = np.asarray(values)
     for ours, ref, _ in _scipy_pairs(kernel2):
         assert np.array_equal(ours(pts), ref(pts))
+
+
+def _scipy_clamped_slopes(x, y):
+    # c[2] holds the slope at each knot but the last, where "clamped" fixes 0
+    return np.append(CubicSpline(x, y, bc_type="clamped").c[2], 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_clamped_slopes_equal_scipy_on_khat_tables(d, kernel_tables):
+    table = kernel_tables[d]
+    slopes = _clamped_slopes(table.khat_grid, table.khat)
+    assert np.array_equal(slopes, _scipy_clamped_slopes(table.khat_grid, table.khat))
+    assert np.array_equal(slopes, table.khat_slopes)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.floats(-10.0, 10.0), st.floats(1e-6, 1.0),
+       st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=80))
+def test_clamped_slopes_equal_scipy_on_drawn_knots(x0, step, values):
+    x = x0 + step * np.arange(len(values))
+    y = np.asarray(values)
+    assert np.array_equal(_clamped_slopes(x, y), _scipy_clamped_slopes(x, y))
 
 
 def test_table_without_khat_slopes_is_rejected(kernel2):

@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    evaluate_polynomial,
+    inscribed_polygon,
+    sandwich_csv_per_row,
+    within_budget,
+)
 
 from discrepancy_forge.frequencies import integer_ball
 from discrepancy_forge.geometry import Ball, ConvexPolytope
@@ -11,6 +17,7 @@ from discrepancy_forge.kernel import psi
 from discrepancy_forge.majorant import (
     TrigPolynomial,
     majorant_pair,
+    sandwich_csv,
     sandwich_grids,
     sandwich_report,
 )
@@ -54,7 +61,7 @@ def test_evaluation_matches_direct_sum(pair16):
     direct = np.array([
         np.real(np.sum(poly.coeffs * np.exp(2j * np.pi * (poly.freqs @ x))))
         for x in pts])
-    assert np.max(np.abs(poly.evaluate(pts) - direct)) < 1e-10
+    assert np.max(np.abs(evaluate_polynomial(poly, pts) - direct)) < 1e-10
 
 
 def test_synthesis_matches_evaluation(pair16):
@@ -63,16 +70,28 @@ def test_synthesis_matches_evaluation(pair16):
     check = [(0, 0), (5, 17), (64, 100)]
     for i, j in check:
         x = np.array([i / n, j / n])
-        assert grid_vals[i, j] == pytest.approx(float(pair16.lower.evaluate(x)[0]), abs=1e-9)
+        direct = float(evaluate_polynomial(pair16.lower, x)[0])
+        assert grid_vals[i, j] == pytest.approx(direct, abs=1e-9)
 
 
 def test_sandwich_within_budget(kernel2, pair16):
     report = sandwich_report(pair16, sandwich_grids(pair16, BALL, kernel2, 512))
-    assert report.within_budget
+    assert within_budget(report)
     assert report.lower_violation <= report.budget
     assert report.upper_violation <= report.budget
     assert report.width_violation <= report.budget
     assert report.budget < 1e-3
+
+
+@pytest.mark.parametrize("set_", [
+    BALL, ConvexPolytope(((0.3, 0.25), (0.75, 0.35), (0.7, 0.7), (0.25, 0.6)), epsilon=0.3),
+], ids=["ball", "quad"])
+def test_sandwich_csv_equals_per_row_writer(tmp_path, kernel2, set_):
+    pair = majorant_pair(set_, kernel2, 8.0, oversample=1)
+    grids = sandwich_grids(pair, set_, kernel2, 64)
+    sandwich_csv(grids, tmp_path / "columns.csv")
+    sandwich_csv_per_row(grids, tmp_path / "rows.csv")
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_far_field_width(kernel2):
@@ -106,7 +125,7 @@ def test_proof_chain_smoothing_inequality(kernel2):
     for set_ in sets:
         smooth = TrigPolynomial(2, R, freqs, weights * set_.fourier_coefficients(freqs))
         pts = rng.random((100, 2))
-        lhs = np.abs(set_.contains(pts).astype(float) - smooth.evaluate(pts))
+        lhs = np.abs(set_.contains(pts).astype(float) - evaluate_polynomial(smooth, pts))
         rhs = kernel2.tail_integral(R * set_.boundary_distances(pts))
         assert np.all(lhs <= rhs + 1e-6)
 
@@ -128,9 +147,7 @@ def torus_sets(draw):
     if draw(st.booleans()):
         return Ball(center, radius)
     gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=3, max_size=7)))
-    angles = draw(_unit) * 2 * np.pi + 2 * np.pi * np.cumsum(gaps) / gaps.sum()
-    verts = np.asarray(center) + radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return ConvexPolytope(tuple(map(tuple, verts)), epsilon=0.05)
+    return inscribed_polygon(center, radius, gaps, draw(_unit))
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)

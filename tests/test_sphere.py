@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from oracles import all_distinct
 
 from discrepancy_forge.sphere import (
     Cap,
     CapUnion,
-    all_distinct,
     ball_rho_hat,
     enumerate_words,
     hecke_ball_sum,
