@@ -1,8 +1,8 @@
 """Majorant/minorant kernels and generalized Erdos-Turan discrepancy bounds.
 
 Modules: `kernel` (radial kernel tables, tail integral, decay profile),
-`geometry` (torus set models), `chains` (subspace chain systems and the
-polytope Fourier bounds), `hfourier` (boundary-layer coefficient tables),
+`geometry` (torus set models), `chains` (subspace chain systems, the chain
+functional and its ball sums), `hfourier` (boundary-layer coefficient tables),
 `pointsets` (lattice/Kronecker/Korobov families, Weyl spectra, discrepancy),
 `majorant` (sandwich polynomials), `erdos_turan` (bound assembly and R
 rules), `glp` (good-lattice-point search), `sphere` (rotation orbits and
@@ -16,7 +16,7 @@ sphere report computes the Minkowski content of its caps.)
 
 __version__ = "0.1.0"
 
-from .chains import ChainSystem, chain_sum, phi, polytope_ft_bound  # noqa: F401
+from .chains import ChainSystem, chain_sum, phi  # noqa: F401
 from .erdos_turan import (  # noqa: F401
     DiscrepancyReport,
     et_bound,
@@ -70,7 +70,6 @@ from .pointsets import (  # noqa: F401
 )
 from .sphere import (  # noqa: F401
     Cap,
-    CapUnion,
     HarmonicBlock,
     RotationWord,
     SphereOrbit,

@@ -10,13 +10,13 @@ The chain functional
     Phi(xi) = sum over chains  prod_{j=1..d} min{1, (2 pi |P_{A(j)} xi|)^-1}
 
 controls the Fourier decay of the family of polyhedra with facets parallel
-to X; the companion per-polytope bound replaces 1 by the diameter lambda and
-runs over the polytope's own face chains.
+to X. (The companion per-polytope bound, with the diameter lambda in place
+of 1 and the polytope's own face chains, is a test oracle.)
 
 `phi` computes each distinct subspace's factor once per call and multiplies
 the chain products in chain order, so its values equal the chain-by-chain
 evaluation bitwise. Phi(-xi) = Phi(xi) bitwise, so `chain_sum` evaluates the
-lexicographically positive half of the ball and doubles it.
+lexicographically positive half of the closed ball and doubles it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frequencies import TWO_PI, positive_half_chunked
-from .geometry import ConvexPolytope
 
 
 def _nullspace(mat: np.ndarray, d: int) -> np.ndarray:
@@ -128,36 +127,13 @@ def phi(chains: ChainSystem, xi) -> np.ndarray | float:
     return total
 
 
-def polytope_ft_bound(polytope: ConvexPolytope, xi) -> np.ndarray | float:
-    """Per-polytope Fourier bound 2 sum over face chains of min{lambda, .} products.
-
-    Face chains of a polygon are (polygon, edge) pairs: the top projection is
-    the identity, the edge projection is onto the edge direction.
-    """
-    X = np.atleast_2d(np.asarray(xi, dtype=float))
-    lam = polytope.diameter
-    p, q = polytope.edges()
-    e = q - p
-    e_unit = e / np.sqrt((e ** 2).sum(1))[:, None]
-
-    norm = np.sqrt((X ** 2).sum(1))
-    with np.errstate(divide="ignore"):
-        top = np.minimum(lam, 1.0 / (TWO_PI * norm))
-        along = np.minimum(lam, 1.0 / (TWO_PI * np.abs(X @ e_unit.T)))
-    total = 2.0 * top * along.sum(axis=1)
-    if np.ndim(xi) == 1:
-        return float(total[0])
-    return total
-
-
-def chain_sum(chains: ChainSystem, radius: float, *, include_boundary: bool = True) -> float:
+def chain_sum(chains: ChainSystem, radius: float) -> float:
     """Sum of Phi over integer frequencies 1 <= |k| <= radius (chunked).
 
     Phi(-k) = Phi(k) exactly, so the sum runs over the lexicographically
     positive half of the ball and is doubled.
     """
     total = 0.0
-    for half in positive_half_chunked(radius, chains.dimension,
-                                      include_boundary=include_boundary):
+    for half in positive_half_chunked(radius, chains.dimension):
         total += float(np.sum(phi(chains, half.astype(float))))
     return 2.0 * total

@@ -6,7 +6,10 @@ kronecker-scaling, glp-search, polytope-family, sphere-orbit.
 Each experiment's parameters are declared once, as the flags of its
 subcommand in `build_parser`: a flag's dest is its `params` key, and its
 parsed type and default are what the `run_*` function receives. Flags left
-unset without a default are absent from `params`.
+unset without a default are absent from `params`. A flag's type also checks
+its own domain (finite, in range), so such errors exit while parsing; checks
+that span several flags run at the top of each `run_*`, before its first
+kernel, table or search.
 
 Contracts: reports are JSON with sorted keys and no timestamps or host
 information, so re-running a config reproduces outputs byte-identically
@@ -23,6 +26,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -32,12 +36,19 @@ import numpy as np
 
 from .chains import ChainSystem, chain_sum
 from .errors import ConfigError, InvariantViolation
-from .erdos_turan import et_bound, et_bound_r_search, optimal_R, polytope_family_bound
+from .erdos_turan import (
+    H_OVERSAMPLE,
+    et_bound,
+    et_bound_r_search,
+    optimal_R,
+    polytope_family_bound,
+)
 from .geometry import TorusSet, set_from_json
-from .glp import PhiBall, search
+from .glp import PhiBall, check_search, search
 from .hfourier import h_coefficient_table
 from .kernel import (
     EXP_MINUS_2PI,
+    SUPPORTED_DIMENSIONS,
     DecayProfile,
     KernelTable,
     build_bump,
@@ -49,6 +60,7 @@ from .kernel import (
 from .majorant import majorant_pair, sandwich_csv, sandwich_grids, sandwich_report
 from .pointsets import (
     PointSet,
+    is_prime,
     korobov,
     kronecker,
     lattice,
@@ -58,6 +70,7 @@ from .pointsets import (
 )
 from .sphere import (
     MAX_DEGREE,
+    MAX_WORD_LENGTH,
     Cap,
     ball_rho_hat,
     enumerate_words,
@@ -136,7 +149,7 @@ def get_kernel(config: ExperimentConfig) -> KernelTable:
         if table is not None and _kernel_matches(table, kp):
             return table
     bump = build_bump(kp["d"], kp["grid_step"])
-    table = build_kernel_table(kp["d"], bump, x_max=kp["x_max"], t_max=kp["t_max"])
+    table = build_kernel_table(bump, x_max=kp["x_max"], t_max=kp["t_max"])
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         save_kernel(table, path)
@@ -161,33 +174,52 @@ def _write_csv(path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def _json_or_file(spec, what: str) -> dict:
-    """Accept an inline JSON object/string or a path to a JSON file."""
-    if isinstance(spec, dict):
-        return spec
-    if isinstance(spec, str):
-        text = spec.lstrip("@")
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError:
-            path = Path(text)
-            if path.exists():
-                return json.loads(path.read_text())
-    raise ConfigError(f"{what} is neither inline JSON nor an existing file: {spec!r}")
-
-
-def _load_set(params: dict) -> TorusSet:
+def _json_or_file(spec: str, what: str) -> dict:
+    """Accept an inline JSON object or a path to a file holding one."""
+    text = spec.lstrip("@")
     try:
-        return set_from_json(_json_or_file(params["set"], "set spec"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        if not Path(text).exists():
+            raise ConfigError(
+                f"{what} is neither inline JSON nor an existing file: {spec!r}") from None
+        doc = json.loads(Path(text).read_text())
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} is not a JSON object: {spec!r}")
+    return doc
 
 
-def _load_points(params: dict) -> PointSet:
+def _load_set(config: ExperimentConfig) -> TorusSet:
+    """The experiment's set; the torus experiments run on T^2 with a d = 2 kernel."""
     try:
-        return pointset_from_descriptor(_json_or_file(params["points"], "point descriptor"))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        set_ = set_from_json(_json_or_file(config.params["set"], "set spec"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed set spec: {exc!r}") from exc
+    if set_.dimension != 2 or config.kernel_params["d"] != 2:
+        raise ConfigError(f"torus experiments need a 2-d set and --kernel-d 2, got a "
+                          f"{set_.dimension}-d set and --kernel-d {config.kernel_params['d']}")
+    return set_
+
+
+def _load_points(params: dict, d: int) -> PointSet:
+    try:
+        points = pointset_from_descriptor(_json_or_file(params["points"], "point descriptor"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed point descriptor: {exc!r}") from exc
+    if points.dimension != d:
+        raise ConfigError(f"the points have dimension {points.dimension}, the set {d}")
+    return points
+
+
+def _rule_R(rule: str, m: int, alpha: float, beta: float, eps: float = 0.1) -> float:
+    """The cutoff of an R rule at m points in d = 2, at least 4; ConfigError unless finite."""
+    try:
+        R = max(optimal_R(rule, m, 2, alpha, beta, eps=eps), 4.0)
+    except OverflowError:
+        R = np.inf
+    if not np.isfinite(R):
+        raise ConfigError(f"the {rule} R rule gives R = {R} at m = {m}")
+    return R
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +256,8 @@ def run_kernel_build(config: ExperimentConfig) -> dict:
 
 def run_sandwich(config: ExperimentConfig) -> dict:
     params = config.params
-    set_ = _load_set(params)
+    set_ = _load_set(config)
     grid_n, oversample, rs = params["grid_n"], params["oversample"], params["R"]
-    if oversample < 1:
-        raise ConfigError(f"--oversample must be >= 1, got {oversample}")
-    if not all(R >= 4 for R in rs):
-        raise ConfigError(f"--R values must be >= 4, got {rs}")
     if not grid_n >= 4 * max(rs):
         raise ConfigError(f"--grid-n must be at least 4 max(R) = {4 * max(rs):g}, got {grid_n}")
     kernel = get_kernel(config)
@@ -254,25 +282,23 @@ def run_sandwich(config: ExperimentConfig) -> dict:
 
 def run_bound(config: ExperimentConfig) -> dict:
     params = config.params
-    set_ = _load_set(params)
-    points = _load_points(params)
-    kernel = get_kernel(config)
+    set_ = _load_set(config)
+    points = _load_points(params, set_.dimension)
     alpha, beta, r_spec = params["alpha"], params["beta"], params["R"]
+    if isinstance(r_spec, str):  # auto:search starts its grid search at the lattice rule
+        rule = "lattice" if r_spec == "auto:search" else r_spec[5:]
+        R = _rule_R(rule, points.size, alpha, beta, params["eps"])
+    else:
+        R = r_spec
+    kernel = get_kernel(config)
 
     search_table = None
     if r_spec == "auto:search":
-        formula = max(optimal_R("lattice", points.size, points.dimension,
-                                alpha, beta), 4.0)
         report, search_table, h_table, spectrum = et_bound_r_search(
-            set_, points, kernel, formula_R=formula)
+            set_, points, kernel, formula_R=R)
     else:
-        if isinstance(r_spec, str):
-            R = max(optimal_R(r_spec.split(":", 1)[1], points.size, points.dimension,
-                              alpha, beta, eps=params["eps"]), 4.0)
-        else:
-            R = r_spec
         # one table and one spectrum (et_bound's oversample) serve the bound and its CSV
-        h_table = h_coefficient_table(set_, kernel, R, oversample=2)
+        h_table = h_coefficient_table(set_, kernel, R, oversample=H_OVERSAMPLE)
         spectrum = weyl_spectrum(points, R)
         report = et_bound(set_, points, kernel, R, h_table=h_table, spectrum=spectrum,
                           exponents={"alpha": alpha, "beta": beta})
@@ -294,13 +320,12 @@ def run_bound(config: ExperimentConfig) -> dict:
     return doc
 
 
-def _scaling_rows(set_: TorusSet, kernel: KernelTable, ms: list, rule: str,
+def _scaling_rows(set_: TorusSet, kernel: KernelTable, ms: list, rs: list,
                   points_for, exponents: dict) -> tuple[list, float]:
-    """Per size m: the bound at the rule's R, its validity check and its row;
+    """Per size m: the bound at its rule's R, its validity check and its row;
     then the log-log slope of the bound against m."""
     rows = []
-    for m in ms:
-        R = max(optimal_R(rule, m, set_.dimension, **exponents), 4.0)
+    for m, R in zip(ms, rs):
         rep = et_bound(set_, points_for(m), kernel, R, exponents=exponents)
         _require_valid(rep, f"bound validity at m={m}")
         rows.append({"m": m, "R": rep.R, "bound": rep.bound,
@@ -311,11 +336,14 @@ def _scaling_rows(set_: TorusSet, kernel: KernelTable, ms: list, rule: str,
 
 def run_lattice_scaling(config: ExperimentConfig) -> dict:
     params = config.params
-    set_ = _load_set(params)
+    set_ = _load_set(config)
+    ms, alpha, beta = params["m"], params["alpha"], params["beta"]
+    if any(math.isqrt(m) ** 2 != m for m in ms):
+        raise ConfigError(f"--m values must be squares (lattice sizes in d = 2), got {ms}")
+    rs = [_rule_R("lattice", m, alpha, beta) for m in ms]
     kernel = get_kernel(config)
-    rows, slope = _scaling_rows(set_, kernel, params["m"], "lattice",
-                                lambda m: lattice(m, set_.dimension),
-                                {"alpha": params["alpha"], "beta": params["beta"]})
+    rows, slope = _scaling_rows(set_, kernel, ms, rs, lambda m: lattice(m, 2),
+                                {"alpha": alpha, "beta": beta})
     _require(abs(slope - SLOPE_TARGET) <= SLOPE_TOLERANCE, "lattice scaling slope",
              slope, SLOPE_TARGET)
     if config.csv_out:
@@ -329,11 +357,12 @@ def run_lattice_scaling(config: ExperimentConfig) -> dict:
 
 def run_kronecker_scaling(config: ExperimentConfig) -> dict:
     params = config.params
-    set_ = _load_set(params)
+    set_ = _load_set(config)
     x = tuple(params.get("x", KRONECKER_X))
     d = set_.dimension
     if len(x) != d:
         raise ConfigError(f"--x has {len(x)} coordinates, but the set has dimension {d}")
+    rs = [_rule_R("kronecker", m, 1.0, 1.0, params["eps"]) for m in params["m"]]
     kernel = get_kernel(config)
 
     schmidt_rows = []
@@ -345,7 +374,7 @@ def run_kronecker_scaling(config: ExperimentConfig) -> dict:
     spread = max(ratios) / min(ratios)
     _require(spread <= 4.0, "schmidt ratio spread", spread, 4.0)
 
-    rows, slope = _scaling_rows(set_, kernel, params["m"], "kronecker",
+    rows, slope = _scaling_rows(set_, kernel, params["m"], rs,
                                 lambda m: kronecker(x, m),
                                 {"alpha": 1.0, "beta": 1.0, "eps": params["eps"]})
     _require(slope <= SLOPE_MAX, "kronecker scaling slope", slope, SLOPE_MAX)
@@ -367,8 +396,7 @@ def _chain_system(params: dict) -> ChainSystem:
 def run_glp_search(config: ExperimentConfig) -> dict:
     params = config.params
     d, m, strategy = params["d"], params["m"], params["strategy"]
-    if strategy == "random" and params["n_samples"] < 1:
-        raise ConfigError(f"--n-samples must be >= 1, got {params['n_samples']}")
+    check_search(m, d, strategy, params["n_samples"])
     chains = _chain_system(params)
     cert = search(m, chains, strategy, n_samples=params["n_samples"], seed=config.seed)
     if strategy == "exhaustive":
@@ -385,13 +413,13 @@ def run_glp_search(config: ExperimentConfig) -> dict:
 
 def run_polytope_family(config: ExperimentConfig) -> dict:
     params = config.params
-    d, m = params["d"], params["m"]
+    d, m, g = params["d"], params["m"], params.get("g")
+    if g is None:
+        check_search(m, d, "exhaustive")  # before the search's Phi ball is built
+    elif len(g) != d or not is_prime(m) or not all(1 <= v < m for v in g):
+        raise ConfigError(f"--g needs d = {d} entries in [1, m - 1] at a prime m, "
+                          f"got {g} at m = {m}")
     chains = _chain_system(params)
-    g = params.get("g")
-    if g is not None and len(g) != d:
-        raise ConfigError(f"--g has {len(g)} entries, but d = {d}")
-    if min(params["chain_sum_R"]) < 1:
-        raise ConfigError(f"--chain-sum-R values must be >= 1, got {params['chain_sum_R']}")
     phi_ball = None
     if g is None:
         phi_ball = PhiBall.build(chains, m)
@@ -424,8 +452,8 @@ def run_polytope_family(config: ExperimentConfig) -> dict:
 
 def _cap(spec: str) -> Cap:
     vals = [float(v) for v in spec.split(",")]
-    if len(vals) != 4:
-        raise ConfigError(f"cap {spec!r} is not px,py,pz,theta")
+    if len(vals) != 4 or not np.all(np.isfinite(vals)):
+        raise ConfigError(f"cap {spec!r} is not px,py,pz,theta (finite numbers)")
     return Cap(tuple(vals[:3]), vals[3])
 
 
@@ -437,10 +465,6 @@ def run_sphere_orbit(config: ExperimentConfig) -> dict:
     if base.shape != (3,) or not 0 < norm < np.inf:
         raise ConfigError(f"base must be a nonzero finite 3-vector, got {params['base']}")
     caps = [_cap(spec) for spec in params.get("caps", [SPHERE_CAP])]
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    if L is not None and not 1 <= L <= MAX_DEGREE:
-        raise ConfigError(f"L must be in [1, {MAX_DEGREE}], got {L}")
 
     base = base / norm
     words = enumerate_words(k)
@@ -533,24 +557,38 @@ def _list_of(cast, min_len: int = 1):
     return parse
 
 
+def _within(cast, low: float, high: float = np.inf, *, open_low: bool = False):
+    """argparse type: cast(text) in [low, high], or in (low, high] with open_low."""
+    def parse(text: str):
+        value = cast(text)
+        if not (low < value if open_low else low <= value) or value > high:
+            raise argparse.ArgumentTypeError(
+                f"needs a value in {'(' if open_low else '['}{low:g}, {high:g}], got {text!r}")
+        return value
+    parse.__name__ = cast.__name__
+    return parse
+
+
 def _r_spec(text: str):
-    """bound --R: a degree, or auto:<lattice|kronecker|search>."""
+    """bound --R: a degree of at least 4, or auto:<lattice|kronecker|search>."""
     if text.startswith("auto:"):
         if text[5:] not in ("lattice", "kronecker", "search"):
             raise argparse.ArgumentTypeError(f"unknown R rule {text[5:]!r}")
         return text
-    return _finite(text)
+    return _within(_finite, 4.0)(text)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="report JSON path")
     sub.add_argument("--csv-out", help="CSV data path (experiment specific)")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_within(int, 0), default=0)
     sub.add_argument("--kernel-cache", help="kernel table JSON cache path")
-    sub.add_argument("--kernel-d", type=int, default=2)
-    sub.add_argument("--kernel-grid-step", type=_finite, default=1.0 / 256)
-    sub.add_argument("--kernel-x-max", type=_finite, default=25.0)
-    sub.add_argument("--kernel-t-max", type=_finite, default=30.0)
+    sub.add_argument("--kernel-d", type=int, choices=SUPPORTED_DIMENSIONS, default=2)
+    sub.add_argument("--kernel-grid-step", type=_within(_finite, 0.0, 1.0 / 64, open_low=True),
+                     default=1.0 / 256)
+    sub.add_argument("--kernel-x-max", type=_within(_finite, 20.0), default=25.0)
+    sub.add_argument("--kernel-t-max", type=_within(_finite, 20.0), default=30.0,
+                     help="at least --kernel-x-max")
 
 
 def build_parser() -> _Parser:
@@ -564,10 +602,10 @@ def build_parser() -> _Parser:
     p = subs.add_parser("sandwich", help="sandwich polynomials and violations")
     _add_common(p)
     p.add_argument("--set", required=True, help="set JSON (inline or file path)")
-    p.add_argument("--R", type=_list_of(_finite), required=True,
-                   help="comma-separated degree list")
+    p.add_argument("--R", type=_list_of(_within(_finite, 4.0)), required=True,
+                   help="comma-separated degree list (each at least 4)")
     p.add_argument("--grid-n", type=int, default=512)
-    p.add_argument("--oversample", type=int, default=8)
+    p.add_argument("--oversample", type=_within(int, 1), default=8)
     p.add_argument("--max-budget", type=_finite)
 
     p = subs.add_parser("bound", help="discrepancy bound for one (set, points, R)")
@@ -583,20 +621,20 @@ def build_parser() -> _Parser:
     p = subs.add_parser("lattice-scaling", help="bound decay across lattice sizes")
     _add_common(p)
     p.add_argument("--set", required=True)
-    p.add_argument("--m", type=_list_of(int, 2), required=True,
-                   help="comma-separated lattice sizes (at least two)")
+    p.add_argument("--m", type=_list_of(_within(int, 1), 2), required=True,
+                   help="comma-separated lattice sizes (at least two squares)")
     p.add_argument("--alpha", type=_finite, default=1.0)
     p.add_argument("--beta", type=_finite, default=1.0)
 
     p = subs.add_parser("kronecker-scaling", help="Schmidt sums and bound decay")
     _add_common(p)
     p.add_argument("--set", required=True)
-    p.add_argument("--m", type=_list_of(int, 2), required=True,
+    p.add_argument("--m", type=_list_of(_within(int, 2), 2), required=True,
                    help="comma-separated point counts (at least two)")
     p.add_argument("--x", type=_list_of(_finite),
                    help="comma-separated generator coordinates (default: sqrt2-1,sqrt3-1)")
     p.add_argument("--eps", type=_finite, default=0.1)
-    p.add_argument("--schmidt-R", type=_list_of(int), default="64,128,256,512")
+    p.add_argument("--schmidt-R", type=_list_of(_within(int, 2)), default="64,128,256,512")
 
     p = subs.add_parser("glp-search", help="good lattice point search")
     _add_common(p)
@@ -614,17 +652,18 @@ def build_parser() -> _Parser:
     p.add_argument("--X", default="coordinate", help="'coordinate' or JSON normals")
     p.add_argument("--g", type=_list_of(int),
                    help="comma-separated generator (default: searched)")
-    p.add_argument("--chain-sum-R", type=_list_of(int), default="16,64,256,1024,4096")
+    p.add_argument("--chain-sum-R", type=_list_of(_within(int, 1)),
+                   default="16,64,256,1024,4096")
 
     p = subs.add_parser("sphere-orbit", help="rotation orbit, rho_hat, cap bounds")
     _add_common(p)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_within(int, 1, MAX_WORD_LENGTH), required=True)
     p.add_argument("--base", type=_list_of(_finite), default="0,0,1")
     p.add_argument("--cap", dest="caps", action="append",
                    help="px,py,pz,theta (repeatable; default: the polar cap, theta = pi/6)")
-    p.add_argument("--L", type=int,
+    p.add_argument("--L", type=_within(int, 1, MAX_DEGREE),
                    help=f"harmonic degree cutoff for rho_hat (1 to {MAX_DEGREE})")
-    p.add_argument("--delta", type=_finite, default=1.0)
+    p.add_argument("--delta", type=_within(_finite, 0.0, 1.0, open_low=True), default=1.0)
 
     return parser
 
@@ -634,6 +673,9 @@ def _namespace_to_config(args: argparse.Namespace) -> ExperimentConfig:
     ns = vars(args).copy()
     kernel_params = {key: ns.pop(f"kernel_{key}")
                      for key in ("d", "grid_step", "x_max", "t_max")}
+    if kernel_params["t_max"] < kernel_params["x_max"]:
+        raise ConfigError(f"--kernel-t-max {kernel_params['t_max']:g} is below "
+                          f"--kernel-x-max {kernel_params['x_max']:g}")
     fields = {key: ns.pop(key) for key in ("seed", "out", "csv_out", "kernel_cache")}
     kind = ns.pop("command")
     return ExperimentConfig(kind=kind, kernel_params=kernel_params, **fields,

@@ -29,6 +29,9 @@ from .hfourier import HCoefficientTable, h_coefficient_table
 from .kernel import KernelTable
 from .pointsets import PointSet, WeylSpectrum, true_discrepancy, weyl_spectrum
 
+# grid oversampling of the H-tables the bound builds for itself
+H_OVERSAMPLE = 2
+
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
@@ -68,12 +71,12 @@ class DiscrepancyReport:
 def et_bound(set_: TorusSet, points: PointSet, kernel: KernelTable, R: float, *,
              h_table: HCoefficientTable | None = None,
              spectrum: WeylSpectrum | None = None,
-             oversample: int = 2, exponents: dict | None = None) -> DiscrepancyReport:
+             exponents: dict | None = None) -> DiscrepancyReport:
     """Assemble the discrepancy bound at cutoff R and attach the true value."""
     if R < 4:
         raise ValueError("R must be >= 4")
     if h_table is None:
-        h_table = h_coefficient_table(set_, kernel, R, oversample=oversample)
+        h_table = h_coefficient_table(set_, kernel, R, oversample=H_OVERSAMPLE)
     if spectrum is None:
         spectrum = weyl_spectrum(points, R)
     elif spectrum.R < R:
@@ -124,8 +127,7 @@ def optimal_R(rule: str, m: int, d: int, alpha: float, beta: float, *,
 
 
 def et_bound_r_search(set_: TorusSet, points: PointSet, kernel: KernelTable, *,
-                      formula_R: float | None = None, r_cap: int = 512,
-                      oversample: int = 2
+                      formula_R: float | None = None, r_cap: int = 512
                       ) -> tuple[DiscrepancyReport, list, HCoefficientTable, WeylSpectrum]:
     """Minimize the bound over a power-of-two R grid plus the formula R.
 
@@ -141,7 +143,7 @@ def et_bound_r_search(set_: TorusSet, points: PointSet, kernel: KernelTable, *,
     table = []
     best = best_h = None
     for R in candidates:
-        h_table = h_coefficient_table(set_, kernel, R, oversample=oversample)
+        h_table = h_coefficient_table(set_, kernel, R, oversample=H_OVERSAMPLE)
         rep = et_bound(set_, points, kernel, R, h_table=h_table, spectrum=spectrum)
         table.append((R, rep.bound))
         if best is None or rep.bound < best.bound:

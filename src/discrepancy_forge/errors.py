@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the memory guard that
+raises one of them before a large allocation."""
+
+import os
 
 
 class QuadratureError(RuntimeError):
@@ -28,3 +31,13 @@ class InvariantViolation(RuntimeError):
 
 class ConfigError(ValueError):
     """An experiment configuration is malformed or out of supported range."""
+
+
+def require_memory(estimate: float, what: str) -> None:
+    """Raise ConfigError if `what`, needing about `estimate` bytes, would not
+    fit in physical memory; callers check before they allocate."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if estimate > physical:
+        raise ConfigError(
+            f"{what} needs about {estimate / 2**30:.1f} GiB, "
+            f"more than the {physical / 2**30:.1f} GiB of physical memory")

@@ -35,9 +35,10 @@ def integer_ball(radius: float, d: int, *, include_boundary: bool = False,
     return pts[keep]
 
 
-def positive_half_chunked(radius: float, d: int, *, include_boundary: bool = False):
-    """Yield the lexicographically positive half of the punctured ball (first
-    nonzero coordinate > 0), in chunks of lexicographic order.
+def positive_half_chunked(radius: float, d: int):
+    """Yield the lexicographically positive half (first nonzero coordinate > 0)
+    of the punctured closed ball 0 < |k| <= radius, in chunks of lexicographic
+    order.
 
     k -> -k maps this half onto the rest of the ball, so a sum of an even
     function over the ball is twice its sum over these rows. A chunk closed
@@ -45,7 +46,7 @@ def positive_half_chunked(radius: float, d: int, *, include_boundary: bool = Fal
     since its lexicographic order reversed is its order negated.
     """
     if d != 2:
-        ball = integer_ball(radius, d, include_boundary=include_boundary)
+        ball = integer_ball(radius, d, include_boundary=True)
         yield ball[len(ball) // 2:]
         return
     # stripes of constant first coordinate k1 >= 0; the k1 = 0 stripe keeps its upper half
@@ -54,9 +55,7 @@ def positive_half_chunked(radius: float, d: int, *, include_boundary: bool = Fal
     axis = np.arange(-kmax, kmax + 1, dtype=np.int64)
     for k1 in range(kmax + 1):
         norm2 = float(k1) ** 2 + axis.astype(float) ** 2
-        keep = (norm2 <= r2) if include_boundary else (norm2 < r2)
-        keep &= norm2 > 0
-        k2 = axis[keep]
+        k2 = axis[(norm2 <= r2) & (norm2 > 0)]
         if len(k2):
             stripe = np.empty((len(k2), 2), dtype=np.int64)
             stripe[:, 0] = k1

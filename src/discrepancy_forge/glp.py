@@ -118,6 +118,21 @@ def _sorted_class_sums(phi_ball: PhiBall) -> np.ndarray:
     return np.array([np.sum(ordered[e - c:e]) for c, e in zip(counts, ends)])
 
 
+def check_search(m: int, d: int, strategy: str, n_samples: int = 128) -> None:
+    """Raise ValueError unless `search` can run these parameters; no work is done."""
+    if not is_prime(m):
+        raise ValueError(f"modulus must be prime, got {m}")
+    if strategy not in ("exhaustive", "random", "korobov-rank1"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "exhaustive":
+        if (m - 1) ** d > 10 ** 7:
+            raise ValueError(f"exhaustive search infeasible: (m-1)^d = {(m - 1) ** d:.2e}")
+        if d != 2:
+            raise ValueError("exhaustive search is implemented for d = 2 only")
+    if strategy == "random" and n_samples < 1:
+        raise ValueError(f"random search needs n_samples >= 1, got {n_samples}")
+
+
 def search(m: int, chains: ChainSystem, strategy: str = "exhaustive", *,
            n_samples: int = 128, seed: int = 0,
            phi_ball: PhiBall | None = None) -> GlpCertificate:
@@ -128,18 +143,8 @@ def search(m: int, chains: ChainSystem, strategy: str = "exhaustive", *,
     korobov-rank1: generators (1, a, a^2, ...) over a in [1, m-1]. For d = 2,
     random and korobov-rank1 candidates are class-table lookups.
     """
-    if not is_prime(m):
-        raise ValueError(f"modulus must be prime, got {m}")
-    if strategy not in ("exhaustive", "random", "korobov-rank1"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     d = chains.dimension
-    if strategy == "exhaustive":
-        if (m - 1) ** d > 10 ** 7:
-            raise ValueError(f"exhaustive search infeasible: (m-1)^d = {(m - 1) ** d:.2e}")
-        if d != 2:
-            raise ValueError("exhaustive search is implemented for d = 2 only")
-    if strategy == "random" and n_samples < 1:
-        raise ValueError(f"random search needs n_samples >= 1, got {n_samples}")
+    check_search(m, d, strategy, n_samples)
     if phi_ball is None:
         phi_ball = PhiBall.build(chains, m)
     average = phi_ball.total / (m - 1)

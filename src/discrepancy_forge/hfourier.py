@@ -21,12 +21,11 @@ values themselves (psi(R dist) = 4 H_{R/2} in the sandwich checks).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import require_memory
 from .geometry import TorusSet
 from .kernel import KernelTable
 
@@ -121,9 +120,5 @@ def _column_fft(cols: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def _check_memory(n: int, width: int, rows: int) -> None:
     """Raise ConfigError if the table's arrays would not fit in physical memory."""
     kept = n + n // 2 + n   # fine and coarse kept columns plus one column FFT
-    estimate = 16 * width * kept + _STRIP_BYTES_PER_POINT * rows * n
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if estimate > physical:
-        raise ConfigError(
-            f"H-table on the {n} x {n} grid needs about {estimate / 2**30:.1f} GiB, "
-            f"more than the {physical / 2**30:.1f} GiB of physical memory")
+    require_memory(16 * width * kept + _STRIP_BYTES_PER_POINT * rows * n,
+                   f"H-table on the {n} x {n} grid")

@@ -27,6 +27,10 @@ Only the d = 2 build imports scipy, for the Bessel functions j0 and j1;
 d = 1 and d = 3 builds and loading any table import none of it. The tail
 beyond the table is replaced by a fitted power envelope that can only
 over-estimate I, which is the safe direction for every majorization it feeds.
+A build varies only in the four kernel parameters the CLI carries (d and the
+grid step of the bump, x_max and t_max); its grid steps, panel counts, tail
+safety factor and positivity tolerance are the constants BUILD_PARAMETERS
+and QUADRATURE_TOLERANCE, which every table's provenance records.
 The cache file's `version` is bumped whenever a change moves table numbers or
 adds a field, so tables written by older code are rebuilt, not reused.
 """
@@ -43,9 +47,9 @@ import numpy as np
 
 # scipy.special is imported inside the d = 2 branches that call j0 and j1: it
 # is most of the package's import time, and no other path needs it
-from .errors import QuadratureError
+from .errors import QuadratureError, require_memory
 from .frequencies import TWO_PI
-from .quadrature import integrate_refined, panel_nodes
+from .quadrature import PANEL_ORDER, panel_nodes
 
 SUPPORT_RADIUS = 0.5
 SUPPORTED_DIMENSIONS = (1, 2, 3)
@@ -82,21 +86,24 @@ class BumpProfile:
         return self.normalization * bump_raw(r)
 
 
-def build_bump(d: int, grid_step: float = 1.0 / 256, *, rtol: float = 1e-12) -> BumpProfile:
+def build_bump(d: int, grid_step: float = 1.0 / 256) -> BumpProfile:
     """Build the normalized bump profile for dimension d.
 
     The constant c_d is fixed by the d-dimensional radial quadrature of the
-    squared profile; refinement failure raises QuadratureError.
+    squared profile on 8 Gauss-Legendre panels; QuadratureError is raised when
+    the 4-panel value differs from it by more than 1e-12 relatively.
     """
     if d not in SUPPORTED_DIMENSIONS:
         raise ValueError(f"unsupported dimension {d}; supported: {SUPPORTED_DIMENSIONS}")
     if not (0 < grid_step <= 1.0 / 64):
         raise ValueError(f"grid_step must be in (0, 1/64], got {grid_step}")
 
-    omega = SPHERE_SURFACE[d]
-    square_mass, err = integrate_refined(
-        lambda r: bump_raw(r) ** 2 * r ** (d - 1), 0.0, SUPPORT_RADIUS, rtol=rtol)
-    square_mass *= omega
+    coarse, square_mass = (float(np.dot(w, bump_raw(r) ** 2 * r ** (d - 1)))
+                           for r, w in (panel_nodes(0.0, SUPPORT_RADIUS, p) for p in (4, 8)))
+    err = abs(square_mass - coarse)
+    if err > 1e-12 * square_mass:
+        raise QuadratureError(f"bump normalization quadrature unstable: change {err:.3e}")
+    square_mass *= SPHERE_SURFACE[d]
     c = 1.0 / np.sqrt(square_mass)
     grid = np.arange(0.0, SUPPORT_RADIUS + 0.5 * grid_step, grid_step)
     grid = np.minimum(grid, SUPPORT_RADIUS)
@@ -472,31 +479,56 @@ class _MasterRepresentation:
         return omega * (inner @ (prim_hi[:, None] - prim))
 
 
-def build_kernel_table(d: int, bump: BumpProfile, x_max: float = 25.0, t_max: float = 30.0, *,
-                       kvals_step: float = 0.005, tail_step: float = 0.01,
-                       khat_grid_n: int = 1025, master_panels: int = 64,
-                       master_order: int = 16, tail_safety: float = 2.0,
-                       quadrature_tolerance: float = 1e-6) -> KernelTable:
-    """Build the kernel table for dimension d from a bump profile.
+# fixed build parameters, recorded in every table's provenance
+BUILD_PARAMETERS = {
+    "kvals_step": 0.005,           # K grid step on [0, x_max]
+    "tail_step": 0.01,             # I grid step on [0, t_max]
+    "khat_grid_n": 1025,           # khat knots on [0, 1]
+    "master_panels": 64,           # Gauss-Legendre panels of K = F khat over [0, 1]
+    "master_order": PANEL_ORDER,
+    "tail_safety": 2.0,            # factor on the K envelope fitted beyond 0.9 x_max
+}
+# K is provably positive; a tabulated value below -QUADRATURE_TOLERANCE fails the build
+QUADRATURE_TOLERANCE = 1e-6
 
-    Raises QuadratureError if the tabulated K dips below -quadrature_tolerance
-    (K is provably positive) or if the tail ratio I(t+1) >= exp(-2 pi) I(t)
-    fails beyond 1e-9 slack anywhere on the table.
+
+def _check_build_memory(x_max: float, t_max: float) -> None:
+    """Raise ConfigError if the K grid, the I grid and the radial-mass matrix
+    (master nodes x grid points up to x_max) would not fit in physical memory."""
+    p = BUILD_PARAMETERS
+    grid_points = x_max / p["kvals_step"] + t_max / p["tail_step"] + 2
+    mass_entries = p["master_panels"] * PANEL_ORDER * (x_max / p["tail_step"] + 1)
+    # a grid point is held as a few arrays, a list and JSON text; the mass
+    # matrix as up to six node-by-point arrays at once
+    require_memory(64 * grid_points + 48 * mass_entries,
+                   f"the kernel table for x_max = {x_max:g}, t_max = {t_max:g}")
+
+
+def build_kernel_table(bump: BumpProfile, x_max: float = 25.0,
+                       t_max: float = 30.0) -> KernelTable:
+    """Build the kernel table for the bump's dimension.
+
+    Raises ConfigError before any work if the tables would not fit in
+    physical memory, and QuadratureError if the tabulated K dips below
+    -QUADRATURE_TOLERANCE (K is provably positive) or if the tail ratio
+    I(t+1) >= exp(-2 pi) I(t) fails beyond 1e-9 slack anywhere on the table.
     """
-    if d != bump.dimension:
-        raise ValueError(f"dimension mismatch: {d} vs bump {bump.dimension}")
     if x_max < 20:
         raise ValueError(f"x_max must be >= 20, got {x_max}")
     if t_max < x_max:
         raise ValueError(f"t_max must be >= x_max, got {t_max} < {x_max}")
+    _check_build_memory(x_max, t_max)
+    d = bump.dimension
+    p = BUILD_PARAMETERS
+    kvals_step, tail_step, tail_safety = p["kvals_step"], p["tail_step"], p["tail_safety"]
 
     decay = (d + 1) / 2.0
-    nodes, weights = panel_nodes(0.0, 1.0, master_panels, master_order)
+    nodes, weights = panel_nodes(0.0, 1.0, p["master_panels"])
     conv_nodes, conv_err = autocorrelation_values(bump, nodes)
     khat_nodes = (1.0 + nodes ** 2) ** (-decay) * conv_nodes
     master = _MasterRepresentation(d, nodes, weights, khat_nodes)
 
-    khat_grid = np.linspace(0.0, 1.0, khat_grid_n)
+    khat_grid = np.linspace(0.0, 1.0, p["khat_grid_n"])
     conv_grid, _ = autocorrelation_values(bump, khat_grid)
     khat_tab = (1.0 + khat_grid ** 2) ** (-decay) * conv_grid
     khat_tab[-1] = 0.0  # support constraint is exact
@@ -507,9 +539,9 @@ def build_kernel_table(d: int, bump: BumpProfile, x_max: float = 25.0, t_max: fl
     kvals_grid = np.arange(0.0, x_max + 0.5 * kvals_step, kvals_step)
     kvals = master.kernel(kvals_grid)
     kmin = float(kvals.min())
-    if kmin < -quadrature_tolerance:
+    if kmin < -QUADRATURE_TOLERANCE:
         raise QuadratureError(
-            f"tabulated K reaches {kmin:.3e} < -{quadrature_tolerance:.1e}; "
+            f"tabulated K reaches {kmin:.3e} < -{QUADRATURE_TOLERANCE:.1e}; "
             "K is provably positive, so the transform quadrature failed")
 
     omega = SPHERE_SURFACE[d]
@@ -541,10 +573,7 @@ def build_kernel_table(d: int, bump: BumpProfile, x_max: float = 25.0, t_max: fl
         "bump": {"profile": "exp(-1/(1/4-r^2))", "grid_step": bump.grid_step,
                  "normalization": bump.normalization},
         "x_max": x_max, "t_max": t_max,
-        "kvals_step": kvals_step, "tail_step": tail_step,
-        "khat_grid_n": khat_grid_n,
-        "master_panels": master_panels, "master_order": master_order,
-        "tail_safety": tail_safety,
+        **BUILD_PARAMETERS,
     }
 
     return KernelTable(
@@ -553,7 +582,7 @@ def build_kernel_table(d: int, bump: BumpProfile, x_max: float = 25.0, t_max: fl
         kvals_grid=kvals_grid, kvals=kvals,
         tail_grid=tail_grid, tail=tail,
         gamma=gamma, x_max=float(x_max), t_max=float(t_max),
-        quadrature_tolerance=quadrature_tolerance,
+        quadrature_tolerance=QUADRATURE_TOLERANCE,
         ball_mass=float(ball_mass),
         tail_envelope_coeff=envelope_c,
         khat_accuracy=khat_accuracy,
@@ -585,9 +614,9 @@ class DecayProfile:
     values: np.ndarray
 
     @classmethod
-    def from_kernel(cls, kernel: KernelTable, *, n: int = 2001, t_max: float | None = None):
-        t_hi = 2.0 * kernel.t_max if t_max is None else t_max
-        grid = np.linspace(0.0, t_hi, n)
+    def from_kernel(cls, kernel: KernelTable):
+        """psi on 2001 points over [0, 2 t_max], where the table's I ends."""
+        grid = np.linspace(0.0, 2.0 * kernel.t_max, 2001)
         return cls(kernel=kernel, grid=grid, values=psi(kernel, grid))
 
     def fitted_c(self, alpha: float) -> float:

@@ -73,15 +73,13 @@ class MajorantPair:
 
 
 def majorant_pair(set_: TorusSet, kernel: KernelTable, R: float, *,
-                  h_table: HCoefficientTable | None = None,
                   oversample: int = 4) -> MajorantPair:
     """Assemble the degree-R sandwich polynomials for a torus set."""
     if R < 4:
         raise ValueError("R must be >= 4")
     if set_.dimension != kernel.dimension:
         raise ValueError("set and kernel dimensions differ")
-    if h_table is None:
-        h_table = h_coefficient_table(set_, kernel, R, oversample=oversample)
+    h_table = h_coefficient_table(set_, kernel, R, oversample=oversample)
 
     freqs = integer_ball(R, set_.dimension, include_zero=True)
     chi = set_.fourier_coefficients(freqs)

@@ -166,18 +166,18 @@ def true_discrepancy(points: PointSet, set_: TorusSet) -> float:
     return abs(set_.measure() - inside / points.size)
 
 
-def schmidt_sum(x, R: float, *, resonance_tol: float = 1e-12) -> float:
+def schmidt_sum(x, R: float) -> float:
     """sum over 0 < |k| < R of |k|^-d ||k . x||^-1 (|| || = distance to Z).
 
-    Raises ResonanceError when some ||k . x|| vanishes to float tolerance,
-    which signals a rational-direction resonance (the sum is infinite).
+    Raises ResonanceError when some ||k . x|| is at most 1e-12, which signals
+    a rational-direction resonance (the sum is infinite).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = len(x)
     freqs = integer_ball(R, d)
     theta = freqs.astype(float) @ x
     dist = np.abs(theta - np.round(theta))
-    if np.any(dist <= resonance_tol):
+    if np.any(dist <= 1e-12):
         k_bad = freqs[int(np.argmin(dist))]
         raise ResonanceError(
             f"||k . x|| = 0 at k = {tuple(int(v) for v in k_bad)}; sum diverges")

@@ -1,17 +1,18 @@
-"""Composite Gauss-Legendre quadrature with dyadic refinement.
+"""Composite Gauss-Legendre nodes.
 
-Small shared layer: the kernel builder and the geometric oracles both need
-panelized Gauss-Legendre nodes and a refine-until-stable driver whose failure
-mode is an explicit exception rather than a silently wrong value.
+Small shared layer: the kernel build panelizes [a, b] with 16-point
+Gauss-Legendre panels, and the polygon's low-frequency transform uses the
+plain rule. A caller that needs an error estimate (the bump normalization,
+the autocorrelation) compares two panel counts itself and raises
+QuadratureError when they disagree beyond its tolerance.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .errors import QuadratureError
+# points per panel of `panel_nodes`
+PANEL_ORDER = 16
 
 _LEGENDRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -23,41 +24,12 @@ def gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _LEGENDRE_CACHE[order]
 
 
-def panel_nodes(a: float, b: float, panels: int, order: int = 16) -> tuple[np.ndarray, np.ndarray]:
+def panel_nodes(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of a composite rule with `panels` equal panels on [a, b]."""
-    x, w = gauss_nodes(order)
+    x, w = gauss_nodes(PANEL_ORDER)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     nodes = (mid[:, None] + half * x[None, :]).ravel()
-    weights = np.broadcast_to(half * w, (panels, order)).ravel()
+    weights = np.broadcast_to(half * w, (panels, PANEL_ORDER)).ravel()
     return nodes, weights
-
-
-def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-              panels: int = 8, order: int = 16) -> float:
-    nodes, weights = panel_nodes(a, b, panels, order)
-    return float(np.dot(weights, f(nodes)))
-
-
-def integrate_refined(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                      rtol: float = 1e-10, start_panels: int = 4, order: int = 16,
-                      max_doublings: int = 12) -> tuple[float, float]:
-    """Integrate with panel doubling until the relative change drops below rtol.
-
-    Returns (value, estimated_error). Raises QuadratureError if the finest
-    refinement still moves the value by more than rtol relatively.
-    """
-    panels = start_panels
-    prev = integrate(f, a, b, panels, order)
-    for _ in range(max_doublings):
-        panels *= 2
-        cur = integrate(f, a, b, panels, order)
-        err = abs(cur - prev)
-        scale = max(abs(cur), 1e-300)
-        if err <= rtol * scale:
-            return cur, err
-        prev = cur
-    raise QuadratureError(
-        f"integral on [{a}, {b}] did not stabilize: last change {err:.3e} "
-        f"relative to {scale:.3e} at {panels} panels (rtol {rtol:.1e})")

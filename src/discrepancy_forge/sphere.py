@@ -66,15 +66,6 @@ class RotationWord:
     def matrix(self) -> np.ndarray:
         return self.int_matrix / self.denominator
 
-    def canonical_key(self) -> tuple:
-        """Rotation identity key: 5-primitive integer matrix plus exponent."""
-        flat = [int(v) for v in self.int_matrix.ravel()]
-        v = 0
-        while all(x % 5 == 0 for x in flat) and any(flat):
-            flat = [x // 5 for x in flat]
-            v += 1
-        return (self.length - v, tuple(flat))
-
 
 def lps_generators() -> dict:
     """The six generator words (three axes and inverses), exact matrices."""
@@ -87,12 +78,16 @@ def word_count(k: int) -> int:
     return (3 * 5 ** k - 1) // 2
 
 
+MAX_WORD_LENGTH = 8  # the enumeration budget: m grows as 5^k
+
+
 def enumerate_words(k: int) -> list:
     """All reduced words of length <= k, depth-first in fixed letter order."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > 8:
-        raise ValueError("k > 8 exceeds the enumeration budget (m grows as 5^k)")
+    if k > MAX_WORD_LENGTH:
+        raise ValueError(f"k > {MAX_WORD_LENGTH} exceeds the enumeration budget "
+                         "(m grows as 5^k)")
     out = [RotationWord((), np.eye(3, dtype=np.int64))]
     stack = [out[0]]
     while stack:
@@ -168,34 +163,6 @@ class Cap:
         return {"variant": "cap", "pole": list(self.pole), "theta": self.theta}
 
 
-@dataclass(frozen=True)
-class CapUnion:
-    """Disjoint union of caps; shells are summed (a one-sided over-estimate)."""
-
-    caps: tuple
-
-    def __post_init__(self):
-        caps = tuple(self.caps)
-        for i in range(len(caps)):
-            for j in range(i + 1, len(caps)):
-                gap = np.arccos(np.clip(np.dot(caps[i].pole, caps[j].pole), -1, 1))
-                if gap <= caps[i].theta + caps[j].theta:
-                    raise ValueError("caps must be pairwise disjoint")
-        object.__setattr__(self, "caps", caps)
-
-    def measure(self) -> float:
-        return float(sum(c.measure() for c in self.caps))
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        hit = np.zeros(len(np.atleast_2d(points)), dtype=bool)
-        for c in self.caps:
-            hit |= c.contains(points)
-        return hit
-
-    def shell_measure(self, t):
-        return np.clip(sum(c.shell_measure(t) for c in self.caps), 0.0, 1.0)
-
-
 def set_discrepancy(orb: SphereOrbit, region) -> float:
     inside = int(np.count_nonzero(region.contains(orb.points)))
     return abs(region.measure() - inside / orb.size)
@@ -263,8 +230,11 @@ class HarmonicBlock:
     norm: float
 
 
-def hecke_block(words, ell: int, *, unitarity_checks: int = 8) -> HarmonicBlock:
-    """T restricted to degree ell: m^-1 sum of D^l over the word set."""
+def hecke_block(words, ell: int) -> HarmonicBlock:
+    """T restricted to degree ell: m^-1 sum of D^l over the word set.
+
+    Eight words, drawn with a fixed seed, have their D^l checked for unitarity.
+    """
     if ell > MAX_DEGREE:
         raise ValueError(f"degree capped at {MAX_DEGREE}")
     mats = np.stack([w.matrix for w in words])
@@ -279,7 +249,7 @@ def hecke_block(words, ell: int, *, unitarity_checks: int = 8) -> HarmonicBlock:
     D = ph_a[:, :, None] * d_all * ph_g[:, None, :]
 
     rng = np.random.default_rng(0)
-    sample = rng.choice(len(words), size=min(unitarity_checks, len(words)), replace=False)
+    sample = rng.choice(len(words), size=min(8, len(words)), replace=False)
     eye = np.eye(2 * ell + 1)
     for idx in sample:
         defect = np.max(np.abs(D[idx] @ D[idx].conj().T - eye))
@@ -365,13 +335,13 @@ class SphereBoundReport:
                 "formula_R": self.formula_R, "formula_value": self.formula_value}
 
 
-def sphere_bound(m: int, region, delta: float, rho: float, *,
-                 r_grid=None) -> SphereBoundReport:
+def sphere_bound(m: int, region, delta: float, rho: float) -> SphereBoundReport:
     """M(delta) * (R^-delta + R^((2-delta)/2) rho), minimized over R.
 
-    Reports both the grid minimum and the closed-form choice
-    R = m^(1/(2+delta)) log(m)^(-2/(2+delta)); constants in front are fitted
-    by callers against measured discrepancies, never baked in.
+    Reports both the minimum over 129 geometrically spaced R in [1, max(m, 2)]
+    and the closed-form choice R = m^(1/(2+delta)) log(m)^(-2/(2+delta));
+    constants in front are fitted by callers against measured discrepancies,
+    never baked in.
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
@@ -385,9 +355,7 @@ def sphere_bound(m: int, region, delta: float, rho: float, *,
         return M * (R ** (-delta) + R ** ((2.0 - delta) / 2.0) * rho)
 
     formula_R = m ** (1.0 / (2.0 + delta)) * np.log(m) ** (-2.0 / (2.0 + delta))
-    if r_grid is None:
-        r_grid = np.geomspace(1.0, max(float(m), 2.0), 129)
-    r_grid = np.asarray(r_grid, dtype=float)
+    r_grid = np.geomspace(1.0, max(float(m), 2.0), 129)
     vals = value(r_grid)
     idx = int(np.argmin(vals))
     return SphereBoundReport(

@@ -10,14 +10,14 @@ def bump2():
 
 @pytest.fixture(scope="session")
 def kernel2(bump2):
-    return build_kernel_table(2, bump2)
+    return build_kernel_table(bump2)
 
 
 @pytest.fixture(scope="session")
 def kernel_tables(kernel2):
     """Default kernel tables by dimension; d = 1 and 3 on the 1/128 bump grid."""
-    return {1: build_kernel_table(1, build_bump(1, 1.0 / 128)), 2: kernel2,
-            3: build_kernel_table(3, build_bump(3, 1.0 / 128))}
+    return {1: build_kernel_table(build_bump(1, 1.0 / 128)), 2: kernel2,
+            3: build_kernel_table(build_bump(3, 1.0 / 128))}
 
 
 @pytest.fixture(scope="session", autouse=True)

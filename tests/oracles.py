@@ -262,9 +262,69 @@ def f_constant(set_: TorusSet, kernel: KernelTable, alpha: float, beta: float,
                            k_max=int(k_max), r_grid=tuple(float(R) for R in r_grid))
 
 
+def canonical_key(word) -> tuple:
+    """Rotation identity key of a RotationWord: 5-primitive integer matrix plus exponent."""
+    flat = [int(v) for v in word.int_matrix.ravel()]
+    v = 0
+    while all(x % 5 == 0 for x in flat) and any(flat):
+        flat = [x // 5 for x in flat]
+        v += 1
+    return (word.length - v, tuple(flat))
+
+
 def all_distinct(words) -> bool:
-    keys = {w.canonical_key() for w in words}
+    keys = {canonical_key(w) for w in words}
     return len(keys) == len(words)
+
+
+@dataclass(frozen=True)
+class CapUnion:
+    """Disjoint union of caps; shells are summed (a one-sided over-estimate)."""
+
+    caps: tuple
+
+    def __post_init__(self):
+        caps = tuple(self.caps)
+        for i in range(len(caps)):
+            for j in range(i + 1, len(caps)):
+                gap = np.arccos(np.clip(np.dot(caps[i].pole, caps[j].pole), -1, 1))
+                if gap <= caps[i].theta + caps[j].theta:
+                    raise ValueError("caps must be pairwise disjoint")
+        object.__setattr__(self, "caps", caps)
+
+    def measure(self) -> float:
+        return float(sum(c.measure() for c in self.caps))
+
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        hit = np.zeros(len(np.atleast_2d(points)), dtype=bool)
+        for c in self.caps:
+            hit |= c.contains(points)
+        return hit
+
+    def shell_measure(self, t):
+        return np.clip(sum(c.shell_measure(t) for c in self.caps), 0.0, 1.0)
+
+
+def polytope_ft_bound(polytope: ConvexPolytope, xi) -> np.ndarray | float:
+    """Per-polytope Fourier bound 2 sum over face chains of min{lambda, .} products.
+
+    Face chains of a polygon are (polygon, edge) pairs: the top projection is
+    the identity, the edge projection is onto the edge direction.
+    """
+    X = np.atleast_2d(np.asarray(xi, dtype=float))
+    lam = polytope.diameter
+    p, q = polytope.edges()
+    e = q - p
+    e_unit = e / np.sqrt((e ** 2).sum(1))[:, None]
+
+    norm = np.sqrt((X ** 2).sum(1))
+    with np.errstate(divide="ignore"):
+        top = np.minimum(lam, 1.0 / (TWO_PI * norm))
+        along = np.minimum(lam, 1.0 / (TWO_PI * np.abs(X @ e_unit.T)))
+    total = 2.0 * top * along.sum(axis=1)
+    if np.ndim(xi) == 1:
+        return float(total[0])
+    return total
 
 
 def chain_count(chains: ChainSystem) -> int:

@@ -20,10 +20,10 @@ plus the k = 1 identity that links them.
 import time
 
 import numpy as np
-from oracles import all_distinct
+from oracles import all_distinct, polytope_ft_bound
 from scipy.integrate import dblquad
 
-from discrepancy_forge.chains import ChainSystem, chain_sum, polytope_ft_bound
+from discrepancy_forge.chains import ChainSystem, chain_sum
 from discrepancy_forge.cli import EXIT_OK, main as cli_main
 from discrepancy_forge.erdos_turan import et_bound, optimal_R
 from discrepancy_forge.geometry import Ball, Box, ConvexPolytope
@@ -64,7 +64,7 @@ def _report(cid: str, ok: bool, detail: str) -> None:
 def test_criterion_1_kernel_claims():
     t0 = time.time()
     bump = build_bump(2, 1.0 / 256)
-    table = build_kernel_table(2, bump)
+    table = build_kernel_table(bump)
     elapsed = _stamp("c1", t0)
 
     min_k = float(table.kvals.min())
@@ -122,7 +122,7 @@ def test_criterion_3_et_validity_corpus(kernel2):
     for i, set_ in enumerate(_corpus_sets()):
         for j, points in enumerate(families):
             R = 16.0 if (i + j) % 2 == 0 else 32.0
-            rep = et_bound(set_, points, kernel2, R, oversample=2)
+            rep = et_bound(set_, points, kernel2, R)
             total += 1
             valid += int(rep.bound + rep.uncertainty >= rep.true_discrepancy)
     elapsed = _stamp("c3", t0)

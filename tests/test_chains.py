@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from oracles import chain_count, chain_system_from_polytope, phi_per_chain
+from oracles import chain_count, chain_system_from_polytope, phi_per_chain, polytope_ft_bound
 
-from discrepancy_forge.chains import ChainSystem, chain_sum, phi, polytope_ft_bound
+from discrepancy_forge.chains import ChainSystem, chain_sum, phi
 from discrepancy_forge.frequencies import integer_ball, positive_half_chunked
 from discrepancy_forge.geometry import ConvexPolytope
 
@@ -114,6 +114,6 @@ def test_chain_sum_half_ball_matches_full_ball_oracle(d, radii):
 @pytest.mark.parametrize("d, R", [(1, 9), (2, 13), (3, 5)])
 def test_positive_half_and_its_negation_tile_the_ball(d, R):
     ball = integer_ball(R, d, include_boundary=True)
-    half = np.concatenate(list(positive_half_chunked(R, d, include_boundary=True)))
+    half = np.concatenate(list(positive_half_chunked(R, d)))
     assert np.array_equal(half, ball[len(ball) // 2:])
     assert np.array_equal(-half[::-1], ball[:len(ball) // 2])

@@ -1,6 +1,8 @@
 """CLI experiments: subcommands, exit-code contract, determinism."""
 
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from discrepancy_forge import cli, erdos_turan, majorant
+from discrepancy_forge import cli, erdos_turan, kernel, majorant
 from discrepancy_forge.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -19,8 +23,12 @@ from discrepancy_forge.cli import (
     build_parser,
     main,
 )
+from discrepancy_forge.erdos_turan import optimal_R
+from discrepancy_forge.geometry import set_from_json
+from discrepancy_forge.glp import check_search
 from discrepancy_forge.hfourier import h_coefficient_table
 from discrepancy_forge.kernel import load_kernel, save_kernel
+from discrepancy_forge.pointsets import is_prime, pointset_from_descriptor
 
 BALL = '{"variant":"ball","center":[0.5,0.5],"radius":0.25}'
 LATTICE256 = '{"kind":"lattice","m":256,"d":2}'
@@ -297,17 +305,44 @@ def _no_expensive_work(*args, **kwargs):
     ["lattice-scaling", "--set", BALL, "--m", "256,1024", "--alpha", "nan"],
     ["kernel-build", "--kernel-x-max", "inf"],
     ["sphere-orbit", "--k", "1", "--delta=-inf"],
+    ["sphere-orbit", "--k", "2", "--L", "5", "--delta", "2"],
+    ["sphere-orbit", "--k", "2", "--delta", "2"],
+    ["bound", "--set", BALL, "--points", LATTICE256, "--R", "2"],
+    ["polytope-family", "--m", "100"],
+    ["lattice-scaling", "--set", BALL, "--m", "256,1024", "--alpha", "2.999999"],
+    ["lattice-scaling", "--set", BALL, "--m", "3,5"],
+    ["bound", "--set", BALL, "--points", '{"kind":"kronecker","x":[0.41,0.73],"m":1}',
+     "--R", "auto:kronecker"],
+    ["sandwich", "--set", "[]", "--R", "8"],
+    ["sandwich", "--set", BALL, "--R", "8", "--kernel-d", "1"],
+    ["glp-search", "--m", "101", "--strategy", "random", "--seed=-1"],
 ], ids=["cap-3-values", "cap-5-values", "base-zero", "L-zero", "m-empty",
         "lattice-one-size", "kronecker-one-size", "R-empty", "x-empty", "glp-X-dimension",
         "family-X-dimension", "k-zero", "k-zero-with-L", "x-dimension", "g-length",
         "n-samples-zero", "chain-sum-R-zero", "L-above-cap", "oversample-zero",
         "grid-n-below-4R", "R-below-4", "max-budget-nan", "bound-R-inf", "bound-R-nan",
-        "alpha-nan", "kernel-x-max-inf", "delta-minus-inf"])
+        "alpha-nan", "kernel-x-max-inf", "delta-minus-inf", "delta-above-one-with-L",
+        "delta-above-one", "bound-R-2", "family-m-not-prime", "lattice-R-overflow",
+        "lattice-m-not-square", "kronecker-R-infinite", "set-not-object", "kernel-d-not-2",
+        "seed-negative"])
 def test_malformed_input_exits_3_before_any_work(argv, monkeypatch):
     for name in ("get_kernel", "enumerate_words", "search", "korobov", "chain_sum",
                  "ball_rho_hat"):
         monkeypatch.setattr(cli, name, _no_expensive_work)
+    monkeypatch.setattr(cli.PhiBall, "build", staticmethod(_no_expensive_work))
     assert run_cli(argv) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("sizes", [["--kernel-t-max", "1e9"],
+                                   ["--kernel-x-max", "1e7", "--kernel-t-max", "1e7"]],
+                         ids=["t-max-1e9", "x-max-1e7"])
+def test_kernel_build_beyond_memory_exits_3_before_the_autocorrelation(sizes, tmp_path,
+                                                                       monkeypatch):
+    # the grids alone would take terabytes: refused from the estimate, never requested
+    monkeypatch.setattr(kernel, "autocorrelation_values", _no_expensive_work)
+    argv = ["kernel-build", *sizes, "--kernel-cache", str(tmp_path / "k.json")]
+    assert run_cli(argv) == EXIT_CONFIG
+    assert not (tmp_path / "k.json").exists()
 
 
 def test_polytope_family_builds_one_phi_ball(tmp_path, monkeypatch):
@@ -490,3 +525,158 @@ def test_config_contract(argv, params, digest):
     assert config.digest() == digest
     assert (config.out, config.csv_out, config.kernel_cache) == (
         ("r.json", "c.csv", "k.json") if full else (None, None, None))
+
+
+class _Reached(Exception):
+    """A drawn argv got past validation into an experiment's work."""
+
+
+# the calls each experiment's work starts with (PhiBall.build besides)
+_SENTINELS = ("get_kernel", "enumerate_words", "search", "korobov", "chain_sum",
+              "ball_rho_hat", "h_coefficient_table")
+
+_BOX = '{"variant":"box","a":[0.2,0.3],"b":[0.6,0.7]}'
+_BALL3 = '{"variant":"ball","center":[0.5,0.5,0.5],"radius":0.25}'
+
+# per flag: (values valid in some subcommand, edge values: 0, 1, empty, NaN,
+# inf, wrong lengths, wrong dimension, and junk); the output paths are not drawn
+_FLAG_VALUES = {
+    "--seed": (["0", "7"], ["-1", "x"]),
+    "--kernel-d": (["2"], ["1", "3", "0", "4"]),
+    "--kernel-grid-step": (["0.00390625", "0.005"], ["0", "-0.01", "0.5", "nan"]),
+    "--kernel-x-max": (["25", "20"], ["19", "inf"]),
+    "--kernel-t-max": (["30", "25"], ["20", "nan"]),
+    "--set": ([BALL, _QUAD, _BOX], [_BALL3, '{"variant":"ball"}', "[]", "{", "no/such/file",
+                                    '{"variant":"ball","center":[0.5,0.5],"radius":null}']),
+    "--points": ([LATTICE256, '{"kind":"korobov","g":[1,33],"m":101}',
+                  '{"kind":"kronecker","x":[0.41,0.73],"m":64}'],
+                 ['{"kind":"kronecker","x":[0.41,0.73],"m":1}', '{"kind":"lattice","m":27,"d":3}',
+                  '{"kind":"lattice","m":10,"d":2}', '{"kind":"lattice","m":null,"d":2}', "{}",
+                  "3"]),
+    "--R": (["8", "16"], ["4", "2", "0", "-8", "nan", "inf", "", "auto:x", "auto:lattice"]),
+    "--grid-n": (["64", "512"], ["0", "31", "x"]),
+    "--oversample": (["1", "4"], ["0", "-2"]),
+    "--max-budget": (["0.01"], ["0", "-1", "nan", "inf"]),
+    "--alpha": (["1", "0.5"], ["0", "3", "-1", "nan"]),
+    "--beta": (["1", "1.5"], ["0", "-1", "inf"]),
+    "--eps": (["0.1", "0.2"], ["0", "-1", "1000", "nan"]),
+    "--m": (["101", "31"], ["2", "100", "1", "0", "-7", "4001", "1024", "3,5", "0,256", "1,4",
+                           "2,3", "", "256,1024"]),
+    "--x": (["0.41,0.73"], ["0.4142135623730951", "0.25,0.5,0.75", "nan,0.5", ""]),
+    "--schmidt-R": (["64,128", "32,64"], ["1,2", "0", "-4", ""]),
+    "--d": (["2"], ["1", "3", "0", "-1"]),
+    "--X": (["coordinate", "[[1,0],[0,1],[1,1]]"],
+            ["[[1,0],[0,1]]", "[[0,0]]", "[[1,0,0]]", "{", "[]", "3"]),
+    "--strategy": (["exhaustive", "random", "korobov-rank1"], ["best"]),
+    "--n-samples": (["16", "1"], ["0", "-3"]),
+    "--g": (["1,44", "1,3"], ["1", "0,5", "1,101", "1,1,1", ""]),
+    "--chain-sum-R": (["16,64", "1"], ["0,16", "-1", ""]),
+    "--k": (["1", "2", "8"], ["9", "0", "-1"]),
+    "--base": (["0,0,1", "0,1,1"], ["0,0,0", "1,2", "nan,0,1", ""]),
+    "--cap": (["0,0,1,0.5", "1,0,0,3.2"],
+              ["0,0,1", "0,0,0,0.5", "0,0,1,0", "nan,0,1,0.5", "0,0,1,inf", "a,b,c,d"]),
+    "--L": (["1", "3", "50"], ["0", "51"]),
+    "--delta": (["1", "0.5"], ["0", "2", "-0.5", "nan"]),
+}
+# valid values that differ between subcommands
+_VALID_IN = {
+    ("kernel-build", "--kernel-d"): ["1", "2", "3"],
+    ("sandwich", "--R"): ["8", "8,16"],
+    ("bound", "--R"): ["8", "16", "auto:lattice", "auto:kronecker", "auto:search"],
+    ("lattice-scaling", "--m"): ["256,1024", "16,64,256"],
+    ("kronecker-scaling", "--m"): ["65536,262144", "64,256"],
+    ("glp-search", "--m"): ["101", "31", "4001"],
+}
+
+_SUBPARSERS = next(action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+
+
+@st.composite
+def _drawn_argv(draw):
+    command = draw(st.sampled_from(sorted(_SUBPARSERS)))
+    argv = [command]
+    for action in _SUBPARSERS[command]._actions:
+        flag = action.option_strings[-1] if action.option_strings else None
+        if flag in _FLAG_VALUES and (action.required or draw(st.booleans())):
+            for _ in range(draw(st.integers(1, 2)) if flag == "--cap" else 1):
+                valid, edge = _FLAG_VALUES[flag]
+                valid = _VALID_IN.get((command, flag), valid)
+                values = valid if draw(st.integers(0, 7)) else edge  # mostly valid
+                argv.append(f"{flag}={draw(st.sampled_from(values))}")
+    return argv
+
+
+def _finite_R(rule: str, m: int, alpha: float, beta: float, eps: float) -> bool:
+    return bool(np.isfinite(optimal_R(rule, m, 2, alpha, beta, eps=eps)))
+
+
+def _in_domain(config) -> bool:
+    """Whether an experiment's work may start on this config: its parameters
+    lie in the domain that every computation of the experiment accepts."""
+    p, kp, kind = config.params, config.kernel_params, config.kind
+    try:
+        assert config.seed >= 0
+        if kind in ("kernel-build", "sandwich", "bound", "lattice-scaling", "kronecker-scaling"):
+            assert kp["d"] in (1, 2, 3) and 0 < kp["grid_step"] <= 1 / 64
+            assert 20 <= kp["x_max"] <= kp["t_max"] < np.inf
+            if kind != "kernel-build":
+                assert kp["d"] == 2 and set_from_json(json.loads(p["set"])).dimension == 2
+        if kind == "sandwich":
+            return min(p["R"]) >= 4 and p["grid_n"] >= 4 * max(p["R"]) and p["oversample"] >= 1
+        if kind == "bound":
+            points = pointset_from_descriptor(json.loads(p["points"]))
+            assert points.dimension == 2
+            if isinstance(p["R"], str):  # auto:search starts from the lattice rule
+                rule = "lattice" if p["R"] == "auto:search" else p["R"][5:]
+                return _finite_R(rule, points.size, p["alpha"], p["beta"], p["eps"])
+            return p["R"] >= 4
+        if kind == "lattice-scaling":
+            for m in p["m"]:
+                assert m >= 1 and math.isqrt(m) ** 2 == m
+                assert _finite_R("lattice", m, p["alpha"], p["beta"], 0.1)
+        if kind == "kronecker-scaling":
+            assert len(p.get("x", (0, 0))) == 2 and min(p["schmidt_R"]) >= 2
+            for m in p["m"]:
+                assert m >= 2 and _finite_R("kronecker", m, 1.0, 1.0, p["eps"])
+        if kind in ("glp-search", "polytope-family"):
+            assert cli._chain_system(p).dimension == p["d"]
+        if kind == "glp-search":
+            check_search(p["m"], p["d"], p["strategy"], p["n_samples"])
+        if kind == "polytope-family":
+            assert min(p["chain_sum_R"]) >= 1
+            if "g" in p:
+                g, m = p["g"], p["m"]
+                assert len(g) == p["d"] and is_prime(m) and all(1 <= v < m for v in g)
+            else:
+                check_search(p["m"], p["d"], "exhaustive")
+        if kind == "sphere-orbit":
+            assert 1 <= p["k"] <= 8 and 1 <= p.get("L", 1) <= 50 and 0 < p["delta"] <= 1
+            base = np.asarray(p["base"])
+            assert base.shape == (3,) and np.all(np.isfinite(base)) and np.any(base != 0)
+            for spec in p.get("caps", []):
+                cap = np.array([float(v) for v in spec.split(",")])
+                assert len(cap) == 4 and np.all(np.isfinite(cap)) and np.any(cap[:3] != 0)
+                assert 0 < cap[3] <= np.pi
+        return True
+    except Exception:
+        return False
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(argv=_drawn_argv())
+def test_every_drawn_argv_exits_3_or_starts_work_inside_its_domain(argv):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in _SENTINELS:
+            patch.setattr(cli, name, reached)
+        patch.setattr(cli.PhiBall, "build", staticmethod(reached))
+        try:
+            code = main(argv)
+        except _Reached:
+            config = _namespace_to_config(build_parser().parse_args(argv))
+            assert _in_domain(config), f"{argv} started work outside its domain"
+            return
+    assert code == EXIT_CONFIG, f"{argv} exited {code} before any work"

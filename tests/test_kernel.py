@@ -197,11 +197,9 @@ def test_psi_h_identity(kernel2):
 
 def test_build_preconditions(bump2):
     with pytest.raises(ValueError):
-        build_kernel_table(2, bump2, x_max=10.0)
+        build_kernel_table(bump2, x_max=10.0)
     with pytest.raises(ValueError):
-        build_kernel_table(2, bump2, x_max=25.0, t_max=20.0)
-    with pytest.raises(ValueError):
-        build_kernel_table(1, bump2)
+        build_kernel_table(bump2, x_max=25.0, t_max=20.0)
 
 
 def test_serialization_round_trip(tmp_path, kernel2):

@@ -2,11 +2,10 @@
 
 import numpy as np
 import pytest
-from oracles import all_distinct
+from oracles import CapUnion, all_distinct
 
 from discrepancy_forge.sphere import (
     Cap,
-    CapUnion,
     ball_rho_hat,
     enumerate_words,
     hecke_ball_sum,
