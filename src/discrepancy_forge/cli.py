@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .chains import ChainSystem, chain_sum
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, InvariantViolation, require_memory
 from .erdos_turan import (
     H_OVERSAMPLE,
     et_bound,
@@ -44,7 +44,7 @@ from .erdos_turan import (
     polytope_family_bound,
 )
 from .geometry import TorusSet, set_from_json
-from .glp import PhiBall, check_search, search
+from .glp import PhiBall, check_phi_ball, check_search, search
 from .hfourier import h_coefficient_table
 from .kernel import (
     EXP_MINUS_2PI,
@@ -57,7 +57,13 @@ from .kernel import (
     psi,
     save_kernel,
 )
-from .majorant import majorant_pair, sandwich_csv, sandwich_grids, sandwich_report
+from .majorant import (
+    SANDWICH_BYTES_PER_POINT,
+    majorant_pair,
+    sandwich_csv,
+    sandwich_grids,
+    sandwich_report,
+)
 from .pointsets import (
     PointSet,
     is_prime,
@@ -204,6 +210,8 @@ def _load_set(config: ExperimentConfig) -> TorusSet:
 def _load_points(params: dict, d: int) -> PointSet:
     try:
         points = pointset_from_descriptor(_json_or_file(params["points"], "point descriptor"))
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed point descriptor: {exc!r}") from exc
     if points.dimension != d:
@@ -260,6 +268,7 @@ def run_sandwich(config: ExperimentConfig) -> dict:
     grid_n, oversample, rs = params["grid_n"], params["oversample"], params["R"]
     if not grid_n >= 4 * max(rs):
         raise ConfigError(f"--grid-n must be at least 4 max(R) = {4 * max(rs):g}, got {grid_n}")
+    require_memory(SANDWICH_BYTES_PER_POINT * grid_n ** 2, f"a sandwich grid at --grid-n {grid_n}")
     kernel = get_kernel(config)
     max_budget = params.get("max_budget")
     per_r = []
@@ -419,6 +428,8 @@ def run_polytope_family(config: ExperimentConfig) -> dict:
     elif len(g) != d or not is_prime(m) or not all(1 <= v < m for v in g):
         raise ConfigError(f"--g needs d = {d} entries in [1, m - 1] at a prime m, "
                           f"got {g} at m = {m}")
+    else:
+        check_phi_ball(m, d)  # the Weyl spectrum and the CSV's ball span it too
     chains = _chain_system(params)
     phi_ball = None
     if g is None:

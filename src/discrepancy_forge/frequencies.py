@@ -35,6 +35,12 @@ def integer_ball(radius: float, d: int, *, include_boundary: bool = False,
     return pts[keep]
 
 
+def integer_ball_bytes(radius: float, d: int) -> int:
+    """About the most bytes `integer_ball(radius, d)` and a value per ball row
+    hold at once: 24 (d + 1) per row of the (2 floor(radius) + 1)^d cube."""
+    return 24 * (d + 1) * (2 * int(np.floor(radius)) + 1) ** d
+
+
 def positive_half_chunked(radius: float, d: int):
     """Yield the lexicographically positive half (first nonzero coordinate > 0)
     of the punctured closed ball 0 < |k| <= radius, in chunks of lexicographic

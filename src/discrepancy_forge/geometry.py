@@ -64,12 +64,20 @@ class TorusSet:
     def to_json(self) -> dict:
         raise NotImplementedError
 
-    def distance_grid(self, n: int, rows: slice = slice(None)) -> np.ndarray:
-        """Boundary distance on the rows `rows` of the n x n grid (i/n, j/n), d = 2 only."""
+    def distance_grid(self, n: int, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """Boundary distance on the rows `rows` and columns `cols` (slices or
+        index arrays) of the n x n grid (i/n, j/n), d = 2 only."""
         if self.dimension != 2:
             raise ValueError("distance_grid is 2-d only")
         axis = np.arange(n) / n
-        return self._distance((axis[rows, None], axis[None, :]))
+        return self._distance((axis[rows, None], axis[None, cols]))
+
+    def grid_classes(self, n: int) -> tuple:
+        """Per axis of the n x n grid, (reps, inverse): index i lies in class
+        inverse[i], and the distance at (i, j) is bitwise the distance at
+        (reps[inverse[i]], reps[inverse[j]]). Here each index is its own class."""
+        identity = np.arange(n)
+        return (identity, identity), (identity, identity)
 
     def indicator_grid(self, n: int) -> np.ndarray:
         if self.dimension != 2:
@@ -190,8 +198,16 @@ class Ball(TorusSet):
     def _center_distance(self, coords) -> np.ndarray:
         sq = 0.0
         for x, c in zip(coords, self.center):
-            sq = sq + (np.mod(x - c + 0.5, 1.0) - 0.5) ** 2
+            sq = sq + _offset2(x, c)
         return np.sqrt(sq)
+
+    def grid_classes(self, n: int) -> tuple:
+        # the distance adds one double per axis, so the indices whose doubles
+        # are equal form a class: n/2 + 1 classes when n is a power of two and
+        # c n an integer, more where i/n - c rounds (n = 768: about 3n/4)
+        axis = np.arange(n) / n
+        return tuple(np.unique(_offset2(axis, c), return_index=True, return_inverse=True)[1:]
+                     for c in self.center)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         return self._center_distance(tuple(np.asarray(points, dtype=float).T)) <= self.radius
@@ -376,6 +392,11 @@ class ConvexPolytope(TorusSet):
     def to_json(self) -> dict:
         return {"variant": "polytope", "vertices": [list(v) for v in self.vertices],
                 "epsilon": self.epsilon}
+
+
+def _offset2(x, c):
+    """Squared periodic offset of the coordinates x from c, as the ball's distance adds it."""
+    return (np.mod(x - c + 0.5, 1.0) - 0.5) ** 2
 
 
 def _signed_area2(verts: np.ndarray) -> float:

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import ChainSystem, phi
-from .frequencies import integer_ball
+from .errors import require_memory
+from .frequencies import integer_ball, integer_ball_bytes
 from .pointsets import is_prime
 
 
@@ -118,8 +119,14 @@ def _sorted_class_sums(phi_ball: PhiBall) -> np.ndarray:
     return np.array([np.sum(ordered[e - c:e]) for c, e in zip(counts, ends)])
 
 
+def check_phi_ball(m: int, d: int) -> None:
+    """Raise ConfigError if the Phi ball |k| < m in d dimensions would not fit in memory."""
+    require_memory(integer_ball_bytes(m, d), f"the integer ball |k| < {m} in d = {d}")
+
+
 def check_search(m: int, d: int, strategy: str, n_samples: int = 128) -> None:
-    """Raise ValueError unless `search` can run these parameters; no work is done."""
+    """Raise ValueError unless `search` can run these parameters and its Phi
+    ball fits in memory; no work is done."""
     if not is_prime(m):
         raise ValueError(f"modulus must be prime, got {m}")
     if strategy not in ("exhaustive", "random", "korobov-rank1"):
@@ -131,6 +138,7 @@ def check_search(m: int, d: int, strategy: str, n_samples: int = 128) -> None:
             raise ValueError("exhaustive search is implemented for d = 2 only")
     if strategy == "random" and n_samples < 1:
         raise ValueError(f"random search needs n_samples >= 1, got {n_samples}")
+    check_phi_ball(m, d)
 
 
 def search(m: int, chains: ChainSystem, strategy: str = "exhaustive", *,

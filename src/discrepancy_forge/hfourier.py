@@ -4,19 +4,31 @@ H_R(x) = psi(2 R dist(x, boundary Omega)) / 4 = gamma * I(R dist(x, boundary)).
 Coefficients are computed by tensor-grid quadrature: the 2-d DFT of H sampled
 on an n x n grid, n a power of two at least max(8R, 256) times an
 oversampling factor. A table holds |k|_inf <= kmax = ceil(R), which covers
-the degree-R spectrum |k| < R and stays below n/4. The grid is evaluated one
-strip of rows at a time (about 2^20 points, an even number of rows): each
-strip's distances and I(R dist) are computed once, the strip is transformed
-along its rows, and only the 2 kmax + 1 wanted columns are kept; one
-transform along the columns of that n x (2 kmax + 1) array finishes the
-block, so memory is O(n kmax), not O(n^2). A guard estimates those bytes
-first and raises ConfigError when they exceed physical memory.
+the degree-R spectrum |k| < R and stays below n/4.
+
+H is evaluated once per pair of distance classes. A set's `grid_classes`
+groups the indices of each grid axis whose distances agree bitwise: for a
+ball, equal squared periodic offsets from the centre, n/2 + 1 classes per
+axis when n is a power of two and the centre lies on the grid. Polygons, boxes and any axis with
+more than 3n/4 classes take the grid itself, in order, and gather nothing.
+Grid rows of one class are equal, so each class row is transformed once,
+and the kept columns are gathered into grid order before the column
+transform; the table is bitwise the one every grid row would give.
+
+The class rows are evaluated one strip at a time (about 2^20 grid points, an
+even number of rows): each strip's distances and I(R dist) are computed
+once, its rows are gathered into grid columns and transformed, and only the
+2 kmax + 1 wanted columns are kept; one transform along the columns of the
+n x (2 kmax + 1) array finishes the block, so memory is O(n kmax), not
+O(n^2). A guard estimates those bytes first and raises ConfigError when they
+exceed physical memory.
 
 The per-coefficient error estimate is the change from the n/2 grid. Its
 point (i, j) is the n grid point (2i, 2j) bitwise, so the coarse strip is
-the fine strip at [::2, ::2] and no point is evaluated twice.
-`h_function_grid` evaluates H on a whole grid for callers that need the
-values themselves (psi(R dist) = 4 H_{R/2} in the sandwich checks).
+taken from the fine one: the row classes of even grid rows, at even grid
+columns. No point is evaluated twice. `h_function_grid` evaluates H through
+the same classes on a whole grid, for callers that need the values
+themselves (psi(R dist) = 4 H_{R/2} in the sandwich checks).
 """
 
 from __future__ import annotations
@@ -33,6 +45,9 @@ from .kernel import KernelTable
 # points per strip of grid rows evaluated at once, and bytes held per strip point
 _STRIP_POINTS = 1 << 20
 _STRIP_BYTES_PER_POINT = 64
+# an axis with more distance classes than this share of its indices is taken
+# in grid order: gathering it would cost more than its repeats save
+_MAX_CLASS_SHARE = 0.75
 
 
 def _fft_resolution(R: float, oversample: int) -> int:
@@ -41,10 +56,32 @@ def _fft_resolution(R: float, oversample: int) -> int:
     return n * oversample
 
 
+def _grid_classes(set_: TorusSet, n: int) -> list[tuple]:
+    """The set's (reps, inverse) per grid axis, with inverse None where the
+    classes are too many to repay gathering: that axis is the grid in order."""
+    return [(np.arange(n), None) if len(reps) > _MAX_CLASS_SHARE * n else (reps, inverse)
+            for reps, inverse in set_.grid_classes(n)]
+
+
+def _grid_order(a: np.ndarray, inverse, axis: int, step: int = 1) -> np.ndarray:
+    """Every `step`-th grid index along `axis` of an array over classes;
+    `inverse` gives the class of each grid index, None the grid itself."""
+    if inverse is None:
+        return a[::step] if axis == 0 else a[:, ::step]
+    return a.take(inverse[::step], axis=axis)   # C order, which the FFTs need to be fast
+
+
+def _h_values(set_: TorusSet, kernel: KernelTable, R: float, n: int,
+              rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """H_R at the grid rows `rows` and columns `cols` of the n x n grid."""
+    return kernel.gamma * kernel.tail_integral(R * set_.distance_grid(n, rows, cols))
+
+
 def h_function_grid(set_: TorusSet, kernel: KernelTable, R: float, n: int) -> np.ndarray:
     """H_R on the whole n x n grid (i/n, j/n)."""
-    dist = set_.distance_grid(n)
-    return kernel.gamma * kernel.tail_integral(R * dist)
+    (row_reps, row_inv), (col_reps, col_inv) = _grid_classes(set_, n)
+    h = _h_values(set_, kernel, R, n, row_reps, col_reps)
+    return _grid_order(_grid_order(h, row_inv, 0), col_inv, 1)
 
 
 @dataclass
@@ -93,14 +130,25 @@ def h_coefficient_table(set_: TorusSet, kernel: KernelTable, R: float, *,
     rows = 2 * max(1, _STRIP_POINTS // (2 * n))
     _check_memory(n, width, rows)
     idx = np.arange(-kmax, kmax + 1)
-    fine = np.empty((n, width), dtype=complex)
-    coarse = np.empty((n // 2, width), dtype=complex)
-    for start in range(0, n, rows):
+    (row_reps, row_inv), (col_reps, col_inv) = _grid_classes(set_, n)
+    # the row classes of the n/2 grid, whose rows are the even rows of the n grid
+    coarse_classes = np.zeros(len(row_reps), dtype=bool)
+    coarse_classes[slice(None, None, 2) if row_inv is None else row_inv[::2]] = True
+    # the row transforms of each row class, and of each row class of the n/2 grid
+    fine = np.empty((len(row_reps), width), dtype=complex)
+    coarse = np.empty((np.count_nonzero(coarse_classes), width), dtype=complex)
+    done = 0
+    for start in range(0, len(row_reps), rows):
         strip = slice(start, start + rows)
-        h = kernel.gamma * kernel.tail_integral(R * set_.distance_grid(n, rows=strip))
-        fine[strip] = _row_fft(h, idx)
+        h = _h_values(set_, kernel, R, n, row_reps[strip], col_reps)
+        fine[strip] = _row_fft(_grid_order(h, col_inv, 1), idx)
         # the n/2 grid point (i, j) is the n grid point (2i, 2j), bitwise
-        coarse[start // 2:(start + rows) // 2] = _row_fft(h[::2, ::2], idx)
+        h = h[::2] if row_inv is None else h[coarse_classes[strip]]
+        coarse[done:done + len(h)] = _row_fft(_grid_order(h, col_inv, 1, 2), idx)
+        done += len(h)
+    if row_inv is not None:
+        fine = fine[row_inv]
+        coarse = coarse[(np.cumsum(coarse_classes) - 1)[row_inv[::2]]]
     block = _column_fft(fine, idx)
     err = np.abs(block - _column_fft(coarse, idx)) + 1e-15 * kernel.gamma
     return HCoefficientTable(R=float(R), kmax=kmax, grid_n=n, block=block, err=err)
@@ -118,7 +166,16 @@ def _column_fft(cols: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _check_memory(n: int, width: int, rows: int) -> None:
-    """Raise ConfigError if the table's arrays would not fit in physical memory."""
-    kept = n + n // 2 + n   # fine and coarse kept columns plus one column FFT
-    require_memory(16 * width * kept + _STRIP_BYTES_PER_POINT * rows * n,
+    """Raise ConfigError if the table's arrays would not fit in physical memory.
+
+    Rows of `width` complex numbers held at once: while row classes are put in
+    grid order, the class rows (at most 3n/4, else they are the grid), the
+    coarse class rows (at most n/2) and the n rows gathered from them; while
+    the columns are transformed, the n fine and n/2 coarse rows and one n-row
+    transform. A strip holds at most 64 bytes per point of its grid rows, the
+    H values of its row and column classes included.
+    """
+    gathering = int(_MAX_CLASS_SHARE * n) + n // 2 + n
+    transforming = n + n // 2 + n
+    require_memory(16 * width * max(gathering, transforming) + _STRIP_BYTES_PER_POINT * rows * n,
                    f"H-table on the {n} x {n} grid")

@@ -22,6 +22,11 @@ from .geometry import TorusSet
 from .hfourier import HCoefficientTable, h_coefficient_table, h_function_grid
 from .kernel import KernelTable
 
+# bytes per grid point a sandwich run holds at once: a polygon's distance grid
+# beside the last R's grids while the next R's are built, or one R's grids and
+# the value lists of `sandwich_csv`
+SANDWICH_BYTES_PER_POINT = 272
+
 
 @dataclass(frozen=True)
 class TrigPolynomial:

@@ -316,6 +316,14 @@ def _no_expensive_work(*args, **kwargs):
     ["sandwich", "--set", "[]", "--R", "8"],
     ["sandwich", "--set", BALL, "--R", "8", "--kernel-d", "1"],
     ["glp-search", "--m", "101", "--strategy", "random", "--seed=-1"],
+    ["glp-search", "--m", "101", "--d", "5", "--strategy", "random"],
+    ["glp-search", "--m", "101", "--d", "5", "--strategy", "korobov-rank1"],
+    ["polytope-family", "--m", "101", "--d", "5", "--g", "1,2,3,4,5"],
+    ["sandwich", "--set", BALL, "--R", "8", "--grid-n", "10000000"],
+    ["bound", "--set", BALL, "--points", '{"kind":"lattice","m":1000000000000,"d":2}',
+     "--R", "64"],
+    ["bound", "--set", BALL, "--points",
+     '{"kind":"kronecker","x":[0.41,0.73],"m":1000000000000}', "--R", "64"],
 ], ids=["cap-3-values", "cap-5-values", "base-zero", "L-zero", "m-empty",
         "lattice-one-size", "kronecker-one-size", "R-empty", "x-empty", "glp-X-dimension",
         "family-X-dimension", "k-zero", "k-zero-with-L", "x-dimension", "g-length",
@@ -324,7 +332,9 @@ def _no_expensive_work(*args, **kwargs):
         "alpha-nan", "kernel-x-max-inf", "delta-minus-inf", "delta-above-one-with-L",
         "delta-above-one", "bound-R-2", "family-m-not-prime", "lattice-R-overflow",
         "lattice-m-not-square", "kronecker-R-infinite", "set-not-object", "kernel-d-not-2",
-        "seed-negative"])
+        "seed-negative", "random-ball-beyond-memory", "korobov-ball-beyond-memory",
+        "family-g-ball-beyond-memory", "sandwich-grid-beyond-memory",
+        "lattice-beyond-memory", "kronecker-beyond-memory"])
 def test_malformed_input_exits_3_before_any_work(argv, monkeypatch):
     for name in ("get_kernel", "enumerate_words", "search", "korobov", "chain_sum",
                  "ball_rho_hat"):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from oracles import f_constant, full_grid_block, h_zero_by_coarea, minkowski_content
 
-from discrepancy_forge.errors import ConfigError
+from discrepancy_forge import hfourier
+from discrepancy_forge.errors import ConfigError, require_memory
 from discrepancy_forge.frequencies import integer_ball
 from discrepancy_forge.geometry import Ball, Box, ConvexPolytope
-from discrepancy_forge.hfourier import _fft_resolution, h_coefficient_table
+from discrepancy_forge.hfourier import _fft_resolution, h_coefficient_table, h_function_grid
 
 BALL = Ball((0.5, 0.5), 0.25)
 QUAD = ConvexPolytope(((0.3, 0.25), (0.75, 0.35), (0.7, 0.7), (0.25, 0.6)), epsilon=0.3)
@@ -68,13 +69,29 @@ def test_single_coefficient_wrapper(kernel2, table16):
     assert val == pytest.approx(complex(table16.values(np.array([[1, 0]]))[0]), abs=1e-12)
 
 
-@pytest.mark.parametrize("oversample", [2, 8])
-@pytest.mark.parametrize("R", [8.0, 64.0])
-@pytest.mark.parametrize("set_", [BALL, QUAD], ids=["ball", "quad"])
+ON_GRID = Ball((0.51171875, 0.43359375), 0.25)   # centre on the 1/512 grid, n/2 + 1 classes
+OFF_GRID = Ball((0.3, 0.7), 0.25)                  # no two grid indices share a class
+BOX = Box((0.1, 0.2), (0.6, 0.55))
+TABLE_CASES = {
+    **{f"{name}-{R}-{oversample}": (set_, R, oversample)
+       for name, set_ in (("ball", BALL), ("quad", QUAD))
+       for R in (8.0, 64.0) for oversample in (2, 8)},
+    "centre-0": (Ball((0.0, 0.0), 0.25), 8.0, 2),
+    "centre-1-minus-1/n": (Ball((1 - 1 / 512, 1 - 1 / 512), 0.25), 8.0, 2),
+    "radius-0.01": (Ball((0.5, 0.5), 0.01), 16.0, 2),
+    "radius-0.49": (Ball((0.5, 0.5), 0.49), 16.0, 2),
+    "off-grid": (OFF_GRID, 16.0, 2),
+    "one-axis-on-grid": (Ball((0.5, 0.3), 0.25), 16.0, 2),
+    "oversample-3": (ON_GRID, 32.0, 3),   # a / n inexact: more classes than n/2 + 1
+    "box": (BOX, 16.0, 2),
+}
+
+
+@pytest.mark.parametrize("set_, R, oversample", TABLE_CASES.values(), ids=TABLE_CASES.keys())
 def test_strip_table_matches_full_grid_fft(kernel2, set_, R, oversample):
     # oracle: fft2 of H on the whole fine grid, and on a separately
-    # evaluated n/2 grid for the refinement estimate; the table takes the
-    # n/2 grid from its fine strips at [::2, ::2]
+    # evaluated n/2 grid for the refinement estimate; the table evaluates H
+    # once per class pair and takes the n/2 grid from its fine strips
     n = _fft_resolution(R, oversample)
     kmax = int(np.ceil(R))
     fine = full_grid_block(set_, kernel2, R, n, kmax)
@@ -87,6 +104,17 @@ def test_strip_table_matches_full_grid_fft(kernel2, set_, R, oversample):
     assert np.array_equal(table.err, err)
 
 
+@pytest.mark.parametrize("n", [512, 768])
+@pytest.mark.parametrize("set_", [BALL, ON_GRID, Ball((0.0, 0.0), 0.49),
+                                  Ball((1 - 1 / 512, 1 - 1 / 512), 0.01), OFF_GRID,
+                                  Ball((0.5, 0.3), 0.25), QUAD, BOX],
+                         ids=["ball", "on-grid", "centre-0", "centre-1-minus-1/n",
+                              "off-grid", "one-axis-on-grid", "quad", "box"])
+def test_function_grid_matches_full_evaluation(kernel2, set_, n):
+    expected = kernel2.gamma * kernel2.tail_integral(5.0 * set_.distance_grid(n))
+    assert np.array_equal(h_function_grid(set_, kernel2, 5.0, n), expected)
+
+
 def test_table_memory_is_strip_bounded(kernel2):
     # R = 256 at oversample 2 is a 4096 x 4096 grid: 128 MB per real copy
     tracemalloc.start()
@@ -96,6 +124,26 @@ def test_table_memory_is_strip_bounded(kernel2):
     finally:
         tracemalloc.stop()
     assert peak < 200 * 2 ** 20
+
+
+@pytest.mark.parametrize("set_", [ON_GRID, OFF_GRID, QUAD], ids=["on-grid", "off-grid", "quad"])
+def test_table_memory_stays_within_its_estimate(kernel2, set_, monkeypatch):
+    # R = 256 at oversample 1 is a 2048 x 2048 grid with 513 kept columns
+    estimates = []
+
+    def recording(estimate, what):
+        estimates.append(estimate)
+        return require_memory(estimate, what)
+
+    monkeypatch.setattr(hfourier, "require_memory", recording)
+    tracemalloc.start()
+    try:
+        table = h_coefficient_table(set_, kernel2, 256.0, oversample=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.grid_n == 2048 and len(estimates) == 1
+    assert peak <= estimates[0]
 
 
 def test_memory_guard_raises_before_allocating(kernel2):
