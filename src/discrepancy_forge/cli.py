@@ -130,32 +130,21 @@ def _kernel_cache_path(config: ExperimentConfig) -> Path | None:
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
         return None
-    kp = config.kernel_params
-    tag = hashlib.sha256(json.dumps(kp, sort_keys=True).encode()).hexdigest()[:16]
-    return Path(cache_dir) / f"kernel-d{kp['d']}-{tag}.json"
-
-
-def _kernel_matches(table: KernelTable, kp: dict) -> bool:
-    prov = table.provenance
-    return (table.dimension == kp["d"]
-            and prov.get("x_max") == kp["x_max"]
-            and prov.get("t_max") == kp["t_max"]
-            and prov.get("bump", {}).get("grid_step") == kp["grid_step"])
+    return Path(cache_dir) / f"kernel-d{config.kernel_params['d']}.json"
 
 
 def get_kernel(config: ExperimentConfig) -> KernelTable:
     """Load the kernel table from cache or build (and cache) it."""
-    kp = config.kernel_params
+    d = config.kernel_params["d"]
     path = _kernel_cache_path(config)
     if path is not None and path.exists():
         try:
             table = load_kernel(path)
         except (ValueError, KeyError):
             table = None  # torn or corrupt: a miss, rebuilt and overwritten below
-        if table is not None and _kernel_matches(table, kp):
+        if table is not None and table.dimension == d:
             return table
-    bump = build_bump(kp["d"], kp["grid_step"])
-    table = build_kernel_table(bump, x_max=kp["x_max"], t_max=kp["t_max"])
+    table = build_kernel_table(build_bump(d))
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         save_kernel(table, path)
@@ -285,6 +274,7 @@ def run_sandwich(config: ExperimentConfig) -> dict:
         if config.csv_out:
             stem = Path(config.csv_out)
             sandwich_csv(grids, stem.with_name(f"{stem.stem}_R{R:g}{stem.suffix or '.csv'}"))
+        del pair, grids  # the next R's are built without this R's alive
     return {"set": set_.to_json(), "grid_n": grid_n, "oversample": oversample,
             "results": per_r, "kernel_provenance": kernel.provenance}
 
@@ -343,6 +333,20 @@ def _scaling_rows(set_: TorusSet, kernel: KernelTable, ms: list, rs: list,
     return rows, slope
 
 
+def _log_power_rows(rs: list, total, shift: int, power: int,
+                    check: str) -> tuple[list, float]:
+    """Per R: total(R) and its ratio to log(shift + R)^power; then the spread
+    max/min of the ratios, which `check` requires to be at most 4."""
+    rows = []
+    for R in rs:
+        val = total(R)
+        rows.append({"R": R, "sum": val, "ratio": val / np.log(shift + R) ** power})
+    ratios = [r["ratio"] for r in rows]
+    spread = max(ratios) / min(ratios)
+    _require(spread <= 4.0, check, spread, 4.0)
+    return rows, spread
+
+
 def run_lattice_scaling(config: ExperimentConfig) -> dict:
     params = config.params
     set_ = _load_set(config)
@@ -374,15 +378,8 @@ def run_kronecker_scaling(config: ExperimentConfig) -> dict:
     rs = [_rule_R("kronecker", m, 1.0, 1.0, params["eps"]) for m in params["m"]]
     kernel = get_kernel(config)
 
-    schmidt_rows = []
-    for R in params["schmidt_R"]:
-        val = schmidt_sum(x, R)
-        schmidt_rows.append({"R": R, "sum": val,
-                             "ratio": val / np.log(1 + R) ** (d + 1)})
-    ratios = [r["ratio"] for r in schmidt_rows]
-    spread = max(ratios) / min(ratios)
-    _require(spread <= 4.0, "schmidt ratio spread", spread, 4.0)
-
+    schmidt_rows, spread = _log_power_rows(params["schmidt_R"], lambda R: schmidt_sum(x, R),
+                                           1, d + 1, "schmidt ratio spread")
     rows, slope = _scaling_rows(set_, kernel, params["m"], rs,
                                 lambda m: kronecker(x, m),
                                 {"alpha": 1.0, "beta": 1.0, "eps": params["eps"]})
@@ -440,14 +437,8 @@ def run_polytope_family(config: ExperimentConfig) -> dict:
     spectrum = weyl_spectrum(points, float(m))
     fam = polytope_family_bound(chains, spectrum, float(m))
 
-    ratio_rows = []
-    for R in params["chain_sum_R"]:
-        total = chain_sum(chains, R)
-        ratio_rows.append({"R": R, "sum": total,
-                           "ratio": total / np.log(2 + R) ** d})
-    ratios = [r["ratio"] for r in ratio_rows]
-    spread = max(ratios) / min(ratios)
-    _require(spread <= 4.0, "chain sum log-power spread", spread, 4.0)
+    ratio_rows, spread = _log_power_rows(params["chain_sum_R"], lambda R: chain_sum(chains, R),
+                                         2, d, "chain sum log-power spread")
 
     if config.csv_out:
         if phi_ball is None:
@@ -595,11 +586,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=_within(int, 0), default=0)
     sub.add_argument("--kernel-cache", help="kernel table JSON cache path")
     sub.add_argument("--kernel-d", type=int, choices=SUPPORTED_DIMENSIONS, default=2)
-    sub.add_argument("--kernel-grid-step", type=_within(_finite, 0.0, 1.0 / 64, open_low=True),
-                     default=1.0 / 256)
-    sub.add_argument("--kernel-x-max", type=_within(_finite, 20.0), default=25.0)
-    sub.add_argument("--kernel-t-max", type=_within(_finite, 20.0), default=30.0,
-                     help="at least --kernel-x-max")
 
 
 def build_parser() -> _Parser:
@@ -682,11 +668,7 @@ def build_parser() -> _Parser:
 def _namespace_to_config(args: argparse.Namespace) -> ExperimentConfig:
     """Common flags fill the config's fields; every other flag that is set is a param."""
     ns = vars(args).copy()
-    kernel_params = {key: ns.pop(f"kernel_{key}")
-                     for key in ("d", "grid_step", "x_max", "t_max")}
-    if kernel_params["t_max"] < kernel_params["x_max"]:
-        raise ConfigError(f"--kernel-t-max {kernel_params['t_max']:g} is below "
-                          f"--kernel-x-max {kernel_params['x_max']:g}")
+    kernel_params = {"d": ns.pop("kernel_d")}
     fields = {key: ns.pop(key) for key in ("seed", "out", "csv_out", "kernel_cache")}
     kind = ns.pop("command")
     return ExperimentConfig(kind=kind, kernel_params=kernel_params, **fields,

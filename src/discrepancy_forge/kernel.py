@@ -27,12 +27,14 @@ Only the d = 2 build imports scipy, for the Bessel functions j0 and j1;
 d = 1 and d = 3 builds and loading any table import none of it. The tail
 beyond the table is replaced by a fitted power envelope that can only
 over-estimate I, which is the safe direction for every majorization it feeds.
-A build varies only in the four kernel parameters the CLI carries (d and the
-grid step of the bump, x_max and t_max); its grid steps, panel counts, tail
-safety factor and positivity tolerance are the constants BUILD_PARAMETERS
-and QUADRATURE_TOLERANCE, which every table's provenance records.
-The cache file's `version` is bumped whenever a change moves table numbers or
-adds a field, so tables written by older code are rebuilt, not reused.
+A build varies only in the dimension d, as the construction does; its table
+extents, grid steps, panel counts, tail safety factor and positivity
+tolerance are the constants BUILD_PARAMETERS and QUADRATURE_TOLERANCE, which
+every table's provenance records.
+The cache file's `version` is bumped whenever a change moves table numbers,
+adds a field or fixes a value that older files may hold otherwise (version 4:
+the extents x_max and t_max), so tables written by older code are rebuilt,
+not reused.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 
 # scipy.special is imported inside the d = 2 branches that call j0 and j1: it
 # is most of the package's import time, and no other path needs it
-from .errors import QuadratureError, require_memory
+from .errors import QuadratureError
 from .frequencies import TWO_PI
 from .quadrature import PANEL_ORDER, panel_nodes
 
@@ -75,18 +77,13 @@ class BumpProfile:
     """Normalized smooth radial profile with compact support in |xi| < 1/2."""
 
     dimension: int
-    support_radius: float
-    grid: np.ndarray          # radii in [0, 1/2]
-    samples: np.ndarray       # m(r) on grid
-    grid_step: float
     normalization: float      # c_d with m = c_d * bump_raw
-    normalization_error: float
 
     def __call__(self, r):
         return self.normalization * bump_raw(r)
 
 
-def build_bump(d: int, grid_step: float = 1.0 / 256) -> BumpProfile:
+def build_bump(d: int) -> BumpProfile:
     """Build the normalized bump profile for dimension d.
 
     The constant c_d is fixed by the d-dimensional radial quadrature of the
@@ -95,8 +92,6 @@ def build_bump(d: int, grid_step: float = 1.0 / 256) -> BumpProfile:
     """
     if d not in SUPPORTED_DIMENSIONS:
         raise ValueError(f"unsupported dimension {d}; supported: {SUPPORTED_DIMENSIONS}")
-    if not (0 < grid_step <= 1.0 / 64):
-        raise ValueError(f"grid_step must be in (0, 1/64], got {grid_step}")
 
     coarse, square_mass = (float(np.dot(w, bump_raw(r) ** 2 * r ** (d - 1)))
                            for r, w in (panel_nodes(0.0, SUPPORT_RADIUS, p) for p in (4, 8)))
@@ -104,18 +99,7 @@ def build_bump(d: int, grid_step: float = 1.0 / 256) -> BumpProfile:
     if err > 1e-12 * square_mass:
         raise QuadratureError(f"bump normalization quadrature unstable: change {err:.3e}")
     square_mass *= SPHERE_SURFACE[d]
-    c = 1.0 / np.sqrt(square_mass)
-    grid = np.arange(0.0, SUPPORT_RADIUS + 0.5 * grid_step, grid_step)
-    grid = np.minimum(grid, SUPPORT_RADIUS)
-    return BumpProfile(
-        dimension=d,
-        support_radius=SUPPORT_RADIUS,
-        grid=grid,
-        samples=c * bump_raw(grid),
-        grid_step=grid_step,
-        normalization=float(c),
-        normalization_error=float(err * c),
-    )
+    return BumpProfile(dimension=d, normalization=float(1.0 / np.sqrt(square_mass)))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +359,7 @@ class KernelTable:
     def to_dict(self) -> dict:
         return {
             "format": "discrepancy-forge-kernel",
-            "version": 3,
+            "version": 4,
             "dimension": self.dimension,
             "khat_grid": self.khat_grid.tolist(),
             "khat": self.khat.tolist(),
@@ -398,7 +382,7 @@ class KernelTable:
     def from_dict(cls, data: dict) -> "KernelTable":
         if not isinstance(data, dict) or data.get("format") != "discrepancy-forge-kernel":
             raise ValueError("not a kernel table document")
-        if data.get("version") != 3:
+        if data.get("version") != 4:
             raise ValueError(f"unsupported kernel table version {data.get('version')}")
         # a missing or short khat_slopes fails the evaluator's knot check (ValueError)
         return cls(
@@ -481,6 +465,8 @@ class _MasterRepresentation:
 
 # fixed build parameters, recorded in every table's provenance
 BUILD_PARAMETERS = {
+    "x_max": 25.0,                 # K is tabulated on [0, x_max], a power envelope beyond
+    "t_max": 30.0,                 # I is tabulated on [0, t_max], the envelope beyond
     "kvals_step": 0.005,           # K grid step on [0, x_max]
     "tail_step": 0.01,             # I grid step on [0, t_max]
     "khat_grid_n": 1025,           # khat knots on [0, 1]
@@ -492,34 +478,16 @@ BUILD_PARAMETERS = {
 QUADRATURE_TOLERANCE = 1e-6
 
 
-def _check_build_memory(x_max: float, t_max: float) -> None:
-    """Raise ConfigError if the K grid, the I grid and the radial-mass matrix
-    (master nodes x grid points up to x_max) would not fit in physical memory."""
-    p = BUILD_PARAMETERS
-    grid_points = x_max / p["kvals_step"] + t_max / p["tail_step"] + 2
-    mass_entries = p["master_panels"] * PANEL_ORDER * (x_max / p["tail_step"] + 1)
-    # a grid point is held as a few arrays, a list and JSON text; the mass
-    # matrix as up to six node-by-point arrays at once
-    require_memory(64 * grid_points + 48 * mass_entries,
-                   f"the kernel table for x_max = {x_max:g}, t_max = {t_max:g}")
-
-
-def build_kernel_table(bump: BumpProfile, x_max: float = 25.0,
-                       t_max: float = 30.0) -> KernelTable:
+def build_kernel_table(bump: BumpProfile) -> KernelTable:
     """Build the kernel table for the bump's dimension.
 
-    Raises ConfigError before any work if the tables would not fit in
-    physical memory, and QuadratureError if the tabulated K dips below
+    Raises QuadratureError if the tabulated K dips below
     -QUADRATURE_TOLERANCE (K is provably positive) or if the tail ratio
     I(t+1) >= exp(-2 pi) I(t) fails beyond 1e-9 slack anywhere on the table.
     """
-    if x_max < 20:
-        raise ValueError(f"x_max must be >= 20, got {x_max}")
-    if t_max < x_max:
-        raise ValueError(f"t_max must be >= x_max, got {t_max} < {x_max}")
-    _check_build_memory(x_max, t_max)
     d = bump.dimension
     p = BUILD_PARAMETERS
+    x_max, t_max = p["x_max"], p["t_max"]
     kvals_step, tail_step, tail_safety = p["kvals_step"], p["tail_step"], p["tail_safety"]
 
     decay = (d + 1) / 2.0
@@ -570,9 +538,7 @@ def build_kernel_table(bump: BumpProfile, x_max: float = 25.0,
     provenance = {
         "builder": "discrepancy-forge",
         "dimension": d,
-        "bump": {"profile": "exp(-1/(1/4-r^2))", "grid_step": bump.grid_step,
-                 "normalization": bump.normalization},
-        "x_max": x_max, "t_max": t_max,
+        "bump": {"profile": "exp(-1/(1/4-r^2))", "normalization": bump.normalization},
         **BUILD_PARAMETERS,
     }
 
@@ -581,7 +547,7 @@ def build_kernel_table(bump: BumpProfile, x_max: float = 25.0,
         khat_grid=khat_grid, khat=khat_tab, khat_slopes=khat_slopes,
         kvals_grid=kvals_grid, kvals=kvals,
         tail_grid=tail_grid, tail=tail,
-        gamma=gamma, x_max=float(x_max), t_max=float(t_max),
+        gamma=gamma, x_max=x_max, t_max=t_max,
         quadrature_tolerance=QUADRATURE_TOLERANCE,
         ball_mass=float(ball_mass),
         tail_envelope_coeff=envelope_c,

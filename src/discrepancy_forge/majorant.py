@@ -22,10 +22,14 @@ from .geometry import TorusSet
 from .hfourier import HCoefficientTable, h_coefficient_table, h_function_grid
 from .kernel import KernelTable
 
-# bytes per grid point a sandwich run holds at once: a polygon's distance grid
-# beside the last R's grids while the next R's are built, or one R's grids and
-# the value lists of `sandwich_csv`
-SANDWICH_BYTES_PER_POINT = 272
+# bytes per grid point a sandwich run holds at once. By tracemalloc at grid_n
+# 1024, building one R's grids peaks at 88 for a ball and 130 for a
+# quadrilateral (a polygon's distance grid is the larger); the grids then hold
+# 48, the report's temporaries add 32 and `sandwich_csv` one block of
+# _CSV_BLOCK_POINTS value lists. Each R's grids go before the next R's are built.
+SANDWICH_BYTES_PER_POINT = 144
+# grid points per block of `sandwich_csv`'s value lists (about 200 bytes each)
+_CSV_BLOCK_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -158,13 +162,22 @@ def sandwich_report(pair: MajorantPair, grids: tuple) -> SandwichReport:
 
 
 def sandwich_csv(grids: tuple, path) -> None:
-    """Per-grid-point dump of the grids of `sandwich_grids`: x1, x2, chi, A, B, psi bound."""
+    """Per-grid-point dump of the grids of `sandwich_grids`: x1, x2, chi, A, B, psi bound.
+
+    The value lists are formatted one block of grid rows at a time, so the
+    text never holds more than _CSV_BLOCK_POINTS grid points.
+    """
     A, B, chi, bound = grids
     grid_n = len(chi)
     axis = np.arange(grid_n) / grid_n
-    columns = (np.repeat(axis, grid_n), np.tile(axis, grid_n), chi, A, B, bound)
-    # the bytes of csv.writer's excel dialect: no value needs quoting, rows end in CRLF
-    rows = zip(*(map(repr, np.ravel(c).tolist()) for c in columns))
+    block = max(1, _CSV_BLOCK_POINTS // grid_n)
     with open(path, "w", newline="") as fh:
         fh.write("x1,x2,chi,A,B,psi_bound\r\n")
-        fh.writelines(",".join(row) + "\r\n" for row in rows)
+        for i in range(0, grid_n, block):
+            rows = slice(i, i + block)
+            x1 = axis[rows]
+            columns = (np.repeat(x1, grid_n), np.tile(axis, len(x1)),
+                       chi[rows], A[rows], B[rows], bound[rows])
+            # the bytes of csv.writer's excel dialect: no value needs quoting, rows end in CRLF
+            values = zip(*(map(repr, np.ravel(c).tolist()) for c in columns))
+            fh.writelines(",".join(row) + "\r\n" for row in values)

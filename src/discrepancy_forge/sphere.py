@@ -212,13 +212,21 @@ def euler_zyz(matrix: np.ndarray) -> tuple[float, float, float]:
     return alpha, float(np.arccos(c_beta)), gamma
 
 
+def _wigner_d(ell: int, angles: np.ndarray) -> np.ndarray:
+    """Degree-ell representation matrices D^l, one per row (alpha, beta, gamma)
+    of zyz Euler angles: D^l = diag(e^{-i m alpha}) d^l(beta) diag(e^{-i m gamma})."""
+    levels, U = _wigner_eig(ell)
+    m = np.arange(-ell, ell + 1, dtype=float)
+    E = np.exp(-1j * np.outer(angles[:, 1], levels))          # (W, 2l+1)
+    d_all = (E[:, None, :] * U[None, :, :]) @ U.conj().T      # batched U e U*
+    ph_a = np.exp(-1j * np.outer(angles[:, 0], m))
+    ph_g = np.exp(-1j * np.outer(angles[:, 2], m))
+    return ph_a[:, :, None] * d_all * ph_g[:, None, :]
+
+
 def wigner_d_matrix(ell: int, matrix: np.ndarray) -> np.ndarray:
     """Degree-ell representation matrix of a single rotation."""
-    alpha, beta, gamma = euler_zyz(matrix)
-    levels, U = _wigner_eig(ell)
-    d_beta = (U * np.exp(-1j * beta * levels)) @ U.conj().T
-    m = np.arange(-ell, ell + 1)
-    return np.exp(-1j * m * alpha)[:, None] * d_beta * np.exp(-1j * m * gamma)[None, :]
+    return _wigner_d(ell, np.array([euler_zyz(matrix)]))[0]
 
 
 @dataclass(frozen=True)
@@ -237,16 +245,7 @@ def hecke_block(words, ell: int) -> HarmonicBlock:
     """
     if ell > MAX_DEGREE:
         raise ValueError(f"degree capped at {MAX_DEGREE}")
-    mats = np.stack([w.matrix for w in words])
-    angles = np.array([euler_zyz(m) for m in mats])
-    levels, U = _wigner_eig(ell)
-    m = np.arange(-ell, ell + 1, dtype=float)
-
-    E = np.exp(-1j * np.outer(angles[:, 1], levels))          # (W, 2l+1)
-    d_all = (E[:, None, :] * U[None, :, :]) @ U.conj().T      # batched U e U*
-    ph_a = np.exp(-1j * np.outer(angles[:, 0], m))
-    ph_g = np.exp(-1j * np.outer(angles[:, 2], m))
-    D = ph_a[:, :, None] * d_all * ph_g[:, None, :]
+    D = _wigner_d(ell, np.array([euler_zyz(w.matrix) for w in words]))
 
     rng = np.random.default_rng(0)
     sample = rng.choice(len(words), size=min(8, len(words)), replace=False)

@@ -5,7 +5,7 @@ from discrepancy_forge.kernel import build_bump, build_kernel_table
 
 @pytest.fixture(scope="session")
 def bump2():
-    return build_bump(2, 1.0 / 256)
+    return build_bump(2)
 
 
 @pytest.fixture(scope="session")
@@ -15,9 +15,9 @@ def kernel2(bump2):
 
 @pytest.fixture(scope="session")
 def kernel_tables(kernel2):
-    """Default kernel tables by dimension; d = 1 and 3 on the 1/128 bump grid."""
-    return {1: build_kernel_table(build_bump(1, 1.0 / 128)), 2: kernel2,
-            3: build_kernel_table(build_bump(3, 1.0 / 128))}
+    """The kernel tables by dimension."""
+    return {1: build_kernel_table(build_bump(1)), 2: kernel2,
+            3: build_kernel_table(build_bump(3))}
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -63,7 +63,7 @@ def _report(cid: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_kernel_claims():
     t0 = time.time()
-    bump = build_bump(2, 1.0 / 256)
+    bump = build_bump(2)
     table = build_kernel_table(bump)
     elapsed = _stamp("c1", t0)
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discrepancy_forge import cli, erdos_turan, kernel, majorant
+from discrepancy_forge import cli, erdos_turan, majorant
 from discrepancy_forge.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -24,6 +25,7 @@ from discrepancy_forge.cli import (
     main,
 )
 from discrepancy_forge.erdos_turan import optimal_R
+from discrepancy_forge.errors import require_memory
 from discrepancy_forge.geometry import set_from_json
 from discrepancy_forge.glp import check_search
 from discrepancy_forge.hfourier import h_coefficient_table
@@ -32,6 +34,8 @@ from discrepancy_forge.pointsets import is_prime, pointset_from_descriptor
 
 BALL = '{"variant":"ball","center":[0.5,0.5],"radius":0.25}'
 LATTICE256 = '{"kind":"lattice","m":256,"d":2}'
+_QUAD = ('{"variant":"polytope","epsilon":0.3,'
+         '"vertices":[[0.3,0.25],[0.75,0.35],[0.7,0.7],[0.25,0.6]]}')
 
 
 def run_cli(args):
@@ -105,6 +109,32 @@ def test_sandwich_csv_per_degree(tmp_path, monkeypatch):
     r8, r85 = tmp_path / "s_R8.csv", tmp_path / "s_R8.5.csv"
     assert r8.exists() and r85.exists()
     assert r8.read_bytes() != r85.read_bytes()
+
+
+@pytest.mark.parametrize("set_", [BALL, _QUAD], ids=["ball", "quad"])
+def test_sandwich_memory_stays_within_its_estimate(set_, tmp_path, kernel2, monkeypatch):
+    # two degrees on the default 512 grid; only the grids' share grows with grid_n
+    import scipy.special  # noqa: F401  (the ball's j1; an import is not the run's memory)
+    cache = tmp_path / "kernel.json"
+    save_kernel(kernel2, cache)
+    estimates = []
+
+    def recording(estimate, what):
+        estimates.append(estimate)
+        return require_memory(estimate, what)
+
+    monkeypatch.setattr(cli, "require_memory", recording)
+    argv = ["sandwich", "--set", set_, "--R", "8,16", "--oversample", "1",
+            "--kernel-cache", str(cache), "--out", str(tmp_path / "r.json"),
+            "--csv-out", str(tmp_path / "grid.csv")]
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 1
+    assert peak <= estimates[0]
 
 
 def test_exit_code_on_invariant_violation(tmp_path):
@@ -196,20 +226,25 @@ def test_kernel_cache_survives_torn_file(tmp_path):
 
 def test_kernel_cache_from_older_version_is_rebuilt(tmp_path):
     fresh_cache = tmp_path / "fresh.json"
-    old_cache = tmp_path / "old.json"
     fresh_out = tmp_path / "fresh-report.json"
-    old_out = tmp_path / "old-report.json"
     assert run_cli(["kernel-build", "--kernel-cache", str(fresh_cache),
                     "--out", str(fresh_out)]) == EXIT_OK
     doc = json.loads(fresh_cache.read_text())
-    assert doc["version"] == 3
-    doc["version"] = 2
-    old_cache.write_text(json.dumps(doc, sort_keys=True) + "\n")
-    # a table written by older code is a miss: rebuilt and overwritten
-    assert run_cli(["kernel-build", "--kernel-cache", str(old_cache),
-                    "--out", str(old_out)]) == EXIT_OK
-    assert json.loads(old_cache.read_text())["version"] == 3
-    assert old_out.read_bytes() == fresh_out.read_bytes()
+    assert doc["version"] == 4
+    # version 3 set the extents and the bump grid per build: here x_max = 20
+    v3 = json.loads(fresh_cache.read_text())
+    v3["version"] = 3
+    v3["x_max"] = v3["provenance"]["x_max"] = 20.0
+    v3["provenance"]["bump"]["grid_step"] = 1.0 / 256
+    for old in (dict(doc, version=2), v3):
+        old_cache = tmp_path / f"v{old['version']}.json"
+        old_out = tmp_path / f"v{old['version']}-report.json"
+        old_cache.write_text(json.dumps(old, sort_keys=True) + "\n")
+        # a table written by older code is a miss: rebuilt and overwritten
+        assert run_cli(["kernel-build", "--kernel-cache", str(old_cache),
+                        "--out", str(old_out)]) == EXIT_OK
+        assert old_cache.read_bytes() == fresh_cache.read_bytes()
+        assert old_out.read_bytes() == fresh_out.read_bytes()
 
 
 def test_kernel_cache_with_truncated_khat_slopes_is_rebuilt(tmp_path):
@@ -304,6 +339,10 @@ def _no_expensive_work(*args, **kwargs):
     ["bound", "--set", BALL, "--points", LATTICE256, "--R", "nan"],
     ["lattice-scaling", "--set", BALL, "--m", "256,1024", "--alpha", "nan"],
     ["kernel-build", "--kernel-x-max", "inf"],
+    ["kernel-build", "--kernel-grid-step", "0.005"],
+    ["kernel-build", "--kernel-x-max", "20"],
+    ["kernel-build", "--kernel-t-max", "1e9"],
+    ["kernel-build", "--kernel-x-max", "1e7", "--kernel-t-max", "1e7"],
     ["sphere-orbit", "--k", "1", "--delta=-inf"],
     ["sphere-orbit", "--k", "2", "--L", "5", "--delta", "2"],
     ["sphere-orbit", "--k", "2", "--delta", "2"],
@@ -329,7 +368,8 @@ def _no_expensive_work(*args, **kwargs):
         "family-X-dimension", "k-zero", "k-zero-with-L", "x-dimension", "g-length",
         "n-samples-zero", "chain-sum-R-zero", "L-above-cap", "oversample-zero",
         "grid-n-below-4R", "R-below-4", "max-budget-nan", "bound-R-inf", "bound-R-nan",
-        "alpha-nan", "kernel-x-max-inf", "delta-minus-inf", "delta-above-one-with-L",
+        "alpha-nan", "kernel-x-max-inf", "kernel-grid-step", "kernel-x-max-20",
+        "kernel-t-max-1e9", "kernel-x-max-1e7", "delta-minus-inf", "delta-above-one-with-L",
         "delta-above-one", "bound-R-2", "family-m-not-prime", "lattice-R-overflow",
         "lattice-m-not-square", "kronecker-R-infinite", "set-not-object", "kernel-d-not-2",
         "seed-negative", "random-ball-beyond-memory", "korobov-ball-beyond-memory",
@@ -341,18 +381,6 @@ def test_malformed_input_exits_3_before_any_work(argv, monkeypatch):
         monkeypatch.setattr(cli, name, _no_expensive_work)
     monkeypatch.setattr(cli.PhiBall, "build", staticmethod(_no_expensive_work))
     assert run_cli(argv) == EXIT_CONFIG
-
-
-@pytest.mark.parametrize("sizes", [["--kernel-t-max", "1e9"],
-                                   ["--kernel-x-max", "1e7", "--kernel-t-max", "1e7"]],
-                         ids=["t-max-1e9", "x-max-1e7"])
-def test_kernel_build_beyond_memory_exits_3_before_the_autocorrelation(sizes, tmp_path,
-                                                                       monkeypatch):
-    # the grids alone would take terabytes: refused from the estimate, never requested
-    monkeypatch.setattr(kernel, "autocorrelation_values", _no_expensive_work)
-    argv = ["kernel-build", *sizes, "--kernel-cache", str(tmp_path / "k.json")]
-    assert run_cli(argv) == EXIT_CONFIG
-    assert not (tmp_path / "k.json").exists()
 
 
 def test_polytope_family_builds_one_phi_ball(tmp_path, monkeypatch):
@@ -416,10 +444,6 @@ def test_cold_kernel_builds_import_scipy_only_for_bessel_functions(tmp_path):
     assert not any(m.startswith("scipy.interpolate") for m in after_d2)
 
 
-_QUAD = ('{"variant":"polytope","epsilon":0.3,'
-         '"vertices":[[0.3,0.25],[0.75,0.35],[0.7,0.7],[0.25,0.6]]}')
-
-
 def test_warm_kernel_runs_import_scipy_only_for_bessel_functions(tmp_path, kernel2):
     # loading a table evaluates it with numpy alone; balls still need scipy.special's j1
     cache = tmp_path / "kernel.json"
@@ -453,72 +477,72 @@ def test_warm_kernel_runs_import_scipy_only_for_bessel_functions(tmp_path, kerne
 
 
 _SET_FLAGS = ["--set", BALL]
-_ALL_COMMON = ["--seed", "7", "--kernel-d", "3", "--kernel-grid-step", "0.005",
-               "--kernel-x-max", "20", "--kernel-t-max", "24", "--kernel-cache", "k.json",
+_ALL_COMMON = ["--seed", "7", "--kernel-d", "3", "--kernel-cache", "k.json",
                "--out", "r.json", "--csv-out", "c.csv"]
-_DEFAULT_KERNEL = {"d": 2, "grid_step": 0.00390625, "t_max": 30.0, "x_max": 25.0}
-_ALL_KERNEL = {"d": 3, "grid_step": 0.005, "t_max": 24.0, "x_max": 20.0}
+_DEFAULT_KERNEL = {"d": 2}
+_ALL_KERNEL = {"d": 3}
 _SQUARE_X = "[[1,0],[0,1],[1,1]]"
 
 # (argv, params, config_hash) with no optional flag and with every optional flag;
-# the hashes are those of the earlier per-subcommand translation of the flags
+# the params are those of the earlier per-subcommand translation of the flags, and
+# the hashes those of kernel_params = {"d": d}
 CONFIG_CONTRACT = [
     (["kernel-build"], {},
-     "edd1c57dccf63013e62919930295524d65d1a598ec75d537b65ef6c29926698f"),
+     "e5494a7e4f1eda46b4f604e3d393a46d0d454017af21ed78d5ca549cd0a49f8f"),
     (["kernel-build", *_ALL_COMMON], {},
-     "83881fe2dbde90bfee02f4d898fa867f94363758a97f8c8f99bab0645676d7ff"),
+     "86846a0278dd064378586e4b72271bec93262524ff93d49c5b029d69b4dde0da"),
     (["sandwich", *_SET_FLAGS, "--R", "8,16"],
      {"R": [8.0, 16.0], "grid_n": 512, "oversample": 8, "set": BALL},
-     "8352eab049de861503f5abe4359f71b8b372bb42558d7e5171560bb1eb996ddf"),
+     "dd29310b8a5cad91f1e5a3c316fbfc20880b44d3e3eb01160fd73df7aaa2b919"),
     (["sandwich", *_SET_FLAGS, "--R", "8,16", "--grid-n", "64", "--oversample", "4",
       "--max-budget", "0.01", *_ALL_COMMON],
      {"R": [8.0, 16.0], "grid_n": 64, "max_budget": 0.01, "oversample": 4, "set": BALL},
-     "ebc1231e167c8da95dd43ce1aa778d25b05571a6a684a4a06c05d8c8c0353b04"),
+     "95009104afe472d91007ec0b1ee1e5eb3f79aee61c72d109df9a342f2c8a3710"),
     (["bound", *_SET_FLAGS, "--points", LATTICE256, "--R", "16"],
      {"R": 16.0, "alpha": 1.0, "beta": 1.0, "eps": 0.1, "points": LATTICE256, "set": BALL},
-     "a88bdda5ad57f72677b252159eb783d30b2b162143e730b9da92570027664ec0"),
+     "75e043a97d1088717babb73bbc58ff5518a7304399d5b9e3c61fa6d8e990047f"),
     (["bound", *_SET_FLAGS, "--points", LATTICE256, "--R", "auto:search", "--alpha", "0.5",
       "--beta", "1.5", "--eps", "0.2", *_ALL_COMMON],
      {"R": "auto:search", "alpha": 0.5, "beta": 1.5, "eps": 0.2, "points": LATTICE256,
       "set": BALL},
-     "20ea6830d756eb497bd0dd96218f645288e14829fa105c54d3256c0104ac630c"),
+     "bfff60a4efeed8769664c75f3e479b8132b1288765536e90113352d4753f00af"),
     (["lattice-scaling", *_SET_FLAGS, "--m", "256,1024"],
      {"alpha": 1.0, "beta": 1.0, "m": [256, 1024], "set": BALL},
-     "47842a5a43c5c22ed80623e2aaad8a52401644826504897b8e8c26cc0ad11f6b"),
+     "9bba241dff96b866a62a434981d6069d61ea104bb9ebd777cfceae7fede8d6cf"),
     (["lattice-scaling", *_SET_FLAGS, "--m", "256,1024", "--alpha", "0.5", "--beta", "1.5",
       *_ALL_COMMON],
      {"alpha": 0.5, "beta": 1.5, "m": [256, 1024], "set": BALL},
-     "2dc02082341e963737c216769894e36602c928f8221ffe76abdfe24ab8974ae0"),
+     "d2d43a42787721b221e9d90ace5708a6b02469e6ee919812f56e7f23eabb1d7e"),
     (["kronecker-scaling", *_SET_FLAGS, "--m", "65536,262144"],
      {"eps": 0.1, "m": [65536, 262144], "schmidt_R": [64, 128, 256, 512], "set": BALL},
-     "3e10899b3bf06119251321256e98fb9a30dd6e896d8d46798c551f480b92891b"),
+     "201a027d2d31d76d3cc5b5d72c0f8016206b29f0aae3e1e726b7ce2ba75c7c25"),
     (["kronecker-scaling", *_SET_FLAGS, "--m", "65536,262144", "--x", "0.25,0.5",
       "--eps", "0.2", "--schmidt-R", "32,64", *_ALL_COMMON],
      {"eps": 0.2, "m": [65536, 262144], "schmidt_R": [32, 64], "set": BALL,
       "x": [0.25, 0.5]},
-     "178775b57fb739cb33a7765538102b36cb59579b1a743dd4a54d1d7e67b16f53"),
+     "980ae58d9273bf01080c72c2e604f87c2d2b9454d8822cefc7fb4deeba3ffc87"),
     (["glp-search", "--m", "101"],
      {"X": "coordinate", "d": 2, "m": 101, "n_samples": 128, "strategy": "exhaustive"},
-     "5ef8d7b4a5db149ea4767413b461f9869921662095251518b04bdb64368ef1e0"),
+     "60dfecb1e49243da1bf9c918874da57af6d7775665adf6a0ed416cec740cad7a"),
     (["glp-search", "--m", "101", "--d", "2", "--X", _SQUARE_X, "--strategy", "random",
       "--n-samples", "16", *_ALL_COMMON],
      {"X": _SQUARE_X, "d": 2, "m": 101, "n_samples": 16, "strategy": "random"},
-     "1fe3bef428cfdb66c510241111ad8175bfd3ffa492cc3962306004a2fb52eb06"),
+     "e8f58dd28f90b71d49c9edae4a7f423090fcc3db55913fac9a895bbce848374f"),
     (["polytope-family", "--m", "101"],
      {"X": "coordinate", "chain_sum_R": [16, 64, 256, 1024, 4096], "d": 2, "m": 101},
-     "2bf2c7a591f07bc45a8092c786ab2fba0d2d2bd2ff75254ff2d02211178d84ef"),
+     "c713d3eda3e8431f1d569031e24803a68d230a87d8647f9f660224e2c462114d"),
     (["polytope-family", "--m", "101", "--d", "2", "--X", _SQUARE_X, "--g", "1,44",
       "--chain-sum-R", "16,64", *_ALL_COMMON],
      {"X": _SQUARE_X, "chain_sum_R": [16, 64], "d": 2, "g": [1, 44], "m": 101},
-     "d73d3ef635ce0e27e8950a4c9abbb2ab6482a034a46457d94c4e645c119bf743"),
+     "77d5376ca9db4ef3bde8cb17f8b15228c4a5c9b30a84da8ca0701fe6b3423cfe"),
     (["sphere-orbit", "--k", "1"],
      {"base": [0.0, 0.0, 1.0], "delta": 1.0, "k": 1},
-     "b7d2cc56ba7c7eb22af0a368546bedc63f6601b89a0bdc1899cba1605243239c"),
+     "a260ee36c2d3502af02cb27d56f8da5124f7660350cabf4c4fee800ba374ae48"),
     (["sphere-orbit", "--k", "1", "--base", "0,1,1", "--cap", "0,0,1,0.5",
       "--cap", "1,0,0,1.0", "--L", "3", "--delta", "0.5", *_ALL_COMMON],
      {"L": 3, "base": [0.0, 1.0, 1.0], "caps": ["0,0,1,0.5", "1,0,0,1.0"], "delta": 0.5,
       "k": 1},
-     "daccdbeecef3a0fa2ad6ea768c01960b1a89cd81a8e4bbc2d93a1d97edb15303"),
+     "d388bcf794a1737c6d3f1ed962581a705c874f6dd8441e9ef9eada01e041b325"),
 ]
 
 
@@ -553,9 +577,6 @@ _BALL3 = '{"variant":"ball","center":[0.5,0.5,0.5],"radius":0.25}'
 _FLAG_VALUES = {
     "--seed": (["0", "7"], ["-1", "x"]),
     "--kernel-d": (["2"], ["1", "3", "0", "4"]),
-    "--kernel-grid-step": (["0.00390625", "0.005"], ["0", "-0.01", "0.5", "nan"]),
-    "--kernel-x-max": (["25", "20"], ["19", "inf"]),
-    "--kernel-t-max": (["30", "25"], ["20", "nan"]),
     "--set": ([BALL, _QUAD, _BOX], [_BALL3, '{"variant":"ball"}', "[]", "{", "no/such/file",
                                     '{"variant":"ball","center":[0.5,0.5],"radius":null}']),
     "--points": ([LATTICE256, '{"kind":"korobov","g":[1,33],"m":101}',
@@ -628,8 +649,7 @@ def _in_domain(config) -> bool:
     try:
         assert config.seed >= 0
         if kind in ("kernel-build", "sandwich", "bound", "lattice-scaling", "kronecker-scaling"):
-            assert kp["d"] in (1, 2, 3) and 0 < kp["grid_step"] <= 1 / 64
-            assert 20 <= kp["x_max"] <= kp["t_max"] < np.inf
+            assert kp["d"] in (1, 2, 3)
             if kind != "kernel-build":
                 assert kp["d"] == 2 and set_from_json(json.loads(p["set"])).dimension == 2
         if kind == "sandwich":

@@ -1,5 +1,7 @@
 """Sandwich polynomials: degree, means, pointwise inequalities, proof chain."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from oracles import (
     within_budget,
 )
 
+from discrepancy_forge import majorant
 from discrepancy_forge.frequencies import integer_ball
 from discrepancy_forge.geometry import Ball, ConvexPolytope
 from discrepancy_forge.kernel import psi
@@ -92,6 +95,29 @@ def test_sandwich_csv_equals_per_row_writer(tmp_path, kernel2, set_):
     sandwich_csv(grids, tmp_path / "columns.csv")
     sandwich_csv_per_row(grids, tmp_path / "rows.csv")
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_sandwich_csv_blocks_equal_per_row_writer(tmp_path, kernel2, monkeypatch):
+    # blocks of 5 grid rows: 12 full blocks and a last one of 4 rows
+    monkeypatch.setattr(majorant, "_CSV_BLOCK_POINTS", 5 * 64 + 7)
+    pair = majorant_pair(BALL, kernel2, 8.0, oversample=1)
+    grids = sandwich_grids(pair, BALL, kernel2, 64)
+    sandwich_csv(grids, tmp_path / "blocks.csv")
+    sandwich_csv_per_row(grids, tmp_path / "rows.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_sandwich_csv_memory_is_block_bounded(tmp_path, kernel2):
+    # 512 x 512 grid points; the values of all of them as text would take 54 MB
+    pair = majorant_pair(BALL, kernel2, 8.0, oversample=1)
+    grids = sandwich_grids(pair, BALL, kernel2, 512)
+    tracemalloc.start()
+    try:
+        sandwich_csv(grids, tmp_path / "grid.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2 ** 20
 
 
 def test_far_field_width(kernel2):
