@@ -15,8 +15,19 @@ of 1 and the polytope's own face chains, is a test oracle.)
 
 `phi` computes each distinct subspace's factor once per call and multiplies
 the chain products in chain order, so its values equal the chain-by-chain
-evaluation bitwise. Phi(-xi) = Phi(xi) bitwise, so `chain_sum` evaluates the
-lexicographically positive half of the closed ball and doubles it.
+evaluation bitwise.
+
+An orthogonal map that permutes the normal lines maps admissible subspaces,
+and so chains, onto themselves, so Phi is invariant under it. `chain_sum`
+folds the ball by such a group (`frequencies.fundamental_domain_chunked`):
+
+- in d = 2, when all 8 signed permutations keep the normal lines (the
+  coordinate system; e1, e2 with both diagonals), it sums the wedge
+  0 <= k2 <= k1 with orbit weights 8 inside and 4 on the axis and the
+  diagonal. Phi is invariant there up to rounding, so the sum may differ from
+  the whole ball's in the last digits.
+- otherwise it uses Phi(-xi) = Phi(xi), which holds bitwise: the
+  lexicographically positive half of the ball, doubled.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frequencies import TWO_PI, positive_half_chunked
+from .frequencies import TWO_PI, fundamental_domain_chunked
 
 
 def _nullspace(mat: np.ndarray, d: int) -> np.ndarray:
@@ -53,10 +64,16 @@ class ChainSystem:
     @classmethod
     def from_normals(cls, normals) -> "ChainSystem":
         normals = np.atleast_2d(np.asarray(normals, dtype=float))
-        norms = np.sqrt((normals ** 2).sum(1))
-        if np.any(norms == 0):
+        for row in normals:
+            if not np.all(np.isfinite(row)):
+                raise ValueError(f"normal {row.tolist()} has a non-finite entry")
+        largest = np.abs(normals).max(1)
+        if np.any(largest == 0):
             raise ValueError("zero normal vector")
-        normals = normals / norms[:, None]
+        # scaling by the power of two of the largest entry is exact, and its
+        # squared norm can neither overflow nor underflow to 0
+        normals = np.ldexp(normals, -np.frexp(largest)[1][:, None])
+        normals = normals / np.sqrt((normals ** 2).sum(1))[:, None]
         d = normals.shape[1]
         if d < 1:
             raise ValueError("dimension must be >= 1")
@@ -127,13 +144,32 @@ def phi(chains: ChainSystem, xi) -> np.ndarray | float:
     return total
 
 
+def symmetry_order(chains: ChainSystem) -> int:
+    """Order of the group of Z^d symmetries that `chain_sum` folds the ball by.
+
+    8 when d = 2 and every signed permutation maps the normal lines onto
+    themselves (compared by projector); otherwise 2, for {I, -I}, which fixes
+    every Phi.
+    """
+    if chains.dimension != 2:
+        return 2
+    normals = np.asarray(chains.normals)
+    lines = {_projector_key(n[None, :], 2) for n in normals}
+    # a reflection in an axis and the swap generate all 8 signed permutations
+    for generator in (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])):
+        if {_projector_key(n[None, :], 2) for n in normals @ generator.T} != lines:
+            return 2
+    return 8
+
+
 def chain_sum(chains: ChainSystem, radius: float) -> float:
     """Sum of Phi over integer frequencies 1 <= |k| <= radius (chunked).
 
-    Phi(-k) = Phi(k) exactly, so the sum runs over the lexicographically
-    positive half of the ball and is doubled.
+    The sum runs over a fundamental domain of the ball under the chain
+    system's `symmetry_order` group, each row weighted by its orbit size.
     """
     total = 0.0
-    for half in positive_half_chunked(radius, chains.dimension):
-        total += float(np.sum(phi(chains, half.astype(float))))
-    return 2.0 * total
+    for rows, weights in fundamental_domain_chunked(
+            radius, chains.dimension, signed_permutations=symmetry_order(chains) == 8):
+        total += float(np.sum(weights * phi(chains, rows.astype(float))))
+    return total

@@ -41,29 +41,47 @@ def integer_ball_bytes(radius: float, d: int) -> int:
     return 24 * (d + 1) * (2 * int(np.floor(radius)) + 1) ** d
 
 
-def positive_half_chunked(radius: float, d: int):
-    """Yield the lexicographically positive half (first nonzero coordinate > 0)
-    of the punctured closed ball 0 < |k| <= radius, in chunks of lexicographic
-    order.
+def fundamental_domain_chunked(radius: float, d: int, *, signed_permutations: bool = False):
+    """Yield (rows, weights) chunks of a fundamental domain of the punctured
+    closed ball 0 < |k| <= radius under a group G of symmetries of Z^d, with
+    each row's orbit size under G (a scalar when every row shares it).
 
-    k -> -k maps this half onto the rest of the ball, so a sum of an even
-    function over the ball is twice its sum over these rows. A chunk closed
-    under negation and without 0 holds its positive half in its upper half,
-    since its lexicographic order reversed is its order negated.
+    A sum of a G-invariant f over the ball is the sum of weights * f(rows)
+    over the chunks.
+
+    - G = {I, -I} by default: the lexicographically positive half (first
+      nonzero coordinate > 0), weight 2, in lexicographic order. A chunk
+      closed under negation and without 0 holds its positive half in its
+      upper half, since its lexicographic order reversed is its order negated.
+    - With signed_permutations in d = 2 (elsewhere G stays {I, -I}), G is
+      all 8 signed permutation matrices: the wedge 0 <= k2 <= k1, weight 8
+      inside and 4 on the axis k2 = 0 and the diagonal k2 = k1.
+
+    In d = 2 each chunk is one stripe of constant k1 >= 0, so it holds at most
+    2 floor(radius) + 1 rows (floor(radius) + 1 in the wedge).
     """
+    if radius <= 0:
+        raise ValueError("radius must be positive")
     if d != 2:
         ball = integer_ball(radius, d, include_boundary=True)
-        yield ball[len(ball) // 2:]
+        yield ball[len(ball) // 2:], 2.0
         return
-    # stripes of constant first coordinate k1 >= 0; the k1 = 0 stripe keeps its upper half
+    # the k1 = 0 stripe keeps its upper half; in the wedge it holds only 0
     kmax = int(np.floor(radius))
     r2 = float(radius) ** 2
     axis = np.arange(-kmax, kmax + 1, dtype=np.int64)
     for k1 in range(kmax + 1):
-        norm2 = float(k1) ** 2 + axis.astype(float) ** 2
-        k2 = axis[(norm2 <= r2) & (norm2 > 0)]
-        if len(k2):
-            stripe = np.empty((len(k2), 2), dtype=np.int64)
-            stripe[:, 0] = k1
-            stripe[:, 1] = k2
-            yield stripe if k1 > 0 else stripe[len(stripe) // 2:]
+        k2 = axis[kmax:kmax + k1 + 1] if signed_permutations else axis
+        norm2 = float(k1) ** 2 + k2.astype(float) ** 2
+        k2 = k2[(norm2 <= r2) & (norm2 > 0)]
+        if not len(k2):
+            continue
+        stripe = np.empty((len(k2), 2), dtype=np.int64)
+        stripe[:, 0] = k1
+        stripe[:, 1] = k2
+        if signed_permutations:
+            weights = np.full(len(k2), 8.0)
+            weights[(k2 == 0) | (k2 == k1)] = 4.0
+            yield stripe, weights
+        else:
+            yield (stripe if k1 > 0 else stripe[len(stripe) // 2:]), 2.0

@@ -23,11 +23,11 @@ from .hfourier import HCoefficientTable, h_coefficient_table, h_function_grid
 from .kernel import KernelTable
 
 # bytes per grid point a sandwich run holds at once. By tracemalloc at grid_n
-# 1024, building one R's grids peaks at 88 for a ball and 130 for a
+# 1024, building one R's grids peaks at 72 for a ball and 114 for a
 # quadrilateral (a polygon's distance grid is the larger); the grids then hold
-# 48, the report's temporaries add 32 and `sandwich_csv` one block of
+# 32, the report's temporaries add 32 and `sandwich_csv` one block of
 # _CSV_BLOCK_POINTS value lists. Each R's grids go before the next R's are built.
-SANDWICH_BYTES_PER_POINT = 144
+SANDWICH_BYTES_PER_POINT = 128
 # grid points per block of `sandwich_csv`'s value lists (about 200 bytes each)
 _CSV_BLOCK_POINTS = 1 << 14
 
@@ -62,8 +62,8 @@ class TrigPolynomial:
         idx1 = self.freqs[:, 1] % n
         spectrum[idx0, idx1] = self.coeffs
         vals = np.fft.ifft2(spectrum) * (n * n)
-        out = np.real(vals)
-        if np.max(np.abs(np.imag(vals))) > 1e-8 * max(1.0, np.max(np.abs(out))):
+        out = vals.real.copy()  # a view would keep the complex buffer alive
+        if np.max(np.abs(vals.imag)) > 1e-8 * max(1.0, np.max(np.abs(out))):
             raise ValueError("synthesis lost realness: coefficients not Hermitian")
         return out
 

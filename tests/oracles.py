@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from discrepancy_forge.chains import ChainSystem
+from discrepancy_forge.chains import ChainSystem, phi
 from discrepancy_forge.frequencies import integer_ball
 from discrepancy_forge.geometry import Ball, Box, ConvexPolytope, TorusSet
 from discrepancy_forge.glp import PhiBall, _class_of, _residue_class_sums, congruence_sum
@@ -329,6 +329,22 @@ def polytope_ft_bound(polytope: ConvexPolytope, xi) -> np.ndarray | float:
 
 def chain_count(chains: ChainSystem) -> int:
     return len(chains.chain_bases)
+
+
+def half_ball_chain_sum(chains: ChainSystem, radius: float) -> float:
+    """Phi summed over 0 < |k| <= radius as twice its lexicographically positive
+    half: one stripe of constant k1 at a time in d = 2, the whole half otherwise."""
+    ball = integer_ball(radius, chains.dimension, include_boundary=True)
+    half = ball[len(ball) // 2:]
+    if chains.dimension == 2:
+        starts = np.unique(half[:, 0], return_index=True)[1]
+        chunks = np.split(half, starts[1:])
+    else:
+        chunks = [half]
+    total = 0.0
+    for chunk in chunks:
+        total += float(np.sum(phi(chains, chunk.astype(float))))
+    return 2.0 * total
 
 
 def chain_system_from_polytope(polytope) -> ChainSystem:

@@ -4,10 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from oracles import chain_count, chain_system_from_polytope, phi_per_chain, polytope_ft_bound
+from oracles import (
+    chain_count,
+    chain_system_from_polytope,
+    half_ball_chain_sum,
+    phi_per_chain,
+    polytope_ft_bound,
+)
 
-from discrepancy_forge.chains import ChainSystem, chain_sum, phi
-from discrepancy_forge.frequencies import integer_ball, positive_half_chunked
+from discrepancy_forge.chains import ChainSystem, chain_sum, phi, symmetry_order
+from discrepancy_forge.frequencies import fundamental_domain_chunked, integer_ball
 from discrepancy_forge.geometry import ConvexPolytope
 
 TWO_PI = 2 * np.pi
@@ -102,8 +108,9 @@ def test_phi_bitwise_equals_per_chain_oracle(name):
 
 @pytest.mark.parametrize("d, radii", [(2, (16, 64, 256, 1024)), (3, (4, 8, 16, 24))])
 def test_chain_sum_half_ball_matches_full_ball_oracle(d, radii):
-    # chain_sum doubles the lexicographically positive half; the oracle sums the
-    # per-chain Phi over the whole ball |k| <= R, exactly rounded
+    # chain_sum folds the ball (d = 2: the signed-permutation wedge; d = 3: the
+    # positive half); the oracle sums the per-chain Phi over the whole ball
+    # |k| <= R, exactly rounded
     cs = ChainSystem.coordinate(d)
     for R in radii:
         ball = integer_ball(R, d, include_boundary=True).astype(float)
@@ -114,6 +121,89 @@ def test_chain_sum_half_ball_matches_full_ball_oracle(d, radii):
 @pytest.mark.parametrize("d, R", [(1, 9), (2, 13), (3, 5)])
 def test_positive_half_and_its_negation_tile_the_ball(d, R):
     ball = integer_ball(R, d, include_boundary=True)
-    half = np.concatenate(list(positive_half_chunked(R, d)))
+    chunks = list(fundamental_domain_chunked(R, d))
+    assert all(weight == 2.0 for _, weight in chunks)
+    half = np.concatenate([rows for rows, _ in chunks])
     assert np.array_equal(half, ball[len(ball) // 2:])
     assert np.array_equal(-half[::-1], ball[:len(ball) // 2])
+
+
+_SIGNED_PERMUTATIONS = [np.array(perm) * np.array(signs)[:, None]
+                        for perm in ([[1, 0], [0, 1]], [[0, 1], [1, 0]])
+                        for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+
+
+@pytest.mark.parametrize("R", [1, 2, 13, 13.5, 50])
+def test_wedge_orbits_tile_the_ball_with_their_sizes_as_weights(R):
+    ball = integer_ball(R, 2, include_boundary=True)
+    chunks = list(fundamental_domain_chunked(R, 2, signed_permutations=True))
+    assert max(len(rows) for rows, _ in chunks) <= int(R) + 1  # one k1 stripe per chunk
+    images, weights = [], []
+    for rows, weight in chunks:
+        for k, w in zip(rows, weight):
+            orbit = {tuple(g @ k) for g in _SIGNED_PERMUTATIONS}
+            images.extend(orbit)
+            weights.append(w)
+            assert w == len(orbit)
+            assert 0 <= k[1] <= k[0]
+    assert sorted(images) == sorted(map(tuple, ball))
+    assert math.fsum(weights) == len(ball)
+
+
+_DIAGONALS = ChainSystem.from_normals([[1, 0], [0, 1], [1, 1], [1, -1]])
+_FALLBACK = {"coordinate-1": ChainSystem.coordinate(1),
+             "coordinate-3": ChainSystem.coordinate(3),
+             "one-diagonal-2": ChainSystem.from_normals([[1, 0], [0, 1], [1, 1]]),
+             "four-normals-2": _FAMILIES["four-normals-2"]}
+
+
+def test_symmetry_order_is_8_only_when_every_signed_permutation_keeps_the_lines():
+    assert symmetry_order(ChainSystem.coordinate(2)) == 8
+    assert symmetry_order(_DIAGONALS) == 8
+    # normal lines, not normals: -e1 and (-2, 2) name the same lines as e1 and (1, -1)
+    assert symmetry_order(ChainSystem.from_normals([[-1, 0], [0, 1], [1, 1], [-2, 2]])) == 8
+    for cs in _FALLBACK.values():
+        assert symmetry_order(cs) == 2
+
+
+def test_wedge_chain_sum_of_diagonal_system_matches_full_ball_oracle():
+    # Phi of e1, e2 and both diagonals is swap-invariant only up to rounding
+    for R in (16, 64, 256, 1024):
+        ball = integer_ball(R, 2, include_boundary=True).astype(float)
+        expected = math.fsum(phi_per_chain(_DIAGONALS, ball))
+        assert chain_sum(_DIAGONALS, R) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", list(_FALLBACK))
+def test_chain_sum_without_the_wedge_equals_half_ball_formula_bitwise(name):
+    cs = _FALLBACK[name]
+    for R in ((3, 9.5, 40) if cs.dimension == 3 else (3, 9.5, 40, 300)):
+        assert chain_sum(cs, R) == half_ball_chain_sum(cs, R)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("radius", [0, -1.0])
+def test_nonpositive_radius_is_rejected_in_every_dimension(d, radius):
+    with pytest.raises(ValueError, match="radius must be positive"):
+        next(fundamental_domain_chunked(radius, d))
+    with pytest.raises(ValueError, match="radius must be positive"):
+        chain_sum(ChainSystem.coordinate(d), radius)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_normal_is_rejected_by_name(bad):
+    with pytest.raises(ValueError, match=r"normal \[1\.0, (nan|inf|-inf)\] has a non-finite entry"):
+        ChainSystem.from_normals([[1, 0], [0, 1], [1, bad]])
+
+
+def test_normal_scale_does_not_change_the_system():
+    unit = ChainSystem.from_normals([[1, 0], [0, 1], [1, 1]])
+    for scale in (1e308, 1e-320, 3.0):
+        # once the squared norm overflowed to inf (or underflowed to 0)
+        scaled = ChainSystem.from_normals([[1, 0], [0, 1], [scale, scale]])
+        np.testing.assert_allclose(scaled.normals, unit.normals, rtol=1e-15, atol=0.0)
+        assert chain_count(scaled) == 3
+    # ordinary normals keep the plain n / |n| bitwise: the prescaling is by a power of two
+    raw = np.array([[1.0, 0.0], [3.0, 5.0], [1.0, -2.0], [0.1, 0.7]])
+    plain = raw / np.sqrt((raw ** 2).sum(1))[:, None]
+    assert ChainSystem.from_normals(raw).normals == tuple(map(tuple, plain.tolist()))

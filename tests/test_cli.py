@@ -363,6 +363,8 @@ def _no_expensive_work(*args, **kwargs):
      "--R", "64"],
     ["bound", "--set", BALL, "--points",
      '{"kind":"kronecker","x":[0.41,0.73],"m":1000000000000}', "--R", "64"],
+    ["polytope-family", "--m", "101", "--X", "[[1,0],[0,1],[NaN,1]]"],
+    ["glp-search", "--m", "101", "--X", "[[1,0],[0,1],[1,-Infinity]]"],
 ], ids=["cap-3-values", "cap-5-values", "base-zero", "L-zero", "m-empty",
         "lattice-one-size", "kronecker-one-size", "R-empty", "x-empty", "glp-X-dimension",
         "family-X-dimension", "k-zero", "k-zero-with-L", "x-dimension", "g-length",
@@ -374,13 +376,25 @@ def _no_expensive_work(*args, **kwargs):
         "lattice-m-not-square", "kronecker-R-infinite", "set-not-object", "kernel-d-not-2",
         "seed-negative", "random-ball-beyond-memory", "korobov-ball-beyond-memory",
         "family-g-ball-beyond-memory", "sandwich-grid-beyond-memory",
-        "lattice-beyond-memory", "kronecker-beyond-memory"])
+        "lattice-beyond-memory", "kronecker-beyond-memory", "family-X-nan",
+        "glp-X-minus-inf"])
 def test_malformed_input_exits_3_before_any_work(argv, monkeypatch):
     for name in ("get_kernel", "enumerate_words", "search", "korobov", "chain_sum",
                  "ball_rho_hat"):
         monkeypatch.setattr(cli, name, _no_expensive_work)
     monkeypatch.setattr(cli.PhiBall, "build", staticmethod(_no_expensive_work))
     assert run_cli(argv) == EXIT_CONFIG
+
+
+def test_polytope_family_report_does_not_depend_on_normal_scale(tmp_path):
+    # a normal whose squared norm overflows names the same line as its unit normal
+    reports = []
+    for third in ("[1,1]", "[1e308,1e308]"):
+        out = tmp_path / "r.json"
+        assert run_cli(["polytope-family", "--m", "11", "--chain-sum-R", "16,64",
+                        "--X", f"[[1,0],[0,1],{third}]", "--out", str(out)]) == EXIT_OK
+        reports.append(json.loads(out.read_text())["report"])
+    assert reports[0] == reports[1]
 
 
 def test_polytope_family_builds_one_phi_ball(tmp_path, monkeypatch):
