@@ -71,8 +71,6 @@ from .pointsets import (  # noqa: F401
 from .sphere import (  # noqa: F401
     Cap,
     HarmonicBlock,
-    RotationWord,
-    SphereOrbit,
     ball_rho_hat,
     enumerate_words,
     hecke_block,

@@ -13,9 +13,10 @@ controls the Fourier decay of the family of polyhedra with facets parallel
 to X. (The companion per-polytope bound, with the diameter lambda in place
 of 1 and the polytope's own face chains, is a test oracle.)
 
-`phi` computes each distinct subspace's factor once per call and multiplies
-the chain products in chain order, so its values equal the chain-by-chain
-evaluation bitwise.
+A `ChainSystem` holds its distinct subspaces once and each chain as a tuple
+of subspace indices. `phi` computes one factor per subspace per call and
+multiplies the chain products in chain order, so its values equal the
+chain-by-chain evaluation bitwise.
 
 An orthogonal map that permutes the normal lines maps admissible subspaces,
 and so chains, onto themselves, so Phi is invariant under it. `chain_sum`
@@ -59,7 +60,8 @@ class ChainSystem:
 
     dimension: int
     normals: tuple                 # the generating unit normals, as tuples
-    chain_bases: tuple             # chains as tuples of row-basis arrays, dims d..1
+    subspaces: tuple               # the distinct subspaces on chains, as row-basis arrays
+    chains: tuple                  # chains as tuples of subspace indices, dims d..1
 
     @classmethod
     def from_normals(cls, normals) -> "ChainSystem":
@@ -94,24 +96,26 @@ class ChainSystem:
             proj = small @ big.T
             return np.allclose(proj @ big, small, atol=1e-9)
 
+        # chains as tuples of projector keys, which name a subspace in any dimension
         chains: list[tuple] = []
 
-        def descend(prefix: list[np.ndarray], dim: int):
+        def descend(prefix: list[tuple], dim: int):
             if dim == 1:
                 chains.append(tuple(prefix))
                 return
-            for basis in by_dim[dim - 1].values():
-                if contained(basis, prefix[-1]):
-                    descend(prefix + [basis], dim - 1)
+            top = by_dim[dim][prefix[-1]]
+            for key, basis in by_dim[dim - 1].items():
+                if contained(basis, top):
+                    descend(prefix + [key], dim - 1)
 
-        if d == 1:
-            chains.append((np.eye(1),))
-        else:
-            descend([np.eye(d)], d)
+        descend([_projector_key(np.eye(d), d)], d)
         if not chains:
             raise ValueError("normal family generates no full chains")
+        bases = {key: basis for level in by_dim.values() for key, basis in level.items()}
+        index = {key: i for i, key in enumerate(dict.fromkeys(k for c in chains for k in c))}
         return cls(dimension=d, normals=tuple(map(tuple, normals.tolist())),
-                   chain_bases=tuple(chains))
+                   subspaces=tuple(bases[key] for key in index),
+                   chains=tuple(tuple(index[key] for key in c) for c in chains))
 
     @classmethod
     def coordinate(cls, d: int) -> "ChainSystem":
@@ -126,18 +130,14 @@ def phi(chains: ChainSystem, xi) -> np.ndarray | float:
     multiply in chain order, so the values do not depend on the sharing.
     """
     X = np.atleast_2d(np.asarray(xi, dtype=float))
-    d = chains.dimension
-    factors: dict[tuple, np.ndarray] = {}
+    with np.errstate(divide="ignore"):
+        factors = [np.minimum(1.0, 1.0 / (TWO_PI * np.sqrt(((X @ basis.T) ** 2).sum(1))))
+                   for basis in chains.subspaces]
     total = np.zeros(len(X))
-    for chain in chains.chain_bases:
+    for chain in chains.chains:
         prod = np.ones(len(X))
-        for basis in chain:
-            key = _projector_key(basis, d)
-            if key not in factors:
-                norm = np.sqrt(((X @ np.asarray(basis).T) ** 2).sum(1))
-                with np.errstate(divide="ignore"):
-                    factors[key] = np.minimum(1.0, 1.0 / (TWO_PI * norm))
-            prod *= factors[key]
+        for i in chain:
+            prod *= factors[i]
         total += prod
     if np.ndim(xi) == 1:
         return float(total[0])

@@ -43,6 +43,7 @@ from .erdos_turan import (
     optimal_R,
     polytope_family_bound,
 )
+from .frequencies import integer_ball_bytes
 from .geometry import TorusSet, set_from_json
 from .glp import PhiBall, check_phi_ball, check_search, search
 from .hfourier import h_coefficient_table
@@ -76,11 +77,11 @@ from .pointsets import (
 )
 from .sphere import (
     MAX_DEGREE,
-    MAX_WORD_LENGTH,
     Cap,
     ball_rho_hat,
     enumerate_words,
     orbit,
+    orbit_bytes,
     set_discrepancy,
     sphere_bound,
 )
@@ -427,6 +428,9 @@ def run_polytope_family(config: ExperimentConfig) -> dict:
                           f"got {g} at m = {m}")
     else:
         check_phi_ball(m, d)  # the Weyl spectrum and the CSV's ball span it too
+    if d != 2:  # d = 2 chain sums stream their stripes; elsewhere they hold the ball
+        R = max(params["chain_sum_R"])
+        require_memory(integer_ball_bytes(R, d), f"the chain sum's ball |k| <= {R} in d = {d}")
     chains = _chain_system(params)
     phi_ball = None
     if g is None:
@@ -468,23 +472,25 @@ def run_sphere_orbit(config: ExperimentConfig) -> dict:
         raise ConfigError(f"base must be a nonzero finite 3-vector, got {params['base']}")
     caps = [_cap(spec) for spec in params.get("caps", [SPHERE_CAP])]
 
+    require_memory(orbit_bytes(k), f"the orbit at --k {k}")
+
     base = base / norm
-    words = enumerate_words(k)
-    orb = orbit(base, words)
-    doc = {"k": k, "m": orb.size, "base": [float(v) for v in base], "caps": []}
+    points = orbit(base, enumerate_words(k))
+    m = len(points)
+    doc = {"k": k, "m": m, "base": [float(v) for v in base], "caps": []}
     rho_value = None
     if L is not None:
         rho = ball_rho_hat(k, L)
         doc["rho_hat"] = rho.to_json()
         rho_value = rho.value
     for cap in caps:
-        entry = {"cap": cap.to_json(), "discrepancy": set_discrepancy(orb, cap)}
+        entry = {"cap": cap.to_json(), "discrepancy": set_discrepancy(points, cap)}
         if rho_value is not None:
-            entry["bound"] = sphere_bound(orb.size, cap, delta, rho_value).to_json()
+            entry["bound"] = sphere_bound(m, cap, delta, rho_value).to_json()
         doc["caps"].append(entry)
     if config.csv_out:
         _write_csv(config.csv_out, ["x", "y", "z"],
-                   ([repr(float(v)) for v in p] for p in orb.points))
+                   ([repr(float(v)) for v in p] for p in points))
     return doc
 
 
@@ -654,7 +660,8 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("sphere-orbit", help="rotation orbit, rho_hat, cap bounds")
     _add_common(p)
-    p.add_argument("--k", type=_within(int, 1, MAX_WORD_LENGTH), required=True)
+    p.add_argument("--k", type=_within(int, 1), required=True,
+                   help="word length (at least 1; the orbit must fit in memory)")
     p.add_argument("--base", type=_list_of(_finite), default="0,0,1")
     p.add_argument("--cap", dest="caps", action="append",
                    help="px,py,pz,theta (repeatable; default: the polar cap, theta = pi/6)")

@@ -2,10 +2,12 @@
 
 The generating set: rotations by arccos(-3/5) (positive sine branch) about
 the three coordinate axes and their inverses. Entries are rationals with
-denominator 5, so a reduced word of length L has an exact integer matrix
-over denominator 5^L; distinctness/freeness checks run in integer
-arithmetic. The averaging operator over all words of length <= k acts on
-each spherical-harmonic degree as the block
+denominator 5, so a reduced word of length n has an exact integer matrix
+over denominator 5^n. `enumerate_words` builds these matrices one length at
+a time, as one int64 array per layer, and returns the (W, 3, 3) rotations;
+`orbit` maps a base point by all of them at once. The averaging operator
+over all words of length <= k acts on each spherical-harmonic degree as the
+block
 
     T_l = m^-1 sum_j D^l(sigma_j),
 
@@ -32,45 +34,19 @@ import numpy as np
 
 from .errors import QuadratureError
 
-_GEN_INT = {
-    "a": np.array([[-3, -4, 0], [4, -3, 0], [0, 0, 5]], dtype=np.int64),   # about z
-    "b": np.array([[5, 0, 0], [0, -3, -4], [0, 4, -3]], dtype=np.int64),   # about x
-    "c": np.array([[-3, 0, 4], [0, 5, 0], [-4, 0, -3]], dtype=np.int64),   # about y
-}
-for _k in ("a", "b", "c"):
-    _GEN_INT[_k.upper()] = _GEN_INT[_k].T.copy()
-
-_INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b", "c": "C", "C": "c"}
+_AXES = np.array([[[-3, -4, 0], [4, -3, 0], [0, 0, 5]],    # a: about z
+                  [[5, 0, 0], [0, -3, -4], [0, 4, -3]],    # b: about x
+                  [[-3, 0, 4], [0, 5, 0], [-4, 0, -3]]],   # c: about y
+                 dtype=np.int64)
+# the integer generator matrices (denominator 5) in LETTERS order: letter
+# i's inverse, its transpose, is letter i ^ 1
+_GEN_INT = np.stack([g for a in _AXES for g in (a, a.T)])
 LETTERS = ("a", "A", "b", "B", "c", "C")
 
 
-@dataclass(frozen=True)
-class RotationWord:
-    """Reduced word over the six generators with its exact integer matrix.
-
-    matrix = int_matrix / 5^length, orthogonal with determinant one.
-    """
-
-    letters: tuple
-    int_matrix: np.ndarray
-
-    @property
-    def length(self) -> int:
-        return len(self.letters)
-
-    @property
-    def denominator(self) -> int:
-        return 5 ** self.length
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.int_matrix / self.denominator
-
-
-def lps_generators() -> dict:
-    """The six generator words (three axes and inverses), exact matrices."""
-    return {letter: RotationWord((letter,), _GEN_INT[letter].copy())
-            for letter in LETTERS}
+def lps_generators() -> np.ndarray:
+    """The six generator rotations in LETTERS order, shape (6, 3, 3)."""
+    return _GEN_INT / 5
 
 
 def word_count(k: int) -> int:
@@ -78,30 +54,41 @@ def word_count(k: int) -> int:
     return (3 * 5 ** k - 1) // 2
 
 
-MAX_WORD_LENGTH = 8  # the enumeration budget: m grows as 5^k
+ORBIT_BYTES_PER_WORD = 112  # traced peak of orbit(x, enumerate_words(k)) per word, k = 7..9
 
 
-def enumerate_words(k: int) -> list:
-    """All reduced words of length <= k, depth-first in fixed letter order."""
+def orbit_bytes(k: int) -> float:
+    """About the peak bytes of orbit(x, enumerate_words(k)); inf past k = 400,
+    where the word count leaves the float range, far past any memory."""
+    return float(ORBIT_BYTES_PER_WORD * word_count(k)) if k <= 400 else np.inf
+
+
+def enumerate_words(k: int) -> np.ndarray:
+    """Rotation matrices of all reduced words of length <= k, shape (W, 3, 3).
+
+    Layer n holds the words of length n as exact int64 matrices over 5^n, in
+    six blocks by last letter: block i is layer n - 1 without its block i ^ 1
+    (the words that i would cancel) times generator i. Rows run by length,
+    then by last letter in LETTERS order, then by the prefix's row. Each
+    matrix is its integer matrix divided by 5^n, which is correctly rounded
+    while 5^n < 2^53 (n <= 22). Only the last integer layer is held.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > MAX_WORD_LENGTH:
-        raise ValueError(f"k > {MAX_WORD_LENGTH} exceeds the enumeration budget "
-                         "(m grows as 5^k)")
-    out = [RotationWord((), np.eye(3, dtype=np.int64))]
-    stack = [out[0]]
-    while stack:
-        word = stack.pop()
-        if word.length == k:
-            continue
-        last = word.letters[-1] if word.letters else None
-        for letter in LETTERS:
-            if last is not None and letter == _INVERSE[last]:
-                continue
-            nxt = RotationWord(word.letters + (letter,),
-                               word.int_matrix @ _GEN_INT[letter])
-            out.append(nxt)
-            stack.append(nxt)
+    out = np.empty((word_count(k), 3, 3))
+    out[0] = np.eye(3)
+    blocks = [np.eye(3, dtype=np.int64)[None]]  # layer 0: the empty word
+    row = 1
+    for n in range(1, k + 1):
+        layer = []
+        for i in range(len(LETTERS)):
+            allowed = blocks if n == 1 else [b for j, b in enumerate(blocks) if j != i ^ 1]
+            block = np.concatenate(allowed) @ _GEN_INT[i]
+            np.divide(block, 5 ** n, out=out[row:row + len(block)])
+            row += len(block)
+            if n < k:
+                layer.append(block)
+        blocks = layer
     return out
 
 
@@ -109,24 +96,12 @@ def enumerate_words(k: int) -> list:
 # orbits and spherical regions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SphereOrbit:
-    base: tuple
-    k: int
-    points: np.ndarray   # (m, 3) unit vectors
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-
-def orbit(x, words) -> SphereOrbit:
+def orbit(x, words: np.ndarray) -> np.ndarray:
+    """The (m, 3) images of the unit vector x under the (m, 3, 3) rotations."""
     x = np.asarray(x, dtype=float)
     if abs(np.linalg.norm(x) - 1.0) > 1e-9:
         raise ValueError("base point must be a unit vector")
-    k = max(w.length for w in words)
-    pts = np.stack([w.matrix @ x for w in words])
-    return SphereOrbit(base=tuple(float(v) for v in x), k=int(k), points=pts)
+    return words @ x
 
 
 @dataclass(frozen=True)
@@ -163,9 +138,9 @@ class Cap:
         return {"variant": "cap", "pole": list(self.pole), "theta": self.theta}
 
 
-def set_discrepancy(orb: SphereOrbit, region) -> float:
-    inside = int(np.count_nonzero(region.contains(orb.points)))
-    return abs(region.measure() - inside / orb.size)
+def set_discrepancy(points: np.ndarray, region) -> float:
+    inside = int(np.count_nonzero(region.contains(points)))
+    return abs(region.measure() - inside / len(points))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +220,7 @@ def hecke_block(words, ell: int) -> HarmonicBlock:
     """
     if ell > MAX_DEGREE:
         raise ValueError(f"degree capped at {MAX_DEGREE}")
-    D = _wigner_d(ell, np.array([euler_zyz(w.matrix) for w in words]))
+    D = _wigner_d(ell, np.array([euler_zyz(w) for w in words]))
 
     rng = np.random.default_rng(0)
     sample = rng.choice(len(words), size=min(8, len(words)), replace=False)
@@ -299,11 +274,11 @@ def ball_rho_hat(k: int, L: int) -> RhoHatResult:
 
     The ball average in degree l is hecke_ball_sum(S_1, k) / word_count(k),
     with S_1 = 6 hecke_block(generators, l), so one eigvalsh of S_1 per degree
-    gives its spectrum; no word list is built, so k is not capped at 8.
+    gives its spectrum; no word list is built.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    gens = list(lps_generators().values())
+    gens = lps_generators()
     m = word_count(k)
     norms = []
     for ell in range(1, L + 1):

@@ -19,10 +19,10 @@ def phi_per_chain(chains, xi) -> np.ndarray:
     """Chain functional Phi over the rows of xi, every chain's factors computed afresh."""
     X = np.atleast_2d(np.asarray(xi, dtype=float))
     total = np.zeros(len(X))
-    for chain in chains.chain_bases:
+    for chain in chains.chains:
         prod = np.ones(len(X))
-        for basis in chain:
-            norm = np.sqrt(((X @ np.asarray(basis).T) ** 2).sum(1))
+        for i in chain:
+            norm = np.sqrt(((X @ chains.subspaces[i].T) ** 2).sum(1))
             with np.errstate(divide="ignore"):
                 prod *= np.minimum(1.0, 1.0 / (TWO_PI * norm))
         total += prod
@@ -262,19 +262,73 @@ def f_constant(set_: TorusSet, kernel: KernelTable, alpha: float, beta: float,
                            k_max=int(k_max), r_grid=tuple(float(R) for R in r_grid))
 
 
-def canonical_key(word) -> tuple:
-    """Rotation identity key of a RotationWord: 5-primitive integer matrix plus exponent."""
-    flat = [int(v) for v in word.int_matrix.ravel()]
-    v = 0
-    while all(x % 5 == 0 for x in flat) and any(flat):
-        flat = [x // 5 for x in flat]
-        v += 1
-    return (word.length - v, tuple(flat))
+_AXIS_ROTATIONS = {  # rotations by arccos(-3/5) about z, x and y, times 5
+    "a": np.array([[-3, -4, 0], [4, -3, 0], [0, 0, 5]], dtype=np.int64),
+    "b": np.array([[5, 0, 0], [0, -3, -4], [0, 4, -3]], dtype=np.int64),
+    "c": np.array([[-3, 0, 4], [0, 5, 0], [-4, 0, -3]], dtype=np.int64),
+}
+_GENERATORS = {**_AXIS_ROTATIONS, **{a.upper(): m.T for a, m in _AXIS_ROTATIONS.items()}}
+_INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b", "c": "C", "C": "c"}
 
 
-def all_distinct(words) -> bool:
-    keys = {canonical_key(w) for w in words}
-    return len(keys) == len(words)
+@dataclass(frozen=True)
+class RotationWord:
+    """Reduced word over the six generators with its exact integer matrix.
+
+    matrix = int_matrix / 5^length, orthogonal with determinant one.
+    """
+
+    letters: tuple
+    int_matrix: np.ndarray
+
+    @property
+    def length(self) -> int:
+        return len(self.letters)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.int_matrix / 5 ** self.length
+
+
+def words_depth_first(k: int) -> list:
+    """All reduced words of length <= k, one RotationWord each, depth-first
+    in the letter order a, A, b, B, c, C."""
+    out = [RotationWord((), np.eye(3, dtype=np.int64))]
+    stack = [out[0]]
+    while stack:
+        word = stack.pop()
+        if word.length == k:
+            continue
+        last = word.letters[-1] if word.letters else None
+        for letter in ("a", "A", "b", "B", "c", "C"):
+            if last is not None and letter == _INVERSE[last]:
+                continue
+            nxt = RotationWord(word.letters + (letter,),
+                               word.int_matrix @ _GENERATORS[letter])
+            out.append(nxt)
+            stack.append(nxt)
+    return out
+
+
+def row_multiset(rows: np.ndarray) -> list:
+    """The rows of an array as a sorted list of their bytes: equal lists mean
+    bitwise-equal rows, in any order."""
+    flat = np.ascontiguousarray(rows).reshape(len(rows), -1)
+    return sorted(row.tobytes() for row in flat)
+
+
+def all_distinct(matrices: np.ndarray, k: int) -> bool:
+    """Whether rotation matrices of words of length <= k are pairwise distinct.
+
+    Each entry is an integer over 5^n, n <= k, rounded once, so times 5^k it
+    lies within 1e-6 of an integer while 5^k < 2^30; the rounded integer
+    matrices over the common denominator 5^k are then exact, and they are
+    equal exactly when the rotations are.
+    """
+    scaled = np.asarray(matrices) * 5 ** k
+    exact = np.rint(scaled)
+    assert k <= 12 and np.max(np.abs(scaled - exact)) < 1e-6
+    return len(np.unique(exact.reshape(len(exact), 9), axis=0)) == len(exact)
 
 
 @dataclass(frozen=True)
@@ -328,7 +382,7 @@ def polytope_ft_bound(polytope: ConvexPolytope, xi) -> np.ndarray | float:
 
 
 def chain_count(chains: ChainSystem) -> int:
-    return len(chains.chain_bases)
+    return len(chains.chains)
 
 
 def half_ball_chain_sum(chains: ChainSystem, radius: float) -> float:

@@ -32,6 +32,7 @@ from discrepancy_forge.kernel import build_bump, build_kernel_table
 from discrepancy_forge.majorant import majorant_pair, sandwich_grids, sandwich_report
 from discrepancy_forge.pointsets import korobov, kronecker, lattice, schmidt_sum
 from discrepancy_forge.sphere import (
+    LETTERS,
     Cap,
     enumerate_words,
     hecke_block,
@@ -259,20 +260,21 @@ def test_criterion_9a_sphere_word_counts():
 
 def test_criterion_9b_sphere_distinctness():
     t0 = time.time()
-    ok = all_distinct(enumerate_words(5))
+    ok = all_distinct(enumerate_words(5), 5)
     _times["c9b"] = time.time() - t0
-    _report("9b (exact distinctness k<=5)", ok, "4687 canonical keys, no collision")
+    _report("9b (exact distinctness k<=5)", ok,
+            "4687 exact integer matrices over 5^5, no collision")
 
 
 def test_criterion_9c_sphere_characters():
     t0 = time.time()
     theta = np.arccos(-3.0 / 5.0)
-    gens = lps_generators()
+    gens = dict(zip(LETTERS, lps_generators()))
     worst = 0.0
     for ell in range(0, 11):
         char = np.sum(np.exp(1j * np.arange(-ell, ell + 1) * theta))
         for letter in ("a", "b", "c"):
-            d_mat = wigner_d_matrix(ell, gens[letter].matrix)
+            d_mat = wigner_d_matrix(ell, gens[letter])
             worst = max(worst, abs(np.trace(d_mat) - char))
     _times["c9c"] = time.time() - t0
     _report("9c (character formula l<=10)", worst <= 1e-8, f"worst dev={worst:.2e}")
@@ -295,7 +297,7 @@ def test_criterion_9d_rho_hat_threshold():
     L = 20
     generator_threshold = 2 * np.sqrt(5) / 6
     ball_threshold = (1 + 2 * np.sqrt(5)) / 7
-    gens = list(lps_generators().values())
+    gens = lps_generators()
     ball = enumerate_words(1)
     generator_value = rho_hat(gens, L).value
     ball_value = rho_hat(ball, L).value
@@ -346,7 +348,7 @@ def test_criterion_9f_cap_bounds():
             orb = orbit(v / np.linalg.norm(v), words)
             for cap in caps:
                 measured = set_discrepancy(orb, cap)
-                bound = sphere_bound(orb.size, cap, 1.0, rho).grid_min
+                bound = sphere_bound(len(orb), cap, 1.0, rho).grid_min
                 ratios.append(measured / bound)
     c_fit = float(max(ratios))
     covered = all(r <= c_fit + 1e-15 for r in ratios)

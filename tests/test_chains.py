@@ -82,10 +82,12 @@ def test_general_normals_chain_containment():
     cs = ChainSystem.from_normals(normals)
     # three admissible lines, one chain each
     assert chain_count(cs) == 3
-    for chain in cs.chain_bases:
+    for chain in cs.chains:
         assert len(chain) == 2
-        top, line = np.asarray(chain[0]), np.asarray(chain[1])
+        top, line = (cs.subspaces[i] for i in chain)
         assert top.shape == (2, 2) and line.shape == (1, 2)
+    # each subspace is stored once: R^2, shared by every chain, and the three lines
+    assert len(cs.subspaces) == 4 and {chain[0] for chain in cs.chains} == {0}
 
 
 _FAMILIES = {"coordinate-1": ChainSystem.coordinate(1),

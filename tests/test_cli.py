@@ -26,11 +26,13 @@ from discrepancy_forge.cli import (
 )
 from discrepancy_forge.erdos_turan import optimal_R
 from discrepancy_forge.errors import require_memory
+from discrepancy_forge.frequencies import integer_ball_bytes
 from discrepancy_forge.geometry import set_from_json
 from discrepancy_forge.glp import check_search
 from discrepancy_forge.hfourier import h_coefficient_table
 from discrepancy_forge.kernel import load_kernel, save_kernel
 from discrepancy_forge.pointsets import is_prime, pointset_from_descriptor
+from discrepancy_forge.sphere import orbit_bytes, word_count
 
 BALL = '{"variant":"ball","center":[0.5,0.5],"radius":0.25}'
 LATTICE256 = '{"kind":"lattice","m":256,"d":2}'
@@ -181,6 +183,15 @@ def test_sphere_orbit_subcommand(tmp_path):
     assert report["m"] == 7
     assert report["caps"][0]["discrepancy"] == pytest.approx(abs(0.5 - 3 / 7))
     assert len(csv_out.read_text().splitlines()) == 8  # header + 7 points
+
+
+def test_sphere_orbit_runs_past_length_8(tmp_path):
+    # --k is capped by memory alone: k = 9 has 2,929,687 words
+    out = tmp_path / "orbit.json"
+    assert run_cli(["sphere-orbit", "--k", "9", "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())["report"]
+    assert report["m"] == word_count(9) == 2929687
+    assert 0 <= report["caps"][0]["discrepancy"] < 0.01
 
 
 def test_polytope_family_subcommand(tmp_path):
@@ -365,6 +376,8 @@ def _no_expensive_work(*args, **kwargs):
      '{"kind":"kronecker","x":[0.41,0.73],"m":1000000000000}', "--R", "64"],
     ["polytope-family", "--m", "101", "--X", "[[1,0],[0,1],[NaN,1]]"],
     ["glp-search", "--m", "101", "--X", "[[1,0],[0,1],[1,-Infinity]]"],
+    ["sphere-orbit", "--k", "20"],
+    ["polytope-family", "--m", "11", "--d", "3", "--g", "1,2,3"],
 ], ids=["cap-3-values", "cap-5-values", "base-zero", "L-zero", "m-empty",
         "lattice-one-size", "kronecker-one-size", "R-empty", "x-empty", "glp-X-dimension",
         "family-X-dimension", "k-zero", "k-zero-with-L", "x-dimension", "g-length",
@@ -377,7 +390,7 @@ def _no_expensive_work(*args, **kwargs):
         "seed-negative", "random-ball-beyond-memory", "korobov-ball-beyond-memory",
         "family-g-ball-beyond-memory", "sandwich-grid-beyond-memory",
         "lattice-beyond-memory", "kronecker-beyond-memory", "family-X-nan",
-        "glp-X-minus-inf"])
+        "glp-X-minus-inf", "orbit-beyond-memory", "family-d3-chain-sum-beyond-memory"])
 def test_malformed_input_exits_3_before_any_work(argv, monkeypatch):
     for name in ("get_kernel", "enumerate_words", "search", "korobov", "chain_sum",
                  "ball_rho_hat"):
@@ -616,7 +629,7 @@ _FLAG_VALUES = {
     "--n-samples": (["16", "1"], ["0", "-3"]),
     "--g": (["1,44", "1,3"], ["1", "0,5", "1,101", "1,1,1", ""]),
     "--chain-sum-R": (["16,64", "1"], ["0,16", "-1", ""]),
-    "--k": (["1", "2", "8"], ["9", "0", "-1"]),
+    "--k": (["1", "2", "8", "9"], ["0", "-1"]),
     "--base": (["0,0,1", "0,1,1"], ["0,0,0", "1,2", "nan,0,1", ""]),
     "--cap": (["0,0,1,0.5", "1,0,0,3.2"],
               ["0,0,1", "0,0,0,0.5", "0,0,1,0", "nan,0,1,0.5", "0,0,1,inf", "a,b,c,d"]),
@@ -694,8 +707,11 @@ def _in_domain(config) -> bool:
                 assert len(g) == p["d"] and is_prime(m) and all(1 <= v < m for v in g)
             else:
                 check_search(p["m"], p["d"], "exhaustive")
+            if p["d"] != 2:  # d = 2 streams its stripes
+                require_memory(integer_ball_bytes(max(p["chain_sum_R"]), p["d"]), "chain sum")
         if kind == "sphere-orbit":
-            assert 1 <= p["k"] <= 8 and 1 <= p.get("L", 1) <= 50 and 0 < p["delta"] <= 1
+            assert p["k"] >= 1 and 1 <= p.get("L", 1) <= 50 and 0 < p["delta"] <= 1
+            require_memory(orbit_bytes(p["k"]), "orbit")
             base = np.asarray(p["base"])
             assert base.shape == (3,) and np.all(np.isfinite(base)) and np.any(base != 0)
             for spec in p.get("caps", []):

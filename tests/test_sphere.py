@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from oracles import CapUnion, all_distinct
+from oracles import CapUnion, all_distinct, row_multiset, words_depth_first
 
 from discrepancy_forge.sphere import (
+    LETTERS,
     Cap,
     ball_rho_hat,
     enumerate_words,
@@ -34,22 +35,24 @@ def words3():
 
 def test_generators_exact_orthogonal():
     gens = lps_generators()
-    assert len(gens) == 6
-    for letter, word in gens.items():
-        n = word.int_matrix
+    assert gens.shape == (6, 3, 3)
+    ints = np.rint(5 * gens).astype(np.int64)
+    assert np.array_equal(ints / 5, gens)
+    for i, n in enumerate(ints):
         assert np.array_equal(n @ n.T, 25 * np.eye(3, dtype=np.int64))
         det = int(round(np.linalg.det(n)))
         assert det == 125  # det(matrix) = 1 exactly after the 5^3 denominator
+        assert np.array_equal(n @ ints[i ^ 1], 25 * np.eye(3, dtype=np.int64))  # inverses
     # positive sine branch: cos = -3/5, sin = +4/5 about z
-    a = gens["a"].matrix
+    a = gens[LETTERS.index("a")]
     assert a[0, 0] == pytest.approx(-3 / 5)
     assert a[1, 0] == pytest.approx(4 / 5)
 
 
 def test_generator_trace_identity():
-    for word in lps_generators().values():
-        assert np.trace(word.matrix) == pytest.approx(1 + 2 * np.cos(THETA))
-        assert np.trace(word.matrix) == pytest.approx(-1 / 5)
+    for matrix in lps_generators():
+        assert np.trace(matrix) == pytest.approx(1 + 2 * np.cos(THETA))
+        assert np.trace(matrix) == pytest.approx(-1 / 5)
 
 
 @pytest.mark.parametrize("k,m", [(0, 1), (1, 7), (2, 37), (3, 187), (6, 23437)])
@@ -59,18 +62,40 @@ def test_word_counts(k, m):
 
 
 def test_words_distinct_exact(words3):
-    assert all_distinct(words3)
+    assert all_distinct(words3, 3)
     words5 = enumerate_words(5)
     assert len(words5) == word_count(5)
-    assert all_distinct(words5)
+    assert all_distinct(words5, 5)
+
+
+@pytest.mark.parametrize("k", range(0, 7))
+def test_words_bitwise_equal_depth_first_oracle(k):
+    # the integer layers give each word's matrix bitwise, in another order
+    oracle = words_depth_first(k)
+    words = enumerate_words(k)
+    assert words.shape == (word_count(k), 3, 3)
+    assert row_multiset(words) == row_multiset(np.stack([w.matrix for w in oracle]))
+    rng = np.random.default_rng(k)
+    for _ in range(3):
+        x = rng.normal(size=3)
+        x /= np.linalg.norm(x)
+        assert row_multiset(orbit(x, words)) == row_multiset(
+            np.stack([w.matrix @ x for w in oracle]))
+
+
+def test_words_run_by_length():
+    # the words of length <= n are the first word_count(n) rows, in their own order
+    words = enumerate_words(5)
+    for n in range(0, 5):
+        assert np.array_equal(words[:word_count(n)], enumerate_words(n))
 
 
 def test_pole_orbit_hemisphere_count(words1):
     # images of the north pole: 3 copies of the pole (identity and the two
     # z-rotations) plus four points at height -3/5
     orb = orbit((0.0, 0.0, 1.0), words1)
-    assert orb.size == 7
-    heights = np.sort(orb.points[:, 2])
+    assert orb.shape == (7, 3)
+    heights = np.sort(orb[:, 2])
     assert np.allclose(heights[:4], -0.6)
     assert np.allclose(heights[4:], 1.0)
     cap = Cap((0, 0, 1), np.pi / 2)
@@ -106,11 +131,11 @@ def test_degree_zero_block_is_identity(words1):
 
 
 def test_character_formula(words1):
-    gens = lps_generators()
+    gens = dict(zip(LETTERS, lps_generators()))
     for ell in range(0, 11):
         char = np.sum(np.exp(1j * np.arange(-ell, ell + 1) * THETA)).real
         for letter in ("a", "b", "c"):
-            D = wigner_d_matrix(ell, gens[letter].matrix)
+            D = wigner_d_matrix(ell, gens[letter])
             assert abs(np.trace(D).real - char) < 1e-8
             assert abs(np.trace(D).imag) < 1e-8
 
@@ -120,15 +145,15 @@ def test_representation_is_homomorphism(words3):
     for _ in range(4):
         i, j = rng.integers(0, len(words3), 2)
         for ell in (1, 3, 8):
-            D1 = wigner_d_matrix(ell, words3[i].matrix)
-            D2 = wigner_d_matrix(ell, words3[j].matrix)
-            D12 = wigner_d_matrix(ell, words3[i].matrix @ words3[j].matrix)
+            D1 = wigner_d_matrix(ell, words3[i])
+            D2 = wigner_d_matrix(ell, words3[j])
+            D12 = wigner_d_matrix(ell, words3[i] @ words3[j])
             assert np.max(np.abs(D1 @ D2 - D12)) < 1e-9
 
 
 def test_block_trace_identities(words1):
     # independent validation: tr(T_l) and tr(T_l^2) from rotation angles only
-    mats = [w.matrix for w in words1]
+    mats = list(words1)
 
     def character(ell, M):
         c = np.clip((np.trace(M) - 1) / 2, -1, 1)
@@ -187,7 +212,7 @@ def test_rho_hat_decreasing_in_k():
 
 def test_ordering_independence(words1):
     rng = np.random.default_rng(7)
-    shuffled = [words1[i] for i in rng.permutation(len(words1))]
+    shuffled = words1[rng.permutation(len(words1))]
     for ell in (3, 9):
         a = hecke_block(words1, ell).matrix
         b = hecke_block(shuffled, ell).matrix
@@ -213,7 +238,7 @@ def test_sphere_bound_validity_with_fitted_constant(words3):
         orb = orbit(v / np.linalg.norm(v), words3)
         for cap in caps:
             measured = set_discrepancy(orb, cap)
-            bound = sphere_bound(orb.size, cap, delta=1.0, rho=rho).grid_min
+            bound = sphere_bound(len(orb), cap, delta=1.0, rho=rho).grid_min
             ratios.append(measured / bound)
     c_fit = max(ratios)
     assert np.isfinite(c_fit) and c_fit > 0
