@@ -170,6 +170,12 @@ def _write_csv(path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
+def _columns(*columns: np.ndarray):
+    """CSV rows from equal-length columns, as Python ints and floats: csv writes
+    str(float), which is repr(float), so no per-value numpy scalar is made."""
+    return zip(*(c.tolist() for c in columns))
+
+
 def _json_or_file(spec: str, what: str) -> dict:
     """Accept an inline JSON object or a path to a file holding one."""
     text = spec.lstrip("@")
@@ -306,13 +312,13 @@ def run_bound(config: ExperimentConfig) -> dict:
 
     if config.csv_out:
         chi = set_.fourier_coefficients(spectrum.freqs)
+        # abs() of each complex scalar, bitwise; the array np.abs(chi) rounds differently
+        chi_abs = np.hypot(chi.real, chi.imag)
         h_vals = np.abs(h_table.values(spectrum.freqs))
         _write_csv(config.csv_out,
                    ["k1", "k2", "chi_re", "chi_im", "chi_abs", "h_abs", "weyl", "term"],
-                   ([int(k[0]), int(k[1]), repr(float(c.real)), repr(float(c.imag)),
-                     repr(float(abs(c))), repr(float(h)), repr(float(w)),
-                     repr(float((abs(c) + h) * w))]
-                    for k, c, h, w in zip(spectrum.freqs, chi, h_vals, spectrum.values)))
+                   _columns(*spectrum.freqs.T, chi.real, chi.imag, chi_abs, h_vals,
+                            spectrum.values, (chi_abs + h_vals) * spectrum.values))
     doc = report.to_json()
     doc["kernel_provenance"] = kernel.provenance
     if search_table is not None:
@@ -448,9 +454,8 @@ def run_polytope_family(config: ExperimentConfig) -> dict:
         if phi_ball is None:
             phi_ball = PhiBall.build(chains, m)
         _write_csv(config.csv_out, ["k1", "k2", "phi", "weyl", "term"],
-                   ([int(k[0]), int(k[1]), repr(float(p)), repr(float(w)),
-                     repr(float(p * w))]
-                    for k, p, w in zip(phi_ball.freqs, phi_ball.values, spectrum.values)))
+                   _columns(*phi_ball.freqs.T, phi_ball.values, spectrum.values,
+                            phi_ball.values * spectrum.values))
     return {"m": m, "g": list(g), "bound": fam.value, "r_term": fam.r_term,
             "sum_term": fam.sum_term, "chain_sums": ratio_rows,
             "chain_sum_spread": spread}
@@ -489,8 +494,7 @@ def run_sphere_orbit(config: ExperimentConfig) -> dict:
             entry["bound"] = sphere_bound(m, cap, delta, rho_value).to_json()
         doc["caps"].append(entry)
     if config.csv_out:
-        _write_csv(config.csv_out, ["x", "y", "z"],
-                   ([repr(float(v)) for v in p] for p in points))
+        _write_csv(config.csv_out, ["x", "y", "z"], points.tolist())
     return doc
 
 

@@ -13,8 +13,8 @@ the set coefficients by the chain functional Phi.
 R selection rules: the full-lattice rule R = m^(1/(d+beta-alpha)) and the
 Kronecker rule with its logarithmic correction, plus a grid search that never
 returns a worse bound than the formula value (the formula candidate is always
-included; the power-of-two grid is capped by `r_cap` since coefficient tables
-at R = 4096 are out of desk-scale memory).
+included; the power-of-two grid stops at `R_SEARCH_CAP` = 512, since
+coefficient tables at R = 4096 are out of desk-scale memory).
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from .pointsets import PointSet, WeylSpectrum, true_discrepancy, weyl_spectrum
 
 # grid oversampling of the H-tables the bound builds for itself
 H_OVERSAMPLE = 2
+# largest power-of-two R that `et_bound_r_search` tries
+R_SEARCH_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -122,12 +124,14 @@ def optimal_R(rule: str, m: int, d: int, alpha: float, beta: float, *,
     if rule == "lattice":
         return float(base)
     if rule == "kronecker":
+        if m < 2:   # log m = 0: the correction has no finite value
+            return float("inf")
         return float(base * np.log(m) ** (-(d + 1 + eps) / denom))
     raise ValueError(f"unknown R rule {rule!r}")
 
 
 def et_bound_r_search(set_: TorusSet, points: PointSet, kernel: KernelTable, *,
-                      formula_R: float | None = None, r_cap: int = 512
+                      formula_R: float | None = None
                       ) -> tuple[DiscrepancyReport, list, HCoefficientTable, WeylSpectrum]:
     """Minimize the bound over a power-of-two R grid plus the formula R.
 
@@ -136,7 +140,7 @@ def et_bound_r_search(set_: TorusSet, points: PointSet, kernel: KernelTable, *,
     each R. Often beats the formula constant; never worse, because the
     formula candidate participates.
     """
-    candidates = [float(2 ** j) for j in range(2, 13) if 2 ** j <= r_cap]
+    candidates = [float(2 ** j) for j in range(2, 13) if 2 ** j <= R_SEARCH_CAP]
     if formula_R is not None and formula_R >= 4 and float(formula_R) not in candidates:
         candidates.append(float(formula_R))
     spectrum = weyl_spectrum(points, max(candidates))

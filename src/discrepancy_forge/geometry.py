@@ -3,8 +3,9 @@
 Each set is the periodization Omega* + Z^d of a base body whose translates
 are disjoint. All models provide exact measure, exact periodic boundary
 distance, exact membership (with a recorded boundary convention), Fourier
-coefficients (closed forms for boxes and balls; divergence-theorem recursion
-for polygons), and a JSON descriptor.
+coefficients (closed forms for boxes and balls, the disc's J1 from `bessel`
+with numpy alone; divergence-theorem recursion for polygons), and a JSON
+descriptor.
 Each model writes its distance formula once, on per-axis coordinate arrays
 that broadcast: `boundary_distances` passes the columns of a point array,
 `distance_grid` passes the grid axes as a column and a row, so an n x n grid
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bessel import j1
 from .frequencies import TWO_PI
 from .quadrature import gauss_nodes
 
@@ -222,7 +224,6 @@ class Ball(TorusSet):
         r = self.radius
         safe = np.where(norm == 0, 1.0, norm)
         if self.dimension == 2:
-            from scipy.special import j1  # imported here: scipy is slow to load
             radial = r * j1(TWO_PI * r * safe) / safe
         else:
             u = TWO_PI * r * safe

@@ -15,13 +15,16 @@ Grid rows of one class are equal, so each class row is transformed once,
 and the kept columns are gathered into grid order before the column
 transform; the table is bitwise the one every grid row would give.
 
-The class rows are evaluated one strip at a time (about 2^20 grid points, an
-even number of rows): each strip's distances and I(R dist) are computed
-once, its rows are gathered into grid columns and transformed, and only the
-2 kmax + 1 wanted columns are kept; one transform along the columns of the
-n x (2 kmax + 1) array finishes the block, so memory is O(n kmax), not
-O(n^2). A guard estimates those bytes first and raises ConfigError when they
-exceed physical memory.
+H is real, so its grid is transformed as a real grid. The class rows are
+evaluated one strip at a time (about 2^20 grid points, an even number of
+rows): each strip's distances and I(R dist) are computed once, its rows are
+gathered into grid columns and given a real FFT, and only the columns
+k2 = 0 ... kmax are kept; one transform along the columns of the
+n x (kmax + 1) array gives the k2 >= 0 half of the block, so memory is
+O(n kmax), not O(n^2). The k2 < 0 half, and k1 < 0 on k2 = 0, are the
+conjugate mirror H(-k) = conj H(k), for the block and for its error
+estimate alike, so the table is exactly Hermitian. A guard estimates those
+bytes first and raises ConfigError when they exceed physical memory.
 
 The per-coefficient error estimate is the change from the n/2 grid. Its
 point (i, j) is the n grid point (2i, 2j) bitwise, so the coarse strip is
@@ -44,7 +47,7 @@ from .kernel import KernelTable
 
 # points per strip of grid rows evaluated at once, and bytes held per strip point
 _STRIP_POINTS = 1 << 20
-_STRIP_BYTES_PER_POINT = 64
+_STRIP_BYTES_PER_POINT = 48
 # an axis with more distance classes than this share of its indices is taken
 # in grid order: gathering it would cost more than its repeats save
 _MAX_CLASS_SHARE = 0.75
@@ -126,56 +129,75 @@ def h_coefficient_table(set_: TorusSet, kernel: KernelTable, R: float, *,
         raise ValueError("kernel dimension must match the torus dimension 2")
     kmax = int(np.ceil(R))
     n = _fft_resolution(R, oversample)   # n >= 8 R, so kmax <= n / 4
-    width = 2 * kmax + 1
     rows = 2 * max(1, _STRIP_POINTS // (2 * n))
-    _check_memory(n, width, rows)
-    idx = np.arange(-kmax, kmax + 1)
+    _check_memory(n, kmax, rows)
     (row_reps, row_inv), (col_reps, col_inv) = _grid_classes(set_, n)
     # the row classes of the n/2 grid, whose rows are the even rows of the n grid
     coarse_classes = np.zeros(len(row_reps), dtype=bool)
     coarse_classes[slice(None, None, 2) if row_inv is None else row_inv[::2]] = True
-    # the row transforms of each row class, and of each row class of the n/2 grid
-    fine = np.empty((len(row_reps), width), dtype=complex)
-    coarse = np.empty((np.count_nonzero(coarse_classes), width), dtype=complex)
+    # the k2 = 0 ... kmax row transforms of each row class, and of each row class of the n/2 grid
+    fine = np.empty((len(row_reps), kmax + 1), dtype=complex)
+    coarse = np.empty((np.count_nonzero(coarse_classes), kmax + 1), dtype=complex)
     done = 0
     for start in range(0, len(row_reps), rows):
         strip = slice(start, start + rows)
         h = _h_values(set_, kernel, R, n, row_reps[strip], col_reps)
-        fine[strip] = _row_fft(_grid_order(h, col_inv, 1), idx)
+        fine[strip] = _row_fft(_grid_order(h, col_inv, 1), kmax)
         # the n/2 grid point (i, j) is the n grid point (2i, 2j), bitwise
         h = h[::2] if row_inv is None else h[coarse_classes[strip]]
-        coarse[done:done + len(h)] = _row_fft(_grid_order(h, col_inv, 1, 2), idx)
+        coarse[done:done + len(h)] = _row_fft(_grid_order(h, col_inv, 1, 2), kmax)
         done += len(h)
+        del h   # h[::2] is a view: free this strip's values before the next is evaluated
     if row_inv is not None:
         fine = fine[row_inv]
         coarse = coarse[(np.cumsum(coarse_classes) - 1)[row_inv[::2]]]
-    block = _column_fft(fine, idx)
-    err = np.abs(block - _column_fft(coarse, idx)) + 1e-15 * kernel.gamma
-    return HCoefficientTable(R=float(R), kmax=kmax, grid_n=n, block=block, err=err)
+    half = _column_fft(fine, kmax)
+    err = np.abs(half - _column_fft(coarse, kmax)) + 1e-15 * kernel.gamma
+    return HCoefficientTable(R=float(R), kmax=kmax, grid_n=n, block=_mirror(half),
+                             err=_mirror(err))
 
 
-def _row_fft(strip: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Columns `idx` (mod m) of the DFT along the rows of a strip of an m x m grid."""
-    return np.fft.fft(strip, axis=1)[:, idx % strip.shape[1]]
+def _row_fft(strip: np.ndarray, kmax: int) -> np.ndarray:
+    """Columns 0 ... kmax of the real DFT along the rows of a strip of an m x m grid."""
+    return np.fft.rfft(strip, axis=1)[:, :kmax + 1]
 
 
-def _column_fft(cols: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Finish the 2-d DFT of an m x m grid whose kept columns are `cols`."""
+def _column_fft(cols: np.ndarray, kmax: int) -> np.ndarray:
+    """Rows -kmax ... kmax of the 2-d DFT of a real m x m grid whose columns 0 ... kmax
+    of the row transforms are `cols`: the k2 >= 0 half of the block."""
     m = len(cols)
-    return np.fft.fft(cols, axis=0)[idx % m] / (m * m)
+    return np.fft.fft(cols, axis=0)[np.arange(-kmax, kmax + 1) % m] / (m * m)
 
 
-def _check_memory(n: int, width: int, rows: int) -> None:
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """The whole block from its k2 >= 0 half: H(k1, -k2) = conj H(-k1, k2), and
+    on k2 = 0 H(-k1, 0) = conj H(k1, 0) for k1 > 0, since a complex FFT of a
+    real column is Hermitian only to rounding. The block is exactly Hermitian."""
+    kmax = half.shape[1] - 1
+    block = np.empty((2 * kmax + 1, 2 * kmax + 1), dtype=half.dtype)
+    block[:, kmax:] = half
+    block[:, :kmax] = np.conj(half[::-1, :0:-1])
+    block[:kmax, kmax] = np.conj(half[:kmax:-1, 0])
+    return block
+
+
+def _check_memory(n: int, kmax: int, rows: int) -> None:
     """Raise ConfigError if the table's arrays would not fit in physical memory.
 
-    Rows of `width` complex numbers held at once: while row classes are put in
-    grid order, the class rows (at most 3n/4, else they are the grid), the
-    coarse class rows (at most n/2) and the n rows gathered from them; while
-    the columns are transformed, the n fine and n/2 coarse rows and one n-row
-    transform. A strip holds at most 64 bytes per point of its grid rows, the
-    H values of its row and column classes included.
+    Rows of kmax + 1 complex numbers held at once, with w = 2 kmax + 1: while
+    row classes are put in grid order, the class rows (at most 3n/4, else they
+    are the grid), the coarse class rows (at most n/2) and the n rows gathered
+    from them; while the columns are transformed, the n fine and n/2 coarse
+    rows, one n-row transform and the w rows kept of it; while the halves are
+    mirrored, the fine and coarse rows, the half block (w rows) and its error
+    (w/2), the whole block (2w), its error (w) and one mirrored half (w/2). A
+    strip holds at most 48 bytes per point of its grid rows: the distances
+    and H values of its row and column classes (the box's peak near 42), the
+    H values in grid order and their real transform (8 bytes each).
     """
+    w = 2 * kmax + 1
     gathering = int(_MAX_CLASS_SHARE * n) + n // 2 + n
-    transforming = n + n // 2 + n
-    require_memory(16 * width * max(gathering, transforming) + _STRIP_BYTES_PER_POINT * rows * n,
-                   f"H-table on the {n} x {n} grid")
+    transforming = n + n // 2 + n + w
+    mirroring = n + n // 2 + 5 * w
+    require_memory(16 * (kmax + 1) * max(gathering, transforming, mirroring)
+                   + _STRIP_BYTES_PER_POINT * rows * n, f"H-table on the {n} x {n} grid")

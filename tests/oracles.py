@@ -72,10 +72,27 @@ def kernel_value(table: KernelTable, s):
     return out if out.ndim else float(out)
 
 
+def _full_grid_h(set_, kernel, R, n):
+    return kernel.gamma * kernel.tail_integral(R * set_.distance_grid(n))
+
+
 def full_grid_block(set_, kernel, R, n, kmax):
-    """H_R coefficients on |k|_inf <= kmax by one fft2 of H on the whole n x n grid."""
-    grid = kernel.gamma * kernel.tail_integral(R * set_.distance_grid(n))
-    fhat = np.fft.fft2(grid) / (n * n)
+    """H_R coefficients on |k|_inf <= kmax by one rfft2 of H on the whole n x n grid.
+
+    rfft2 gives k2 >= 0; every other coefficient is the conjugate of the one
+    at -k, which lies in the half plane k2 > 0 or k2 = 0 <= k1.
+    """
+    fhat = np.fft.rfft2(_full_grid_h(set_, kernel, R, n)) / (n * n)
+    k1, k2 = np.meshgrid(np.arange(-kmax, kmax + 1), np.arange(-kmax, kmax + 1), indexing="ij")
+    upper = (k2 > 0) | ((k2 == 0) & (k1 >= 0))
+    s1, s2 = np.where(upper, k1, -k1), np.where(upper, k2, -k2)
+    values = fhat[s1 % n, s2]
+    return np.where(upper, values, np.conj(values))
+
+
+def full_grid_block_fft2(set_, kernel, R, n, kmax):
+    """The same block by one complex fft2, Hermitian only to rounding."""
+    fhat = np.fft.fft2(_full_grid_h(set_, kernel, R, n)) / (n * n)
     idx = np.arange(-kmax, kmax + 1) % n
     return fhat[np.ix_(idx, idx)]
 
@@ -436,6 +453,15 @@ def sandwich_csv_per_row(grids: tuple, path) -> None:
                 writer.writerow([repr(float(axis[i])), repr(float(axis[j])),
                                  repr(float(chi[i, j])), repr(float(A[i, j])),
                                  repr(float(B[i, j])), repr(float(bound[i, j]))])
+
+
+def csv_per_value(path, header: list, rows) -> None:
+    """A CSV written one numpy scalar at a time: each float through repr(float(v))."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([v if isinstance(v, int) else repr(float(v)) for v in row]
+                         for row in rows)
 
 
 def inscribed_polygon(center, radius: float, gaps: np.ndarray, turn: float) -> ConvexPolytope:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import csv_per_value
 
 from discrepancy_forge import cli, erdos_turan, majorant
 from discrepancy_forge.cli import (
@@ -24,15 +25,16 @@ from discrepancy_forge.cli import (
     build_parser,
     main,
 )
-from discrepancy_forge.erdos_turan import optimal_R
+from discrepancy_forge.chains import ChainSystem
+from discrepancy_forge.erdos_turan import H_OVERSAMPLE, optimal_R
 from discrepancy_forge.errors import require_memory
 from discrepancy_forge.frequencies import integer_ball_bytes
 from discrepancy_forge.geometry import set_from_json
-from discrepancy_forge.glp import check_search
+from discrepancy_forge.glp import PhiBall, check_search
 from discrepancy_forge.hfourier import h_coefficient_table
 from discrepancy_forge.kernel import load_kernel, save_kernel
-from discrepancy_forge.pointsets import is_prime, pointset_from_descriptor
-from discrepancy_forge.sphere import orbit_bytes, word_count
+from discrepancy_forge.pointsets import is_prime, korobov, pointset_from_descriptor, weyl_spectrum
+from discrepancy_forge.sphere import enumerate_words, orbit, orbit_bytes, word_count
 
 BALL = '{"variant":"ball","center":[0.5,0.5],"radius":0.25}'
 LATTICE256 = '{"kind":"lattice","m":256,"d":2}'
@@ -116,7 +118,6 @@ def test_sandwich_csv_per_degree(tmp_path, monkeypatch):
 @pytest.mark.parametrize("set_", [BALL, _QUAD], ids=["ball", "quad"])
 def test_sandwich_memory_stays_within_its_estimate(set_, tmp_path, kernel2, monkeypatch):
     # two degrees on the default 512 grid; only the grids' share grows with grid_n
-    import scipy.special  # noqa: F401  (the ball's j1; an import is not the run's memory)
     cache = tmp_path / "kernel.json"
     save_kernel(kernel2, cache)
     estimates = []
@@ -276,6 +277,44 @@ def test_kernel_cache_with_truncated_khat_slopes_is_rebuilt(tmp_path):
     assert short_out.read_bytes() == fresh_out.read_bytes()
 
 
+def test_csv_rows_equal_per_value_formatting(tmp_path, kernel2):
+    # each experiment's CSV against its rows formatted one numpy scalar at a time
+    cache = tmp_path / "kernel.json"
+    save_kernel(kernel2, cache)
+    paths = {name: (tmp_path / f"{name}.csv", tmp_path / f"{name}-per-value.csv")
+             for name in ("bound", "family", "orbit")}
+    korobov101 = '{"kind":"korobov","g":[1,33],"m":101}'
+    assert run_cli(["bound", "--set", _QUAD, "--points", korobov101, "--R", "8",
+                    "--kernel-cache", str(cache), "--out", str(tmp_path / "b.json"),
+                    "--csv-out", str(paths["bound"][0])]) == EXIT_OK
+    assert run_cli(["polytope-family", "--m", "101", "--g", "1,44", "--chain-sum-R", "16",
+                    "--out", str(tmp_path / "f.json"),
+                    "--csv-out", str(paths["family"][0])]) == EXIT_OK
+    assert run_cli(["sphere-orbit", "--k", "3", "--base", "0.3,-0.4,0.5",
+                    "--out", str(tmp_path / "o.json"),
+                    "--csv-out", str(paths["orbit"][0])]) == EXIT_OK
+
+    set_ = set_from_json(json.loads(_QUAD))
+    spectrum = weyl_spectrum(pointset_from_descriptor(json.loads(korobov101)), 8.0)
+    chi = set_.fourier_coefficients(spectrum.freqs)
+    h_vals = np.abs(h_coefficient_table(set_, kernel2, 8.0, oversample=H_OVERSAMPLE)
+                    .values(spectrum.freqs))
+    csv_per_value(paths["bound"][1],
+                  ["k1", "k2", "chi_re", "chi_im", "chi_abs", "h_abs", "weyl", "term"],
+                  ([int(k[0]), int(k[1]), c.real, c.imag, abs(c), h, w, (abs(c) + h) * w]
+                   for k, c, h, w in zip(spectrum.freqs, chi, h_vals, spectrum.values)))
+    phi_ball = PhiBall.build(ChainSystem.coordinate(2), 101)
+    spectrum = weyl_spectrum(korobov((1, 44), 101), 101.0)
+    csv_per_value(paths["family"][1], ["k1", "k2", "phi", "weyl", "term"],
+                  ([int(k[0]), int(k[1]), p, w, p * w]
+                   for k, p, w in zip(phi_ball.freqs, phi_ball.values, spectrum.values)))
+    base = np.array([0.3, -0.4, 0.5])
+    csv_per_value(paths["orbit"][1], ["x", "y", "z"],
+                  orbit(base / np.linalg.norm(base), enumerate_words(3)))
+    for new, per_value in paths.values():
+        assert new.read_bytes() == per_value.read_bytes()
+
+
 def test_r_search_csv_reuses_the_winning_table(tmp_path, monkeypatch):
     tables = []
 
@@ -361,8 +400,9 @@ def _no_expensive_work(*args, **kwargs):
     ["polytope-family", "--m", "100"],
     ["lattice-scaling", "--set", BALL, "--m", "256,1024", "--alpha", "2.999999"],
     ["lattice-scaling", "--set", BALL, "--m", "3,5"],
-    ["bound", "--set", BALL, "--points", '{"kind":"kronecker","x":[0.41,0.73],"m":1}',
-     "--R", "auto:kronecker"],
+    pytest.param(["bound", "--set", BALL, "--points",
+                  '{"kind":"kronecker","x":[0.41,0.73],"m":1}', "--R", "auto:kronecker"],
+                 marks=pytest.mark.filterwarnings("error")),   # log 1 = 0 divides nothing
     ["sandwich", "--set", "[]", "--R", "8"],
     ["sandwich", "--set", BALL, "--R", "8", "--kernel-d", "1"],
     ["glp-search", "--m", "101", "--strategy", "random", "--seed=-1"],
@@ -471,36 +511,35 @@ def test_cold_kernel_builds_import_scipy_only_for_bessel_functions(tmp_path):
     assert not any(m.startswith("scipy.interpolate") for m in after_d2)
 
 
-def test_warm_kernel_runs_import_scipy_only_for_bessel_functions(tmp_path, kernel2):
-    # loading a table evaluates it with numpy alone; balls still need scipy.special's j1
+def test_warm_kernel_runs_never_import_scipy(tmp_path, kernel2):
+    # loading a table evaluates it with numpy alone, and a ball's J1 is numpy's too
     cache = tmp_path / "kernel.json"
     save_kernel(kernel2, cache)
     script = textwrap.dedent("""
         import json, sys
         from discrepancy_forge.cli import main
         from discrepancy_forge.kernel import load_kernel
-        cache, out, quad, ball = sys.argv[1:]
+        cache, out, ball = sys.argv[1:]
         loaded = []
         def scipy_modules():
             loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         load_kernel(cache)
         scipy_modules()
-        common = ["--kernel-cache", cache, "--out", out]
-        assert main(["bound", "--set", quad, "--points", '{"kind":"korobov","g":[1,33],"m":101}',
+        common = ["--set", ball, "--kernel-cache", cache, "--out", out]
+        assert main(["lattice-scaling", "--m", "256,1024", *common]) == 0
+        scipy_modules()
+        assert main(["bound", "--points", '{"kind":"korobov","g":[1,33],"m":101}',
                      "--R", "8", *common]) == 0
         scipy_modules()
-        assert main(["sandwich", "--set", ball, "--R", "8", "--grid-n", "64", *common]) == 0
+        assert main(["sandwich", "--R", "8", "--grid-n", "64", *common]) == 0
         scipy_modules()
         print(json.dumps(loaded))
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
     proc = subprocess.run([sys.executable, "-c", script, str(cache), str(tmp_path / "r.json"),
-                           _QUAD, BALL], env=env, capture_output=True, text=True, timeout=300)
+                           BALL], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    after_load, after_bound, after_sandwich = json.loads(proc.stdout.splitlines()[-1])
-    assert after_load == [] and after_bound == []
-    assert "scipy.special" in after_sandwich
-    assert not any(m.startswith("scipy.interpolate") for m in after_sandwich)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], [], [], []]
 
 
 _SET_FLAGS = ["--set", BALL]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from discrepancy_forge import erdos_turan
 from discrepancy_forge.chains import ChainSystem
 from discrepancy_forge.erdos_turan import (
     et_bound,
@@ -65,18 +66,19 @@ def test_optimal_r_formulas():
         optimal_R("banana", 100, 2, 1.0, 1.0)
 
 
-def test_grid_search_never_worse_than_formula(kernel2):
+def test_grid_search_never_worse_than_formula(kernel2, monkeypatch):
+    monkeypatch.setattr(erdos_turan, "R_SEARCH_CAP", 128)
     ps = lattice(1024, d=2)
     formula_R = optimal_R("lattice", 1024, 2, 1.0, 1.0)
-    best, table, _, _ = et_bound_r_search(BALL, ps, kernel2, formula_R=formula_R, r_cap=128)
+    best, table, _, _ = et_bound_r_search(BALL, ps, kernel2, formula_R=formula_R)
     formula_bound = [b for r, b in table if r == formula_R]
     assert formula_bound and best.bound <= formula_bound[0]
 
 
-def test_r_search_builds_each_R_once(kernel2):
+def test_r_search_builds_each_R_once(kernel2, monkeypatch):
     # the formula R = 16 is already a power-of-two candidate
-    _, table, _, _ = et_bound_r_search(BALL, lattice(256, d=2), kernel2, formula_R=16.0,
-                                       r_cap=32)
+    monkeypatch.setattr(erdos_turan, "R_SEARCH_CAP", 32)
+    _, table, _, _ = et_bound_r_search(BALL, lattice(256, d=2), kernel2, formula_R=16.0)
     assert [r for r, _ in table] == [4.0, 8.0, 16.0, 32.0]
 
 

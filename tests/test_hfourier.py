@@ -4,7 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import f_constant, full_grid_block, h_zero_by_coarea, minkowski_content
+from oracles import (
+    f_constant,
+    full_grid_block,
+    full_grid_block_fft2,
+    h_zero_by_coarea,
+    minkowski_content,
+)
 
 from discrepancy_forge import hfourier
 from discrepancy_forge.errors import ConfigError, require_memory
@@ -30,10 +36,10 @@ def table16(kernel2):
 
 
 def test_hermitian_symmetry(table16):
+    # the k2 < 0 half, and k1 < 0 on k2 = 0, are the conjugate mirror, exactly
     freqs = integer_ball(10, 2)
-    vals = table16.values(freqs)
-    conj = table16.values(-freqs)
-    assert np.allclose(vals, np.conj(conj), rtol=0, atol=1e-10)
+    assert np.array_equal(table16.values(freqs), np.conj(table16.values(-freqs)))
+    assert np.array_equal(table16.errors(freqs), table16.errors(-freqs))
 
 
 def test_refinement_agreement(kernel2, table16):
@@ -102,6 +108,20 @@ def test_strip_table_matches_full_grid_fft(kernel2, set_, R, oversample):
     # both routes evaluate the same distances and the same 1-d transforms
     assert np.array_equal(table.block, fine)
     assert np.array_equal(table.err, err)
+
+
+@pytest.mark.parametrize("case", ["ball-8.0-2", "off-grid", "one-axis-on-grid", "quad-8.0-2",
+                                  "box"])
+def test_real_transform_matches_complex_fft2(kernel2, case):
+    # the complex fft2 of the whole grid, Hermitian only to rounding
+    set_, R, oversample = TABLE_CASES[case]
+    n = _fft_resolution(R, oversample)
+    kmax = int(np.ceil(R))
+    table = h_coefficient_table(set_, kernel2, R, oversample=oversample)
+    complex_block = full_grid_block_fft2(set_, kernel2, R, n, kmax)
+    gap = np.abs(table.block - complex_block)
+    assert np.all(gap <= 1e-15 * np.abs(complex_block).max())
+    assert np.all(gap <= 1e-3 * table.err)
 
 
 @pytest.mark.parametrize("n", [512, 768])
