@@ -20,7 +20,7 @@ chain-by-chain evaluation bitwise.
 
 An orthogonal map that permutes the normal lines maps admissible subspaces,
 and so chains, onto themselves, so Phi is invariant under it. `chain_sum`
-folds the ball by such a group (`frequencies.fundamental_domain_chunked`):
+folds the ball by such a group:
 
 - in d = 2, when all 8 signed permutations keep the normal lines (the
   coordinate system; e1, e2 with both diagonals), it sums the wedge
@@ -28,7 +28,21 @@ folds the ball by such a group (`frequencies.fundamental_domain_chunked`):
   diagonal. Phi is invariant there up to rounding, so the sum may differ from
   the whole ball's in the last digits.
 - otherwise it uses Phi(-xi) = Phi(xi), which holds bitwise: the
-  lexicographically positive half of the ball, doubled.
+  lexicographically positive half of the ball, doubled
+  (`frequencies.positive_half`).
+
+In d = 2 the fold runs one stripe of constant k1 at a time
+(`frequencies.stripe_bounds`), and no row passes through `phi`. A basis row
+along one axis meets the other coordinate in an exact zero, so it projects a
+stripe point onto k1 * b or k2 * b exactly: that subspace's factor is one
+entry of a per-k1 table or a slice of a k2 table, both built once per radius
+by `phi`'s own formula. R^2, whose basis is the identity, projects a point
+onto itself, so its factor is min{1, (2 pi sqrt(k1^2 + k2^2))^-1}, one pass
+per stripe. Only a subspace with an oblique basis row builds the stripe's
+rows and projects them with `phi`'s X @ B.T. Each factor is therefore
+bitwise `phi`'s, and the chain products, the orbit weights and each stripe's
+np.sum keep `phi`'s operands, order and lengths, so the sum is bitwise that
+of `phi` on the stripes' rows. d != 2 sums `phi` over the half ball.
 """
 
 from __future__ import annotations
@@ -37,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frequencies import TWO_PI, fundamental_domain_chunked
+from .frequencies import TWO_PI, ball_extent, positive_half, stripe_bounds
 
 
 def _nullspace(mat: np.ndarray, d: int) -> np.ndarray:
@@ -122,6 +136,24 @@ class ChainSystem:
         return cls.from_normals(np.eye(d))
 
 
+def _factor(X: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """min{1, (2 pi |P xi|)^-1} for the rows xi of X, P projecting onto the
+    span of the orthonormal basis rows."""
+    with np.errstate(divide="ignore"):
+        return np.minimum(1.0, 1.0 / (TWO_PI * np.sqrt(((X @ basis.T) ** 2).sum(1))))
+
+
+def _chain_total(chains: ChainSystem, factors: list, n: int) -> np.ndarray:
+    """Sum over chains of the product of their subspaces' factors, in chain order."""
+    total = np.zeros(n)
+    for chain in chains.chains:
+        prod = np.ones(n)
+        for i in chain:
+            prod *= factors[i]
+        total += prod
+    return total
+
+
 def phi(chains: ChainSystem, xi) -> np.ndarray | float:
     """Chain functional Phi(xi); vectorized over rows of xi.
 
@@ -130,15 +162,7 @@ def phi(chains: ChainSystem, xi) -> np.ndarray | float:
     multiply in chain order, so the values do not depend on the sharing.
     """
     X = np.atleast_2d(np.asarray(xi, dtype=float))
-    with np.errstate(divide="ignore"):
-        factors = [np.minimum(1.0, 1.0 / (TWO_PI * np.sqrt(((X @ basis.T) ** 2).sum(1))))
-                   for basis in chains.subspaces]
-    total = np.zeros(len(X))
-    for chain in chains.chains:
-        prod = np.ones(len(X))
-        for i in chain:
-            prod *= factors[i]
-        total += prod
+    total = _chain_total(chains, [_factor(X, basis) for basis in chains.subspaces], len(X))
     if np.ndim(xi) == 1:
         return float(total[0])
     return total
@@ -162,14 +186,52 @@ def symmetry_order(chains: ChainSystem) -> int:
     return 8
 
 
+def _stripe_factor(basis: np.ndarray, axis: np.ndarray, squares: np.ndarray):
+    """The subspace's factor on a d = 2 stripe as a function of (k1 index,
+    k2 slice) into `axis`, equal to `_factor(rows, basis)` on the stripe's
+    rows; None for a basis with an oblique row, which needs the rows.
+
+    A basis row along one axis projects onto k1 * b or k2 * b exactly (the
+    other coordinate's product is +-0), so its factor is a table built once;
+    R^2's projection is the rows themselves, so its squared norm is the sum
+    of the coordinates' squares.
+    """
+    if np.array_equal(basis, np.eye(2)):
+        return lambda i, k2: np.minimum(1.0, 1.0 / (TWO_PI * np.sqrt(squares[i] + squares[k2])))
+    if not basis[:, 1].any():
+        table = _factor(axis[:, None], basis[:, :1])
+        return lambda i, k2: table[i]
+    if not basis[:, 0].any():
+        table = _factor(axis[:, None], basis[:, 1:])
+        return lambda i, k2: table[k2]
+    return None
+
+
 def chain_sum(chains: ChainSystem, radius: float) -> float:
     """Sum of Phi over integer frequencies 1 <= |k| <= radius (chunked).
 
     The sum runs over a fundamental domain of the ball under the chain
-    system's `symmetry_order` group, each row weighted by its orbit size.
+    system's `symmetry_order` group, each row weighted by its orbit size. In
+    d = 2 it runs one k1 stripe at a time from `_stripe_factor`, with `phi`'s
+    values bitwise.
     """
+    d = chains.dimension
+    if d != 2:
+        return float(np.sum(2.0 * phi(chains, positive_half(radius, d).astype(float))))
+    kmax = ball_extent(radius)
+    axis = np.arange(-kmax, kmax + 1, dtype=float)
+    squares = axis ** 2
+    tables = [_stripe_factor(basis, axis, squares) for basis in chains.subspaces]
+    oblique = any(table is None for table in tables)
     total = 0.0
-    for rows, weights in fundamental_domain_chunked(
-            radius, chains.dimension, signed_permutations=symmetry_order(chains) == 8):
-        total += float(np.sum(weights * phi(chains, rows.astype(float))))
+    for k1, start, stop, weights in stripe_bounds(
+            radius, signed_permutations=symmetry_order(chains) == 8):
+        i, k2 = k1 + kmax, slice(start + kmax, stop + kmax)
+        if oblique:
+            rows = np.empty((stop - start, 2))
+            rows[:, 0] = k1
+            rows[:, 1] = axis[k2]
+        factors = [_factor(rows, basis) if table is None else table(i, k2)
+                   for basis, table in zip(chains.subspaces, tables)]
+        total += float(np.sum(weights * _chain_total(chains, factors, stop - start)))
     return total

@@ -142,14 +142,19 @@ class Box(TorusSet):
                 terms.append((np.maximum(np.maximum(lo, hi), 0.0) ** 2,
                               (lo < 0) & (hi < 0), np.minimum(-lo, -hi)))
             per_axis.append(terms)
-        best = np.inf
-        for shift in itertools.product(*per_axis):
-            (out2, inside, margin), *rest = shift
+        # each of the 3^d shifts is combined in the same three full-size buffers
+        shape = np.broadcast_shapes(*(np.shape(x) for x in coords))
+        out2, inside, margin = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape)
+        best = np.full(shape, np.inf)
+        for (o2, ins, mar), *rest in itertools.product(*per_axis):
+            out2[...], inside[...], margin[...] = o2, ins, mar
             for o2, ins, mar in rest:
-                out2 = out2 + o2
-                inside = inside & ins
-                margin = np.minimum(margin, mar)
-            best = np.minimum(best, np.where(inside, margin, np.sqrt(out2)))
+                np.add(out2, o2, out=out2)
+                np.logical_and(inside, ins, out=inside)
+                np.minimum(margin, mar, out=margin)
+            np.sqrt(out2, out=out2)
+            np.copyto(out2, margin, where=inside)
+            np.minimum(best, out2, out=best)
         return best
 
     def fourier_coefficients(self, freqs: np.ndarray) -> np.ndarray:

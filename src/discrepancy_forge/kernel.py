@@ -39,6 +39,7 @@ not reused.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -132,14 +133,27 @@ def _radial_transform(d: int, r: np.ndarray, wf: np.ndarray, s: np.ndarray) -> n
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def _squared_transform(bump: BumpProfile, cutoff: float, xi_panels: int,
+                       r_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes xi over [0, cutoff] and their weights times (F m)(xi)^2.
+
+    Kept for the last few bumps and resolutions: a kernel build maps the same
+    (F m)^2 back to two radius sets, so F m is computed once per resolution.
+    """
+    r, w_r = panel_nodes(0.0, SUPPORT_RADIUS, r_panels)
+    xi, w_xi = panel_nodes(0.0, cutoff, xi_panels)
+    mhat = _radial_transform(bump.dimension, r, w_r * bump(r), xi)
+    wf = w_xi * mhat ** 2
+    xi.flags.writeable = wf.flags.writeable = False
+    return xi, wf
+
+
 def _autocorrelation(bump: BumpProfile, s: np.ndarray, cutoff: float,
                      xi_panels: int, r_panels: int) -> np.ndarray:
     """m * m = F[(F m)^2], with F m sampled on nodes over [0, cutoff]."""
-    d = bump.dimension
-    r, w_r = panel_nodes(0.0, SUPPORT_RADIUS, r_panels)
-    xi, w_xi = panel_nodes(0.0, cutoff, xi_panels)
-    mhat = _radial_transform(d, r, w_r * bump(r), xi)
-    return _radial_transform(d, xi, w_xi * mhat ** 2, s)
+    xi, wf = _squared_transform(bump, cutoff, xi_panels, r_panels)
+    return _radial_transform(bump.dimension, xi, wf, s)
 
 
 def autocorrelation_values(bump: BumpProfile, s) -> tuple[np.ndarray, float]:

@@ -1,11 +1,12 @@
 """Reference implementations that the library's fast paths are tested against."""
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from discrepancy_forge.chains import ChainSystem, phi
+from discrepancy_forge.chains import ChainSystem, phi, symmetry_order
 from discrepancy_forge.frequencies import integer_ball
 from discrepancy_forge.geometry import Ball, Box, ConvexPolytope, TorusSet
 from discrepancy_forge.glp import PhiBall, _class_of, _residue_class_sums, congruence_sum
@@ -418,6 +419,41 @@ def half_ball_chain_sum(chains: ChainSystem, radius: float) -> float:
     return 2.0 * total
 
 
+def stripe_rows(radius: float, *, signed_permutations: bool = False):
+    """Yield (rows, weights) per k1 >= 0 stripe of the d = 2 fundamental domain
+    that `chain_sum` sums over, each stripe's rows built and filtered by the
+    float norm test of `integer_ball`: the positive half with weight 2, or
+    the wedge 0 <= k2 <= k1 with weights 8, and 4 on the axis and diagonal."""
+    kmax = int(np.floor(radius))
+    r2 = float(radius) ** 2
+    axis = np.arange(-kmax, kmax + 1, dtype=np.int64)
+    for k1 in range(kmax + 1):
+        k2 = axis[kmax:kmax + k1 + 1] if signed_permutations else axis
+        norm2 = float(k1) ** 2 + k2.astype(float) ** 2
+        k2 = k2[(norm2 <= r2) & (norm2 > 0)]
+        if not len(k2):
+            continue
+        stripe = np.empty((len(k2), 2), dtype=np.int64)
+        stripe[:, 0] = k1
+        stripe[:, 1] = k2
+        if signed_permutations:
+            weights = np.full(len(k2), 8.0)
+            weights[(k2 == 0) | (k2 == k1)] = 4.0
+            yield stripe, weights
+        else:
+            yield (stripe if k1 > 0 else stripe[len(stripe) // 2:]), 2.0
+
+
+def per_row_chain_sum(chains: ChainSystem, radius: float) -> float:
+    """Phi summed over 0 < |k| <= radius in d = 2 through `phi` on each
+    stripe's rows, times the orbit weights: the wedge when `symmetry_order`
+    is 8, else the positive half."""
+    total = 0.0
+    for rows, weights in stripe_rows(radius, signed_permutations=symmetry_order(chains) == 8):
+        total += float(np.sum(weights * phi(chains, rows.astype(float))))
+    return total
+
+
 def chain_system_from_polytope(polytope) -> ChainSystem:
     """The chain system of a polygon's edge normals."""
     p, q = polytope.edges()
@@ -470,6 +506,30 @@ def inscribed_polygon(center, radius: float, gaps: np.ndarray, turn: float) -> C
     angles = turn * 2 * np.pi + 2 * np.pi * np.cumsum(gaps) / gaps.sum()
     verts = np.asarray(center) + radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     return ConvexPolytope(tuple(map(tuple, verts)), epsilon=0.05)
+
+
+def box_distances_by_where(box: Box, points: np.ndarray) -> np.ndarray:
+    """Periodic box distance with fresh arrays per shift: each of the 3^d
+    shifts' sums, flags and margins is a new array, and np.where picks the
+    inside margin or the outside gap before a new running minimum."""
+    per_axis = []
+    for x, a, b in zip(np.asarray(points, dtype=float).T, box.a, box.b):
+        x = np.mod(x, 1.0)
+        terms = []
+        for s in (-1.0, 0.0, 1.0):
+            lo = (a + s) - x
+            hi = x - (b + s)
+            terms.append((np.maximum(np.maximum(lo, hi), 0.0) ** 2,
+                          (lo < 0) & (hi < 0), np.minimum(-lo, -hi)))
+        per_axis.append(terms)
+    best = np.inf
+    for (out2, inside, margin), *rest in itertools.product(*per_axis):
+        for o2, ins, mar in rest:
+            out2 = out2 + o2
+            inside = inside & ins
+            margin = np.minimum(margin, mar)
+        best = np.minimum(best, np.where(inside, margin, np.sqrt(out2)))
+    return best
 
 
 def polygon_distances_by_segments(poly: ConvexPolytope, pts: np.ndarray) -> np.ndarray:

@@ -8,12 +8,15 @@ from oracles import (
     chain_count,
     chain_system_from_polytope,
     half_ball_chain_sum,
+    per_row_chain_sum,
     phi_per_chain,
     polytope_ft_bound,
+    stripe_rows,
 )
 
+from discrepancy_forge import chains as chains_module
 from discrepancy_forge.chains import ChainSystem, chain_sum, phi, symmetry_order
-from discrepancy_forge.frequencies import fundamental_domain_chunked, integer_ball
+from discrepancy_forge.frequencies import integer_ball, positive_half, stripe_bounds
 from discrepancy_forge.geometry import ConvexPolytope
 
 TWO_PI = 2 * np.pi
@@ -120,10 +123,20 @@ def test_chain_sum_half_ball_matches_full_ball_oracle(d, radii):
         assert chain_sum(cs, R) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
+def domain_chunks(R, d, *, signed_permutations=False) -> list:
+    """(rows, weights) chunks of the domain `chain_sum` sums over: the d = 2
+    stripe bounds expanded into rows, else the positive half with weight 2."""
+    if d != 2:
+        return [(positive_half(R, d), 2.0)]
+    return [(np.stack([np.full(stop - start, k1), np.arange(start, stop)], axis=1), weights)
+            for k1, start, stop, weights in stripe_bounds(
+                R, signed_permutations=signed_permutations)]
+
+
 @pytest.mark.parametrize("d, R", [(1, 9), (2, 13), (3, 5)])
 def test_positive_half_and_its_negation_tile_the_ball(d, R):
     ball = integer_ball(R, d, include_boundary=True)
-    chunks = list(fundamental_domain_chunked(R, d))
+    chunks = domain_chunks(R, d)
     assert all(weight == 2.0 for _, weight in chunks)
     half = np.concatenate([rows for rows, _ in chunks])
     assert np.array_equal(half, ball[len(ball) // 2:])
@@ -138,7 +151,7 @@ _SIGNED_PERMUTATIONS = [np.array(perm) * np.array(signs)[:, None]
 @pytest.mark.parametrize("R", [1, 2, 13, 13.5, 50])
 def test_wedge_orbits_tile_the_ball_with_their_sizes_as_weights(R):
     ball = integer_ball(R, 2, include_boundary=True)
-    chunks = list(fundamental_domain_chunked(R, 2, signed_permutations=True))
+    chunks = domain_chunks(R, 2, signed_permutations=True)
     assert max(len(rows) for rows, _ in chunks) <= int(R) + 1  # one k1 stripe per chunk
     images, weights = [], []
     for rows, weight in chunks:
@@ -183,12 +196,53 @@ def test_chain_sum_without_the_wedge_equals_half_ball_formula_bitwise(name):
         assert chain_sum(cs, R) == half_ball_chain_sum(cs, R)
 
 
+_D2_SYSTEMS = {"coordinate-2": ChainSystem.coordinate(2),
+               "diagonals-2": _DIAGONALS,
+               "one-diagonal-2": _FALLBACK["one-diagonal-2"],
+               "four-normals-2": _FALLBACK["four-normals-2"]}
+
+
+@pytest.mark.parametrize("name", list(_D2_SYSTEMS))
+def test_stripe_tables_equal_per_row_phi_sum_bitwise(name):
+    # axis-aligned subspaces read per-stripe tables, oblique ones project the rows
+    cs = _D2_SYSTEMS[name]
+    radii = [1, 1.5, 2, 3, 9.5, 13.5, 16, 40, 64, 256, 300, 1024]
+    for R in radii + ([4096] if name == "coordinate-2" else []):
+        assert chain_sum(cs, R) == per_row_chain_sum(cs, R)
+
+
+@pytest.mark.parametrize("name", list(_D2_SYSTEMS))
+def test_d2_chain_sum_does_not_call_phi(name, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("chain_sum evaluated phi on rows")
+
+    expected = chain_sum(_D2_SYSTEMS[name], 40)
+    monkeypatch.setattr(chains_module, "phi", no_rows)
+    assert chain_sum(_D2_SYSTEMS[name], 40) == expected
+
+
+@pytest.mark.parametrize("signed_permutations", [False, True])
+def test_stripe_bounds_are_the_per_row_stripes(signed_permutations):
+    # exact integer bounds against the float norm filter, radii on and off the lattice norms
+    for R in (0.5, 1, 1.5, 2 ** 0.5, 2, 5, 5 + 1e-12, 5 - 1e-12, 13.5, 50, 99.99):
+        bounds = list(stripe_bounds(R, signed_permutations=signed_permutations))
+        rows = list(stripe_rows(R, signed_permutations=signed_permutations))
+        assert len(bounds) == len(rows)
+        for (k1, start, stop, weights), (expected, expected_weights) in zip(bounds, rows):
+            assert np.array_equal(expected[:, 0], np.full(stop - start, k1))
+            assert np.array_equal(expected[:, 1], np.arange(start, stop))
+            assert np.array_equal(weights, expected_weights)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("radius", [0, -1.0])
+@pytest.mark.parametrize("radius", [0, -1.0, np.nan, np.inf, -np.inf])
 def test_nonpositive_radius_is_rejected_in_every_dimension(d, radius):
-    with pytest.raises(ValueError, match="radius must be positive"):
-        next(fundamental_domain_chunked(radius, d))
-    with pytest.raises(ValueError, match="radius must be positive"):
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        integer_ball(radius, d)
+    if d == 2:
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            next(stripe_bounds(radius))
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
         chain_sum(ChainSystem.coordinate(d), radius)
 
 

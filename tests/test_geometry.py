@@ -1,10 +1,13 @@
 """Torus set models: distances, measures, Fourier coefficients, shells."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    box_distances_by_where,
     inscribed_polygon,
     minkowski_content,
     polygon_distances_by_segments,
@@ -82,6 +85,28 @@ def test_fat_box_distance_against_brute_force():
             for i, x in enumerate(pts):
                 best[i] = min(best[i], np.min(np.hypot(*(shifted - x).T)))
     assert np.max(np.abs(d - best)) < 1e-3
+
+
+@pytest.mark.parametrize("box", [Box((0.2,), (0.65,)), Box((0.1, 0.3), (0.45, 0.95)),
+                                 Box((0.0, 0.2, 0.5), (0.3, 0.9, 0.99))], ids=["d1", "d2", "d3"])
+def test_box_distance_in_buffers_is_bitwise_the_per_shift_arrays(box):
+    rng = np.random.default_rng(11)
+    d = box.dimension
+    pts = np.concatenate([rng.random((5000, d)), rng.integers(0, 64, (1000, d)) / 64,
+                          rng.random((500, d)) * 4 - 2])
+    assert np.array_equal(box.boundary_distances(pts), box_distances_by_where(box, pts))
+
+
+def test_box_distance_strip_holds_at_most_28_bytes_per_point():
+    # one 256 x 4096 strip of an H-table grid: three buffers and the result
+    box = Box((0.1, 0.3), (0.45, 0.95))
+    tracemalloc.start()
+    try:
+        box.distance_grid(4096, slice(0, 256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * 256 * 4096
 
 
 @pytest.mark.parametrize("set_", [

@@ -11,6 +11,7 @@ from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.special import j0
 
+from discrepancy_forge import kernel
 from discrepancy_forge.kernel import (
     DecayProfile,
     KernelTable,
@@ -18,6 +19,7 @@ from discrepancy_forge.kernel import (
     _clamped_slopes,
     autocorrelation_values,
     build_bump,
+    build_kernel_table,
     bump_raw,
     load_kernel,
     psi,
@@ -114,6 +116,20 @@ def test_autocorrelation_matches_monte_carlo(bump2):
     se = area * vals.std(ddof=1) / np.sqrt(n)
     direct, _ = autocorrelation_values(bump2, np.array([0.5]))
     assert abs(est - direct[0]) < 3 * se
+
+
+def test_build_transforms_the_bump_once_per_resolution():
+    # the master nodes and the khat knots map one (F m)^2 back per resolution
+    bump = build_bump(1)
+    kernel._squared_transform.cache_clear()
+    build_kernel_table(bump)
+    info = kernel._squared_transform.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    s = np.linspace(0.0, 1.0, 300)
+    kernel._squared_transform.cache_clear()
+    cold, cold_err = autocorrelation_values(bump, s)
+    warm, warm_err = autocorrelation_values(bump, s)
+    assert np.array_equal(cold, warm) and cold_err == warm_err
 
 
 def test_tail_integral_normalized(kernel2):
