@@ -42,7 +42,6 @@ from .glp import GlpCertificate, PhiBall, congruence_sum, search  # noqa: F401
 from .hfourier import HCoefficientTable, h_coefficient_table  # noqa: F401
 from .kernel import (  # noqa: F401
     BumpProfile,
-    DecayProfile,
     KernelTable,
     build_bump,
     build_kernel_table,

@@ -50,7 +50,6 @@ from .hfourier import h_coefficient_table
 from .kernel import (
     EXP_MINUS_2PI,
     SUPPORTED_DIMENSIONS,
-    DecayProfile,
     KernelTable,
     build_bump,
     build_kernel_table,
@@ -141,8 +140,8 @@ def get_kernel(config: ExperimentConfig) -> KernelTable:
     if path is not None and path.exists():
         try:
             table = load_kernel(path)
-        except (ValueError, KeyError):
-            table = None  # torn or corrupt: a miss, rebuilt and overwritten below
+        except ValueError:
+            table = None  # torn, corrupt or mistyped: a miss, rebuilt and overwritten below
         if table is not None and table.dimension == d:
             return table
     table = build_kernel_table(build_bump(d))
@@ -232,7 +231,8 @@ def _rule_R(rule: str, m: int, alpha: float, beta: float, eps: float = 0.1) -> f
 
 def run_kernel_build(config: ExperimentConfig) -> dict:
     table = get_kernel(config)
-    profile = DecayProfile.from_kernel(table)
+    grid = np.linspace(0.0, 2.0 * table.t_max, 2001)  # psi on [0, 2 t_max], where I ends
+    psi_grid = psi(table, grid)
     step = table.tail_grid[1] - table.tail_grid[0]
     shift = int(round(1.0 / step))
     ratio_margin = float(np.min(table.tail[shift:] - EXP_MINUS_2PI * table.tail[:-shift]))
@@ -241,7 +241,9 @@ def run_kernel_build(config: ExperimentConfig) -> dict:
         "gamma": table.gamma,
         "ball_mass": table.ball_mass,
         "psi_at_zero": psi(table, 0.0),
-        "fitted_decay_constants": {str(a): profile.fitted_c(a) for a in (2, 4, 8)},
+        # sup over the grid of psi(t) (1 + t)^alpha
+        "fitted_decay_constants": {str(a): float(np.max(psi_grid * (1.0 + grid) ** a))
+                                   for a in (2, 4, 8)},
         "checks": {
             "min_kernel_value": float(table.kvals.min()),
             "tail_at_zero_deviation": abs(table.tail_integral(0.0) - 1.0),
@@ -416,7 +418,7 @@ def run_glp_search(config: ExperimentConfig) -> dict:
         _require(cert.value <= cert.average, "minimizer beats average",
                  cert.value, cert.average)
     log_factor = m ** -1.0 * np.log(m) ** d
-    doc = cert.to_json()
+    doc = asdict(cert)
     doc["fitted_constants"] = {
         "average_over_mlog": cert.average / log_factor,
         "value_over_mlog": cert.value / log_factor,
@@ -438,21 +440,17 @@ def run_polytope_family(config: ExperimentConfig) -> dict:
         R = max(params["chain_sum_R"])
         require_memory(integer_ball_bytes(R, d), f"the chain sum's ball |k| <= {R} in d = {d}")
     chains = _chain_system(params)
-    phi_ball = None
+    # Phi over |k| < m: the search's ball, the bound's values and the CSV's column
+    phi_ball = PhiBall.build(chains, m)
     if g is None:
-        phi_ball = PhiBall.build(chains, m)
-        cert = search(m, chains, "exhaustive", phi_ball=phi_ball)
-        g = list(cert.g)
-    points = korobov(g, m)
-    spectrum = weyl_spectrum(points, float(m))
-    fam = polytope_family_bound(chains, spectrum, float(m))
+        g = list(search(m, chains, "exhaustive", phi_ball=phi_ball).g)
+    spectrum = weyl_spectrum(korobov(g, m), float(m))
+    fam = polytope_family_bound(phi_ball.values, spectrum)
 
     ratio_rows, spread = _log_power_rows(params["chain_sum_R"], lambda R: chain_sum(chains, R),
                                          2, d, "chain sum log-power spread")
 
     if config.csv_out:
-        if phi_ball is None:
-            phi_ball = PhiBall.build(chains, m)
         _write_csv(config.csv_out, ["k1", "k2", "phi", "weyl", "term"],
                    _columns(*phi_ball.freqs.T, phi_ball.values, spectrum.values,
                             phi_ball.values * spectrum.values))
@@ -486,12 +484,12 @@ def run_sphere_orbit(config: ExperimentConfig) -> dict:
     rho_value = None
     if L is not None:
         rho = ball_rho_hat(k, L)
-        doc["rho_hat"] = rho.to_json()
+        doc["rho_hat"] = asdict(rho)
         rho_value = rho.value
     for cap in caps:
         entry = {"cap": cap.to_json(), "discrepancy": set_discrepancy(points, cap)}
         if rho_value is not None:
-            entry["bound"] = sphere_bound(m, cap, delta, rho_value).to_json()
+            entry["bound"] = asdict(sphere_bound(m, cap, delta, rho_value))
         doc["caps"].append(entry)
     if config.csv_out:
         _write_csv(config.csv_out, ["x", "y", "z"], points.tolist())

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import ChainSystem, phi
 from .geometry import TorusSet
 from .hfourier import HCoefficientTable, h_coefficient_table
 from .kernel import KernelTable
@@ -173,13 +172,14 @@ class PolytopeFamilyBound:
     sum_term: float
 
 
-def polytope_family_bound(chains: ChainSystem, spectrum: WeylSpectrum,
-                          R: float) -> PolytopeFamilyBound:
-    if spectrum.R < R:
-        raise ValueError("spectrum does not cover |k| < R")
-    spec = spectrum.restrict(R)
-    phis = phi(chains, spec.freqs.astype(float))
-    terms = np.sort(phis * spec.values)
-    sum_term = float(np.sum(terms))
+def polytope_family_bound(phis: np.ndarray, spectrum: WeylSpectrum) -> PolytopeFamilyBound:
+    """The family bound at the spectrum's cutoff R, from `phis`, the values of
+    Phi at the spectrum's frequencies in their order; ValueError unless there
+    is one value per frequency."""
+    phis = np.asarray(phis, dtype=float)
+    if phis.shape != spectrum.values.shape:
+        raise ValueError(f"{phis.shape} Phi values do not cover {len(spectrum.freqs)} frequencies")
+    R = spectrum.R
+    sum_term = float(np.sum(np.sort(phis * spectrum.values)))
     return PolytopeFamilyBound(R=float(R), value=1.0 / R + sum_term,
                                r_term=1.0 / R, sum_term=sum_term)

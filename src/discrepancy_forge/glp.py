@@ -62,15 +62,6 @@ class GlpCertificate:
     exact_mean: float | None    # mean of S(g) over all g (d = 2 exhaustive)
     best_to_average: float
 
-    def to_json(self) -> dict:
-        return {
-            "m": self.m, "d": self.d, "g": list(self.g),
-            "value": self.value, "average": self.average,
-            "strategy": self.strategy, "searched": self.searched,
-            "exact_mean": self.exact_mean,
-            "best_to_average": self.best_to_average,
-        }
-
 
 def congruence_sum(g, m: int, chains: ChainSystem, *,
                    phi_ball: PhiBall | None = None) -> float:

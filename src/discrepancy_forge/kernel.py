@@ -1,4 +1,4 @@
-"""Radial majorant kernel: bump profile, kernel table, tail integral, decay profile.
+"""Radial majorant kernel: bump profile, kernel table, tail integral, decay profile psi.
 
 Construction chain, all radial and dimension d in {1, 2, 3}:
 
@@ -39,11 +39,12 @@ not reused.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +305,29 @@ def _pchip_end_slope(h0, h1, m0, m1) -> float:
     return d
 
 
+# the cache document's format and version; see the module docstring for the version
+_DOCUMENT = {"format": "discrepancy-forge-kernel", "version": 4}
+
+
+def _field_value(name: str, kind: str, value):
+    """A cache document's value as a field of the declared type `kind`: a list
+    of numbers for an array, a number for a float, an integer for an int, an
+    object for a dict. ValueError otherwise, as for a missing field's None."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "np.ndarray" and isinstance(value, list):
+        with contextlib.suppress(ValueError):  # numpy's error for a ragged list
+            arr = np.array(value)
+            if arr.ndim == 1 and arr.dtype.kind in "if":
+                return arr.astype(float, copy=False)
+    elif kind == "dict" and isinstance(value, dict):
+        return dict(value)
+    elif kind == "float" and number:
+        return float(value)
+    elif kind == "int" and number and isinstance(value, int):
+        return value
+    raise ValueError(f"kernel table field {name!r} is missing or not {kind}: {value!r:.40}")
+
+
 @dataclass
 class KernelTable:
     """Tabulated radial kernel K, transform khat, tail integral I, constants.
@@ -371,52 +395,24 @@ class KernelTable:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "format": "discrepancy-forge-kernel",
-            "version": 4,
-            "dimension": self.dimension,
-            "khat_grid": self.khat_grid.tolist(),
-            "khat": self.khat.tolist(),
-            "khat_slopes": self.khat_slopes.tolist(),
-            "kvals_grid": self.kvals_grid.tolist(),
-            "kvals": self.kvals.tolist(),
-            "tail_grid": self.tail_grid.tolist(),
-            "tail": self.tail.tolist(),
-            "gamma": self.gamma,
-            "x_max": self.x_max,
-            "t_max": self.t_max,
-            "quadrature_tolerance": self.quadrature_tolerance,
-            "ball_mass": self.ball_mass,
-            "tail_envelope_coeff": self.tail_envelope_coeff,
-            "khat_accuracy": self.khat_accuracy,
-            "provenance": self.provenance,
-        }
+        """The cache document: its format and version, and every field by name."""
+        doc = dict(_DOCUMENT)
+        for f in fields(self):
+            if f.init:
+                value = getattr(self, f.name)
+                doc[f.name] = value.tolist() if f.type == "np.ndarray" else value
+        return doc
 
     @classmethod
     def from_dict(cls, data: dict) -> "KernelTable":
-        if not isinstance(data, dict) or data.get("format") != "discrepancy-forge-kernel":
+        """The table a cache document holds; ValueError for another format or
+        version, a missing or mistyped field, or knots the evaluators reject."""
+        if not isinstance(data, dict) or data.get("format") != _DOCUMENT["format"]:
             raise ValueError("not a kernel table document")
-        if data.get("version") != 4:
+        if data.get("version") != _DOCUMENT["version"]:
             raise ValueError(f"unsupported kernel table version {data.get('version')}")
-        # a missing or short khat_slopes fails the evaluator's knot check (ValueError)
-        return cls(
-            dimension=int(data["dimension"]),
-            khat_grid=np.asarray(data["khat_grid"], dtype=float),
-            khat=np.asarray(data["khat"], dtype=float),
-            khat_slopes=np.asarray(data.get("khat_slopes", ()), dtype=float),
-            kvals_grid=np.asarray(data["kvals_grid"], dtype=float),
-            kvals=np.asarray(data["kvals"], dtype=float),
-            tail_grid=np.asarray(data["tail_grid"], dtype=float),
-            tail=np.asarray(data["tail"], dtype=float),
-            gamma=float(data["gamma"]),
-            x_max=float(data["x_max"]),
-            t_max=float(data["t_max"]),
-            quadrature_tolerance=float(data["quadrature_tolerance"]),
-            ball_mass=float(data["ball_mass"]),
-            tail_envelope_coeff=float(data["tail_envelope_coeff"]),
-            khat_accuracy=float(data["khat_accuracy"]),
-            provenance=dict(data["provenance"]),
-        )
+        return cls(**{f.name: _field_value(f.name, f.type, data.get(f.name))
+                      for f in fields(cls) if f.init})
 
 
 def save_kernel(table: KernelTable, path) -> None:
@@ -440,41 +436,30 @@ def load_kernel(path) -> KernelTable:
     return KernelTable.from_dict(json.loads(Path(path).read_text()))
 
 
-class _MasterRepresentation:
-    """K = F khat as a finite sum over Gauss-Legendre nodes of khat."""
-
-    def __init__(self, d: int, nodes: np.ndarray, weights: np.ndarray, khat: np.ndarray):
-        self.d = d
-        self.nodes = nodes
-        self.coeff = weights * khat          # w_i * khat(r_i)
-        self.a = TWO_PI * nodes              # angular frequencies
-
-    def kernel(self, s: np.ndarray) -> np.ndarray:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return _radial_transform(self.d, self.nodes, self.coeff, s)
-
-    def radial_mass_many(self, t: np.ndarray, hi: float) -> np.ndarray:
-        """Integral of K over {t <= |x| <= hi} for a vector of lower bounds."""
-        a = self.a
-        if self.d == 1:
-            prim = np.sin(np.outer(a, t)) / a[:, None]
-            prim_hi = np.sin(a * hi) / a
-            inner = 2.0 * self.coeff
-            omega = SPHERE_SURFACE[1]
-        elif self.d == 2:
-            from scipy.special import j1
-            prim = t[None, :] * j1(np.outer(a, t)) / a[:, None]
-            prim_hi = hi * j1(a * hi) / a
-            inner = TWO_PI * self.coeff * self.nodes
-            omega = SPHERE_SURFACE[2]
-        else:
-            at = np.outer(a, t)
-            prim = (np.sin(at) - at * np.cos(at)) / (a * a)[:, None]
-            ahi = a * hi
-            prim_hi = (np.sin(ahi) - ahi * np.cos(ahi)) / (a * a)
-            inner = 2.0 * self.coeff * self.nodes
-            omega = SPHERE_SURFACE[3]
-        return omega * (inner @ (prim_hi[:, None] - prim))
+def _radial_masses(d: int, nodes: np.ndarray, coeff: np.ndarray, t: np.ndarray,
+                   hi: float) -> np.ndarray:
+    """Integral of K = F khat over {t <= |x| <= hi} for each lower bound t,
+    where coeff = w_i khat(r_i) on the transform's nodes r_i."""
+    a = TWO_PI * nodes                   # angular frequencies
+    if d == 1:
+        prim = np.sin(np.outer(a, t)) / a[:, None]
+        prim_hi = np.sin(a * hi) / a
+        inner = 2.0 * coeff
+    elif d == 2:
+        from scipy.special import j1
+        prim = np.outer(a, t)  # transformed in place: one node-by-t array, not three
+        j1(prim, out=prim)
+        prim *= t
+        prim /= a[:, None]
+        prim_hi = hi * j1(a * hi) / a
+        inner = TWO_PI * coeff * nodes
+    else:
+        at = np.outer(a, t)
+        prim = (np.sin(at) - at * np.cos(at)) / (a * a)[:, None]
+        ahi = a * hi
+        prim_hi = (np.sin(ahi) - ahi * np.cos(ahi)) / (a * a)
+        inner = 2.0 * coeff * nodes
+    return SPHERE_SURFACE[d] * (inner @ np.subtract(prim_hi[:, None], prim, out=prim))
 
 
 # fixed build parameters, recorded in every table's provenance
@@ -508,7 +493,7 @@ def build_kernel_table(bump: BumpProfile) -> KernelTable:
     nodes, weights = panel_nodes(0.0, 1.0, p["master_panels"])
     conv_nodes, conv_err = autocorrelation_values(bump, nodes)
     khat_nodes = (1.0 + nodes ** 2) ** (-decay) * conv_nodes
-    master = _MasterRepresentation(d, nodes, weights, khat_nodes)
+    coeff = weights * khat_nodes        # K = F khat as a finite sum over the nodes
 
     khat_grid = np.linspace(0.0, 1.0, p["khat_grid_n"])
     conv_grid, _ = autocorrelation_values(bump, khat_grid)
@@ -519,7 +504,7 @@ def build_kernel_table(bump: BumpProfile) -> KernelTable:
     khat_accuracy = float(np.max(np.abs(spline(nodes) - khat_nodes))) + conv_err
 
     kvals_grid = np.arange(0.0, x_max + 0.5 * kvals_step, kvals_step)
-    kvals = master.kernel(kvals_grid)
+    kvals = _radial_transform(d, nodes, coeff, kvals_grid)
     kmin = float(kvals.min())
     if kmin < -QUADRATURE_TOLERANCE:
         raise QuadratureError(
@@ -534,7 +519,7 @@ def build_kernel_table(bump: BumpProfile) -> KernelTable:
     tail_grid = np.arange(0.0, t_max + 0.5 * tail_step, tail_step)
     inside = tail_grid <= x_max
     tail = np.empty_like(tail_grid)
-    tail[inside] = master.radial_mass_many(tail_grid[inside], x_max) + remainder
+    tail[inside] = _radial_masses(d, nodes, coeff, tail_grid[inside], x_max) + remainder
     tail[~inside] = 0.5 * omega * envelope_c * tail_grid[~inside] ** (-2.0)
     tail = np.maximum(tail, 0.0)
 
@@ -546,7 +531,7 @@ def build_kernel_table(bump: BumpProfile) -> KernelTable:
         raise QuadratureError(
             f"tail ratio I(t+1) >= exp(-2 pi) I(t) violated near t = {tail_grid[worst]:.2f}")
 
-    ball_mass = master.radial_mass_many(np.zeros(1), 1.0)[0]
+    ball_mass = _radial_masses(d, nodes, coeff, np.zeros(1), 1.0)[0]
     gamma = float(np.exp(TWO_PI) / ball_mass)
 
     provenance = {
@@ -583,22 +568,3 @@ def psi(kernel: KernelTable, t):
     if np.ndim(t) == 0:
         return float(vals[0])
     return vals
-
-
-@dataclass(frozen=True)
-class DecayProfile:
-    """psi tabulated on a grid, with empirical polynomial-decay fits."""
-
-    kernel: KernelTable
-    grid: np.ndarray
-    values: np.ndarray
-
-    @classmethod
-    def from_kernel(cls, kernel: KernelTable):
-        """psi on 2001 points over [0, 2 t_max], where the table's I ends."""
-        grid = np.linspace(0.0, 2.0 * kernel.t_max, 2001)
-        return cls(kernel=kernel, grid=grid, values=psi(kernel, grid))
-
-    def fitted_c(self, alpha: float) -> float:
-        """sup over the table of psi(t) * (1 + t)^alpha."""
-        return float(np.max(self.values * (1.0 + self.grid) ** alpha))

@@ -247,9 +247,6 @@ class RhoHatResult:
     L: int
     per_degree: tuple
 
-    def to_json(self) -> dict:
-        return {"value": self.value, "L": self.L, "per_degree": list(self.per_degree)}
-
 
 def rho_hat(words, L: int) -> RhoHatResult:
     norms = [hecke_block(words, ell).norm for ell in range(1, L + 1)]
@@ -302,11 +299,6 @@ class SphereBoundReport:
     grid_argmin_R: float
     formula_R: float
     formula_value: float
-
-    def to_json(self) -> dict:
-        return {"delta": self.delta, "rho": self.rho, "minkowski": self.minkowski,
-                "grid_min": self.grid_min, "grid_argmin_R": self.grid_argmin_R,
-                "formula_R": self.formula_R, "formula_value": self.formula_value}
 
 
 def sphere_bound(m: int, region, delta: float, rho: float) -> SphereBoundReport:

@@ -277,6 +277,29 @@ def test_kernel_cache_with_truncated_khat_slopes_is_rebuilt(tmp_path):
     assert short_out.read_bytes() == fresh_out.read_bytes()
 
 
+@pytest.fixture(scope="module")
+def fresh_kernel_build(tmp_path_factory):
+    """The cache file and report of a d = 2 kernel-build into an empty cache."""
+    tmp = tmp_path_factory.mktemp("fresh-kernel")
+    assert run_cli(["kernel-build", "--kernel-cache", str(tmp / "kernel.json"),
+                    "--out", str(tmp / "report.json")]) == EXIT_OK
+    return (tmp / "kernel.json").read_bytes(), (tmp / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("field, value", [("gamma", None), ("provenance", 5),
+                                          ("dimension", None)])
+def test_kernel_cache_with_a_mistyped_field_is_rebuilt(tmp_path, fresh_kernel_build,
+                                                       field, value):
+    fresh_cache, fresh_out = fresh_kernel_build
+    cache, out = tmp_path / "kernel.json", tmp_path / "report.json"
+    doc = json.loads(fresh_cache)
+    doc[field] = value
+    cache.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    assert run_cli(["kernel-build", "--kernel-cache", str(cache), "--out", str(out)]) == EXIT_OK
+    assert cache.read_bytes() == fresh_cache
+    assert out.read_bytes() == fresh_out
+
+
 def test_csv_rows_equal_per_value_formatting(tmp_path, kernel2):
     # each experiment's CSV against its rows formatted one numpy scalar at a time
     cache = tmp_path / "kernel.json"
@@ -451,8 +474,8 @@ def test_polytope_family_report_does_not_depend_on_normal_scale(tmp_path):
 
 
 def test_polytope_family_builds_one_phi_ball(tmp_path, monkeypatch):
-    # the exhaustive search's ball also feeds the CSV
-    builds = []
+    # the exhaustive search's ball also feeds the family bound and the CSV;
+    # with --g given, the one ball feeds the bound and the CSV
     build = cli.PhiBall.build
 
     def counting_build(chains, m):
@@ -461,10 +484,12 @@ def test_polytope_family_builds_one_phi_ball(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.PhiBall, "build", staticmethod(counting_build))
     csv_out = tmp_path / "phi.csv"
-    assert run_cli(["polytope-family", "--m", "101", "--chain-sum-R", "16,64",
-                    "--out", str(tmp_path / "r.json"), "--csv-out", str(csv_out)]) == EXIT_OK
-    assert builds == [101]
-    assert csv_out.read_text().startswith("k1,k2,phi,weyl,term")
+    for g in ([], ["--g", "1,44"]):
+        builds = []
+        assert run_cli(["polytope-family", "--m", "101", "--chain-sum-R", "16,64", *g,
+                        "--out", str(tmp_path / "r.json"), "--csv-out", str(csv_out)]) == EXIT_OK
+        assert builds == [101]
+        assert csv_out.read_text().startswith("k1,k2,phi,weyl,term")
 
 
 _NO_KERNEL_RUNS = [["glp-search", "--m", "101"],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from discrepancy_forge import erdos_turan
-from discrepancy_forge.chains import ChainSystem
+from discrepancy_forge.chains import ChainSystem, phi
 from discrepancy_forge.erdos_turan import (
     et_bound,
     et_bound_r_search,
@@ -86,7 +86,7 @@ def test_polytope_family_bound_korobov_restriction():
     cs = ChainSystem.coordinate(2)
     ps = korobov((1, 33), 101)
     spec = weyl_spectrum(ps, 101.0)
-    fam = polytope_family_bound(cs, spec, 101.0)
+    fam = polytope_family_bound(phi(cs, spec.freqs), spec)
     # only congruence-satisfying k contribute, so the sum is small but positive
     assert fam.r_term == pytest.approx(1 / 101)
     assert 0 < fam.sum_term < np.sum(np.sort(
@@ -99,8 +99,17 @@ def test_polytope_family_bound_empty_spectrum():
     cs = ChainSystem.coordinate(2)
     ps = lattice(256, d=2)
     spec = weyl_spectrum(ps, 16.0)  # all Psi = 0 below the lattice spacing
-    fam = polytope_family_bound(cs, spec, 16.0)
+    fam = polytope_family_bound(phi(cs, spec.freqs), spec)
     assert fam.value == pytest.approx(1 / 16.0)
+
+
+def test_polytope_family_bound_needs_phi_on_every_frequency():
+    cs = ChainSystem.coordinate(2)
+    spec = weyl_spectrum(korobov((1, 33), 101), 101.0)
+    phis = phi(cs, spec.freqs)
+    for short in (phis[:-1], phis[:, None], np.append(phis, 1.0)):
+        with pytest.raises(ValueError, match="cover"):
+            polytope_family_bound(short, spec)
 
 
 def test_family_bound_constant_stable_across_primes():
@@ -111,7 +120,7 @@ def test_family_bound_constant_stable_across_primes():
     for m in (101, 211, 401, 809):
         cert = search(m, cs, "exhaustive")
         spec = weyl_spectrum(korobov(cert.g, m), float(m))
-        fam = polytope_family_bound(cs, spec, float(m))
+        fam = polytope_family_bound(phi(cs, spec.freqs), spec)
         constants.append(fam.value * m / np.log(m) ** 2)
     constants = np.asarray(constants)
     assert np.max(np.abs(constants - constants.mean())) <= 0.5 * constants.mean()
@@ -123,7 +132,7 @@ def test_searched_generator_beats_average_certificate():
     cert = search(m, cs, "exhaustive")
     ps = korobov(cert.g, m)
     spec = weyl_spectrum(ps, float(m))
-    fam = polytope_family_bound(cs, spec, float(m))
+    fam = polytope_family_bound(phi(cs, spec.freqs), spec)
     assert fam.value <= 1.0 / m + cert.average + 1e-12
 
 

@@ -1,5 +1,7 @@
 """Good-lattice-point search: congruence sums, averaging, exhaustive table."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from oracles import exhaustive_table, phi_per_chain, search_per_candidate
@@ -133,7 +135,7 @@ def test_validation():
 
 def test_certificate_serialization():
     cert = search(7, CS2, "exhaustive")
-    doc = cert.to_json()
+    doc = asdict(cert)
     assert doc["m"] == 7 and len(doc["g"]) == 2
     assert doc["value"] <= doc["average"]
 

@@ -146,7 +146,8 @@ def test_table_memory_is_strip_bounded(kernel2):
     assert peak < 200 * 2 ** 20
 
 
-@pytest.mark.parametrize("set_", [ON_GRID, OFF_GRID, QUAD], ids=["on-grid", "off-grid", "quad"])
+@pytest.mark.parametrize("set_", [ON_GRID, OFF_GRID, BOX, QUAD],
+                         ids=["on-grid", "off-grid", "box", "quad"])
 def test_table_memory_stays_within_its_estimate(kernel2, set_, monkeypatch):
     # R = 256 at oversample 1 is a 2048 x 2048 grid with 513 kept columns
     estimates = []

@@ -1,5 +1,6 @@
 """Kernel construction: bump profile, autocorrelation, kernel table, psi."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from scipy.special import j0
 
 from discrepancy_forge import kernel
 from discrepancy_forge.kernel import (
-    DecayProfile,
     KernelTable,
     _CubicHermite,
     _clamped_slopes,
@@ -190,13 +190,19 @@ def test_psi_basics(kernel2):
 
 
 def test_decay_profile_polynomial_fits(kernel2):
-    profile = DecayProfile.from_kernel(kernel2)
-    c4 = profile.fitted_c(4)
+    # sup of psi(t) (1 + t)^alpha over kernel-build's grid on [0, 2 t_max]
+    grid = np.linspace(0.0, 2.0 * kernel2.t_max, 2001)
+    values = psi(kernel2, grid)
+
+    def fitted_c(alpha):
+        return float(np.max(values * (1.0 + grid) ** alpha))
+
+    c4 = fitted_c(4)
     assert np.isfinite(c4) and c4 < 1e6
     # regression pin for the default d=2 build
     assert c4 == pytest.approx(2.2367e5, rel=2e-3)
     for alpha in (2, 8):
-        assert np.isfinite(profile.fitted_c(alpha))
+        assert np.isfinite(fitted_c(alpha))
 
 
 def test_psi_h_identity(kernel2):
@@ -220,6 +226,33 @@ def test_serialization_round_trip(tmp_path, kernel2):
     assert np.array_equal(loaded.tail_integral(t), kernel2.tail_integral(t))
     with pytest.raises(ValueError):
         KernelTable.from_dict({"format": "something-else"})
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cache_file_is_the_table_fields_and_rewrites_byte_identical(d, kernel_tables, tmp_path):
+    table = kernel_tables[d]
+    doc = table.to_dict()
+    names = {f.name for f in dataclasses.fields(KernelTable) if f.init}
+    assert set(doc) == names | {"format", "version"}
+    assert (doc["format"], doc["version"]) == ("discrepancy-forge-kernel", 4)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_kernel(table, first)
+    save_kernel(load_kernel(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gamma", None), ("gamma", "1.5"), ("gamma", True), ("provenance", 5),
+    ("dimension", None), ("dimension", 2.0), ("kvals", None), ("kvals", [[0.0]]),
+    ("kvals", [0.0, None]), ("tail", [0.0, [1.0]]), ("tail", "0.0"), ("khat_accuracy", [])])
+def test_mistyped_or_missing_field_is_a_value_error(kernel2, field, value):
+    broken = kernel2.to_dict()
+    broken[field] = value
+    with pytest.raises(ValueError, match=field):
+        KernelTable.from_dict(broken)
+    del broken[field]
+    with pytest.raises(ValueError, match=field):
+        KernelTable.from_dict(broken)
 
 
 @pytest.mark.parametrize("d", [1, 3])
