@@ -16,7 +16,8 @@ m * m = F^-1[(F m)^2], and F is its own inverse on radial functions, so the
 autocorrelation is two applications of F: once for F m on frequency nodes,
 once to map (F m)^2 back to radii. K is F applied to khat on a fixed node
 set, so K, I(t) and radial masses are closed-form sums with no nested
-quadrature.
+quadrature. Both node sums run in fixed blocks of radii: no node-by-all-radii
+matrix is held, and a table's bytes do not depend on the BLAS thread count.
 
 Downstream modules consume the tables through one numpy piecewise-cubic
 Hermite evaluator: monotone (PCHIP) slopes for I, computed when a table is
@@ -34,7 +35,8 @@ every table's provenance records.
 The cache file's `version` is bumped whenever a change moves table numbers,
 adds a field or fixes a value that older files may hold otherwise (version 4:
 the extents x_max and t_max), so tables written by older code are rebuilt,
-not reused.
+not reused. Blocked radial masses kept version 4: their tables are bitwise
+what the earlier code wrote on one BLAS thread, and its files from more are as valid.
 """
 
 from __future__ import annotations
@@ -108,8 +110,18 @@ def build_bump(d: int) -> BumpProfile:
 # radial Fourier transform; autocorrelation (m * m) on [0, 1]
 # ---------------------------------------------------------------------------
 
-# radii s per chunk, bounding the node-by-radius matrix to a few MB
+# radii per block of both node sums, the transform's and the radial masses':
+# it bounds each node-by-radius matrix to a few MB and fixes the BLAS products,
+# so the sums' bytes do not depend on the BLAS thread count
 _TRANSFORM_CHUNK = 256
+
+
+def _node_sum(weights: np.ndarray, s: np.ndarray, columns) -> np.ndarray:
+    """weights @ columns(block) for each block of _TRANSFORM_CHUNK radii of s."""
+    out = np.empty_like(s)
+    for i0 in range(0, len(s), _TRANSFORM_CHUNK):
+        out[i0:i0 + _TRANSFORM_CHUNK] = weights @ columns(s[i0:i0 + _TRANSFORM_CHUNK])
+    return out
 
 
 def _radial_transform(d: int, r: np.ndarray, wf: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -119,19 +131,14 @@ def _radial_transform(d: int, r: np.ndarray, wf: np.ndarray, s: np.ndarray) -> n
     transform of the radial function f in dimension d, which is its own
     inverse.
     """
-    coeff = SPHERE_SURFACE[d] * wf * r ** (d - 1)
-    out = np.empty_like(s)
-    for i0 in range(0, len(s), _TRANSFORM_CHUNK):
-        rs = np.outer(r, s[i0:i0 + _TRANSFORM_CHUNK])
+    def columns(sb):
         if d == 1:
-            j = np.cos(TWO_PI * rs)
-        elif d == 2:
+            return np.cos(TWO_PI * np.outer(r, sb))
+        if d == 2:
             from scipy.special import j0
-            j = j0(TWO_PI * rs)
-        else:
-            j = np.sinc(2.0 * rs)    # sin(2 pi r s) / (2 pi r s), 1 at s = 0
-        out[i0:i0 + _TRANSFORM_CHUNK] = coeff @ j
-    return out
+            return j0(TWO_PI * np.outer(r, sb))
+        return np.sinc(2.0 * np.outer(r, sb))    # sin(2 pi r s) / (2 pi r s), 1 at s = 0
+    return _node_sum(SPHERE_SURFACE[d] * wf * r ** (d - 1), s, columns)
 
 
 @functools.lru_cache(maxsize=4)
@@ -356,6 +363,9 @@ class KernelTable:
     _tail_interp: _CubicHermite = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not 0 < len(self.kvals) == len(self.kvals_grid):
+            raise ValueError(f"kernel table fields 'kvals' and 'kvals_grid' need equal, nonzero "
+                             f"lengths: {len(self.kvals)} and {len(self.kvals_grid)}")
         self._khat_spline = _CubicHermite(self.khat_grid, self.khat, self.khat_slopes)
         self._tail_interp = _CubicHermite(self.tail_grid, self.tail)
 
@@ -441,25 +451,18 @@ def _radial_masses(d: int, nodes: np.ndarray, coeff: np.ndarray, t: np.ndarray,
     """Integral of K = F khat over {t <= |x| <= hi} for each lower bound t,
     where coeff = w_i khat(r_i) on the transform's nodes r_i."""
     a = TWO_PI * nodes                   # angular frequencies
-    if d == 1:
-        prim = np.sin(np.outer(a, t)) / a[:, None]
-        prim_hi = np.sin(a * hi) / a
-        inner = 2.0 * coeff
-    elif d == 2:
-        from scipy.special import j1
-        prim = np.outer(a, t)  # transformed in place: one node-by-t array, not three
-        j1(prim, out=prim)
-        prim *= t
-        prim /= a[:, None]
-        prim_hi = hi * j1(a * hi) / a
-        inner = TWO_PI * coeff * nodes
-    else:
-        at = np.outer(a, t)
-        prim = (np.sin(at) - at * np.cos(at)) / (a * a)[:, None]
-        ahi = a * hi
-        prim_hi = (np.sin(ahi) - ahi * np.cos(ahi)) / (a * a)
-        inner = 2.0 * coeff * nodes
-    return SPHERE_SURFACE[d] * (inner @ np.subtract(prim_hi[:, None], prim, out=prim))
+
+    def prim(v):                         # each node's term of the mass, integrated up to v
+        if d == 1:
+            return np.sin(np.outer(a, v)) / a[:, None]
+        if d == 2:
+            from scipy.special import j1
+            return j1(np.outer(a, v)) * v / a[:, None]
+        av = np.outer(a, v)
+        return (np.sin(av) - av * np.cos(av)) / (a * a)[:, None]
+    inner = 2.0 * coeff if d == 1 else (TWO_PI if d == 2 else 2.0) * coeff * nodes
+    prim_hi = prim(np.array([hi]))
+    return SPHERE_SURFACE[d] * _node_sum(inner, t, lambda v: prim_hi - prim(v))
 
 
 # fixed build parameters, recorded in every table's provenance
@@ -561,10 +564,7 @@ def psi(kernel: KernelTable, t):
     Monotone nonincreasing; beyond the table it returns the analytic envelope,
     which can only over-estimate, preserving majorization downstream.
     """
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(arr < 0):
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("psi requires t >= 0")
-    vals = 4.0 * kernel.gamma * np.atleast_1d(kernel.tail_integral(arr / 2.0))
-    if np.ndim(t) == 0:
-        return float(vals[0])
-    return vals
+    return 4.0 * kernel.gamma * kernel.tail_integral(t / 2.0)   # a float for a scalar t

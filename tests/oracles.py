@@ -11,7 +11,7 @@ from discrepancy_forge.frequencies import integer_ball
 from discrepancy_forge.geometry import Ball, Box, ConvexPolytope, TorusSet
 from discrepancy_forge.glp import PhiBall, _class_of, _residue_class_sums, congruence_sum
 from discrepancy_forge.hfourier import _fft_resolution
-from discrepancy_forge.kernel import KernelTable, _CubicHermite
+from discrepancy_forge.kernel import SPHERE_SURFACE, KernelTable, _CubicHermite
 
 TWO_PI = 2 * np.pi
 
@@ -71,6 +71,29 @@ def kernel_value(table: KernelTable, s):
     if np.any(~inside):
         out[~inside] = table.tail_envelope_coeff * s[~inside] ** (-(table.dimension + 2))
     return out if out.ndim else float(out)
+
+
+def radial_masses_whole(d: int, nodes: np.ndarray, coeff: np.ndarray, t: np.ndarray,
+                        hi: float) -> np.ndarray:
+    """The integral of K over {t <= |x| <= hi} for each t, as one node-by-all-t
+    product: the former `kernel._radial_masses`, before its sums were blocked."""
+    from scipy.special import j1
+    a = TWO_PI * nodes
+    at = np.outer(a, t)
+    if d == 1:
+        prim = np.sin(at) / a[:, None]
+        prim_hi = np.sin(a * hi) / a
+        inner = 2.0 * coeff
+    elif d == 2:
+        prim = j1(at) * t / a[:, None]
+        prim_hi = hi * j1(a * hi) / a
+        inner = TWO_PI * coeff * nodes
+    else:
+        prim = (np.sin(at) - at * np.cos(at)) / (a * a)[:, None]
+        ahi = a * hi
+        prim_hi = (np.sin(ahi) - ahi * np.cos(ahi)) / (a * a)
+        inner = 2.0 * coeff * nodes
+    return SPHERE_SURFACE[d] * (inner @ (prim_hi[:, None] - prim))
 
 
 def _full_grid_h(set_, kernel, R, n):

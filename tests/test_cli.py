@@ -300,6 +300,37 @@ def test_kernel_cache_with_a_mistyped_field_is_rebuilt(tmp_path, fresh_kernel_bu
     assert out.read_bytes() == fresh_out
 
 
+def test_kernel_cache_without_kvals_is_rebuilt(tmp_path):
+    fresh_cache, fresh_out = tmp_path / "fresh.json", tmp_path / "fresh-report.json"
+    cache, out = tmp_path / "kernel.json", tmp_path / "report.json"
+    assert run_cli(["kernel-build", "--kernel-d", "1", "--kernel-cache", str(fresh_cache),
+                    "--out", str(fresh_out)]) == EXIT_OK
+    doc = json.loads(fresh_cache.read_text())
+    doc["kvals"] = doc["kvals_grid"] = []
+    cache.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    # an empty K table is a miss, not a failure of the positivity check on it
+    assert run_cli(["kernel-build", "--kernel-d", "1", "--kernel-cache", str(cache),
+                    "--out", str(out)]) == EXIT_OK
+    assert cache.read_bytes() == fresh_cache.read_bytes()
+    assert out.read_bytes() == fresh_out.read_bytes()
+
+
+def test_kernel_cache_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the build's node sums run in fixed blocks, so the BLAS split never moves a byte
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    caches = []
+    for threads in ("1", "2"):
+        cache = tmp_path / f"kernel-{threads}.json"
+        proc = subprocess.run([sys.executable, "-m", "discrepancy_forge.cli", "kernel-build",
+                               "--kernel-d", "1", "--kernel-cache", str(cache),
+                               "--out", str(tmp_path / f"report-{threads}.json")],
+                              env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        caches.append(cache.read_bytes())
+    assert caches[0] == caches[1]
+
+
 def test_csv_rows_equal_per_value_formatting(tmp_path, kernel2):
     # each experiment's CSV against its rows formatted one numpy scalar at a time
     cache = tmp_path / "kernel.json"

@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import kernel_value
+from oracles import kernel_value, radial_masses_whole
 from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.special import j0
@@ -25,6 +26,7 @@ from discrepancy_forge.kernel import (
     psi,
     save_kernel,
 )
+from discrepancy_forge.quadrature import panel_nodes
 
 EXP_MINUS_2PI = np.exp(-2 * np.pi)
 
@@ -244,7 +246,8 @@ def test_cache_file_is_the_table_fields_and_rewrites_byte_identical(d, kernel_ta
 @pytest.mark.parametrize("field, value", [
     ("gamma", None), ("gamma", "1.5"), ("gamma", True), ("provenance", 5),
     ("dimension", None), ("dimension", 2.0), ("kvals", None), ("kvals", [[0.0]]),
-    ("kvals", [0.0, None]), ("tail", [0.0, [1.0]]), ("tail", "0.0"), ("khat_accuracy", [])])
+    ("kvals", [0.0, None]), ("tail", [0.0, [1.0]]), ("tail", "0.0"), ("khat_accuracy", []),
+    ("kvals", []), ("kvals", [0.0, 1.0]), ("kvals_grid", []), ("kvals_grid", [0.0, 0.005, 0.01])])
 def test_mistyped_or_missing_field_is_a_value_error(kernel2, field, value):
     broken = kernel2.to_dict()
     broken[field] = value
@@ -263,6 +266,43 @@ def test_other_dimensions_build(d, kernel_tables):
     step = tab.tail_grid[1] - tab.tail_grid[0]
     shift = int(round(1.0 / step))
     assert np.all(tab.tail[shift:] >= EXP_MINUS_2PI * tab.tail[:-shift] - 1e-9)
+
+
+def _master_coefficients(d):
+    """The build's transform nodes r_i and coeff = w_i khat(r_i), K = F khat."""
+    nodes, weights = panel_nodes(0.0, 1.0, kernel.BUILD_PARAMETERS["master_panels"])
+    conv, _ = autocorrelation_values(build_bump(d), nodes)
+    return nodes, weights * ((1.0 + nodes ** 2) ** (-(d + 1) / 2.0) * conv)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_blocked_radial_masses_match_one_whole_product(d, kernel_tables):
+    # the blocked sums against the node-by-all-radii product on the build's
+    # 2,501 tail radii up to x_max, and at t = 0 up to 1 (the ball mass)
+    table = kernel_tables[d]
+    nodes, coeff = _master_coefficients(d)
+    t = table.tail_grid[table.tail_grid <= table.x_max]
+    assert len(t) == 2501
+    for radii, hi in ((t, table.x_max), (np.zeros(1), 1.0)):
+        blocked = kernel._radial_masses(d, nodes, coeff, radii, hi)
+        whole = radial_masses_whole(d, nodes, coeff, radii, hi)
+        assert np.max(np.abs(blocked - whole)) <= 2e-15
+    assert blocked[0] == table.ball_mass
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_build_holds_one_block_of_radii(d):
+    # traced peak of a cold build and its cache document; one node-by-all-radii
+    # product of the radial masses peaked at 39.4 / 19.9 / 59.0 MiB for d = 1 / 2 / 3
+    bump = build_bump(d)
+    kernel._squared_transform.cache_clear()
+    tracemalloc.start()
+    try:
+        build_kernel_table(bump).to_dict()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2 ** 20
 
 
 def _scipy_pairs(table):
