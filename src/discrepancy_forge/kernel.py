@@ -16,8 +16,11 @@ m * m = F^-1[(F m)^2], and F is its own inverse on radial functions, so the
 autocorrelation is two applications of F: once for F m on frequency nodes,
 once to map (F m)^2 back to radii. K is F applied to khat on a fixed node
 set, so K, I(t) and radial masses are closed-form sums with no nested
-quadrature. Both node sums run in fixed blocks of radii: no node-by-all-radii
-matrix is held, and a table's bytes do not depend on the BLAS thread count.
+quadrature. Both node sums run in fixed blocks of radii, dealt to one worker
+thread per CPU the process may use; each worker fills its blocks' columns in
+its own reused buffers by the operations of the plain numpy expressions. No
+node-by-all-radii matrix is held, and a table's bytes depend neither on the
+BLAS thread count nor on the worker count.
 
 Downstream modules consume the tables through one numpy piecewise-cubic
 Hermite evaluator: monotone (PCHIP) slopes for I, computed when a table is
@@ -35,8 +38,9 @@ every table's provenance records.
 The cache file's `version` is bumped whenever a change moves table numbers,
 adds a field or fixes a value that older files may hold otherwise (version 4:
 the extents x_max and t_max), so tables written by older code are rebuilt,
-not reused. Blocked radial masses kept version 4: their tables are bitwise
-what the earlier code wrote on one BLAS thread, and its files from more are as valid.
+not reused. Blocked radial masses and the worker threads kept version 4:
+their tables are bitwise what the earlier code wrote on one BLAS thread, and
+its files from more are as valid.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import functools
 import json
 import os
 import tempfile
+import threading
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -111,16 +116,58 @@ def build_bump(d: int) -> BumpProfile:
 # ---------------------------------------------------------------------------
 
 # radii per block of both node sums, the transform's and the radial masses':
-# it bounds each node-by-radius matrix to a few MB and fixes the BLAS products,
-# so the sums' bytes do not depend on the BLAS thread count
-_TRANSFORM_CHUNK = 256
+# it bounds each worker's node-by-radius buffers to a few MB and fixes the BLAS
+# products, so the sums' bytes depend on neither the BLAS thread count nor the
+# worker count. A multiple of 4: BLAS gemv sums a block's last len % 4 radii in
+# another order, so other sizes would move the tables' last bits.
+_TRANSFORM_CHUNK = 128
+
+# node-sum workers: the CPUs this process may run on, the calling thread included
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
-def _node_sum(weights: np.ndarray, s: np.ndarray, columns) -> np.ndarray:
-    """weights @ columns(block) for each block of _TRANSFORM_CHUNK radii of s."""
+def _node_sum(weights: np.ndarray, s: np.ndarray, fill, buffers: int) -> np.ndarray:
+    """weights @ fill(block, *bufs) for each block of _TRANSFORM_CHUNK radii of s.
+
+    `fill` writes a block's node-by-radius columns into its `buffers` arrays of
+    shape (len(weights), len(block)) and returns the one that holds them. The
+    blocks are dealt round-robin to min(_WORKERS, blocks) workers, the calling
+    thread first; each worker owns its buffers, and numpy's ufuncs, scipy's
+    Bessel functions and the BLAS product release the GIL. Every worker is
+    joined before the sum returns. A short block takes the front of each
+    buffer, so its columns are C-contiguous, as a fresh array's are: numpy may
+    run a ufunc through another inner loop on strided input.
+    """
+    n = len(weights)
     out = np.empty_like(s)
-    for i0 in range(0, len(s), _TRANSFORM_CHUNK):
-        out[i0:i0 + _TRANSFORM_CHUNK] = weights @ columns(s[i0:i0 + _TRANSFORM_CHUNK])
+    starts = range(0, len(s), _TRANSFORM_CHUNK)
+    workers = max(1, min(_WORKERS, len(starts)))
+    errors = []
+
+    def work(k):
+        flat = [np.empty(n * min(_TRANSFORM_CHUNK, len(s))) for _ in range(buffers)]
+        for i0 in starts[k::workers]:
+            sb = s[i0:i0 + _TRANSFORM_CHUNK]
+            out[i0:i0 + len(sb)] = weights @ fill(sb, *(f[:n * len(sb)].reshape(n, len(sb))
+                                                         for f in flat))
+
+    def guarded(k):                       # a worker thread's error, raised by the caller
+        try:
+            work(k)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out
 
 
@@ -129,16 +176,29 @@ def _radial_transform(d: int, r: np.ndarray, wf: np.ndarray, s: np.ndarray) -> n
 
     With wf_i = w_i f(r_i) on quadrature nodes r_i this is the Fourier
     transform of the radial function f in dimension d, which is its own
-    inverse.
+    inverse. The columns are cos, J0 or sinc of 2 pi r s, by the operations
+    of np.cos(TWO_PI * np.outer(r, s)), j0(TWO_PI * np.outer(r, s)) and
+    np.sinc(2.0 * np.outer(r, s)) in their order, so the values are theirs.
     """
-    def columns(sb):
+    if d == 2:
+        from scipy.special import j0
+    eps = np.finfo(float).eps            # np.sinc's stand-in for 0, so sinc(0) = 1
+
+    def columns(sb, x, y=None):
+        np.multiply(r[:, None], sb, out=x)
         if d == 1:
-            return np.cos(TWO_PI * np.outer(r, sb))
+            x *= TWO_PI
+            return np.cos(x, out=x)
         if d == 2:
-            from scipy.special import j0
-            return j0(TWO_PI * np.outer(r, sb))
-        return np.sinc(2.0 * np.outer(r, sb))    # sin(2 pi r s) / (2 pi r s), 1 at s = 0
-    return _node_sum(SPHERE_SURFACE[d] * wf * r ** (d - 1), s, columns)
+            x *= TWO_PI
+            return j0(x, out=x)
+        x *= 2.0
+        x *= np.pi
+        np.copyto(x, eps, where=x == 0)
+        np.sin(x, out=y)
+        y /= x
+        return y
+    return _node_sum(SPHERE_SURFACE[d] * wf * r ** (d - 1), s, columns, 2 if d == 3 else 1)
 
 
 @functools.lru_cache(maxsize=4)
@@ -450,19 +510,30 @@ def _radial_masses(d: int, nodes: np.ndarray, coeff: np.ndarray, t: np.ndarray,
                    hi: float) -> np.ndarray:
     """Integral of K = F khat over {t <= |x| <= hi} for each lower bound t,
     where coeff = w_i khat(r_i) on the transform's nodes r_i."""
-    a = TWO_PI * nodes                   # angular frequencies
+    if d == 2:
+        from scipy.special import j1
+    a = (TWO_PI * nodes)[:, None]        # angular frequencies, one node a row
+    a2 = a * a
 
-    def prim(v):                         # each node's term of the mass, integrated up to v
-        if d == 1:
-            return np.sin(np.outer(a, v)) / a[:, None]
-        if d == 2:
-            from scipy.special import j1
-            return j1(np.outer(a, v)) * v / a[:, None]
-        av = np.outer(a, v)
-        return (np.sin(av) - av * np.cos(av)) / (a * a)[:, None]
+    def prim(v, x, y=None):              # each node's term of the mass, integrated up to v
+        np.multiply(a, v, out=x)
+        if d == 1:                       # sin(a v) / a
+            np.sin(x, out=x)
+        elif d == 2:                     # J1(a v) v / a
+            j1(x, out=x)
+            x *= v
+        else:                            # (sin(a v) - a v cos(a v)) / a^2
+            np.cos(x, out=y)
+            y *= x
+            np.sin(x, out=x)
+            x -= y
+        x /= a2 if d == 3 else a
+        return x
+    buffers = 2 if d == 3 else 1
+    prim_hi = prim(np.array([hi]), *(np.empty((len(a), 1)) for _ in range(buffers)))
     inner = 2.0 * coeff if d == 1 else (TWO_PI if d == 2 else 2.0) * coeff * nodes
-    prim_hi = prim(np.array([hi]))
-    return SPHERE_SURFACE[d] * _node_sum(inner, t, lambda v: prim_hi - prim(v))
+    return SPHERE_SURFACE[d] * _node_sum(
+        inner, t, lambda v, *bufs: np.subtract(prim_hi, prim(v, *bufs), out=bufs[0]), buffers)
 
 
 # fixed build parameters, recorded in every table's provenance

@@ -73,27 +73,45 @@ def kernel_value(table: KernelTable, s):
     return out if out.ndim else float(out)
 
 
-def radial_masses_whole(d: int, nodes: np.ndarray, coeff: np.ndarray, t: np.ndarray,
-                        hi: float) -> np.ndarray:
-    """The integral of K over {t <= |x| <= hi} for each t, as one node-by-all-t
-    product: the former `kernel._radial_masses`, before its sums were blocked."""
+def _blocks(weights, s, chunk, columns):
+    """weights @ columns(block) for each block of `chunk` radii of s."""
+    return np.concatenate([weights @ columns(s[i0:i0 + chunk])
+                           for i0 in range(0, len(s), chunk)])
+
+
+def radial_transform_by_blocks(d: int, r: np.ndarray, wf: np.ndarray, s: np.ndarray,
+                               chunk: int) -> np.ndarray:
+    """The radial transform with each block's columns a fresh numpy array: the
+    former `kernel._radial_transform`, before its buffers were reused."""
+    from scipy.special import j0
+
+    def columns(sb):
+        if d == 1:
+            return np.cos(TWO_PI * np.outer(r, sb))
+        if d == 2:
+            return j0(TWO_PI * np.outer(r, sb))
+        return np.sinc(2.0 * np.outer(r, sb))
+    return _blocks(SPHERE_SURFACE[d] * wf * r ** (d - 1), s, chunk, columns)
+
+
+def radial_masses_by_blocks(d: int, nodes: np.ndarray, coeff: np.ndarray, t: np.ndarray,
+                            hi: float, chunk: int) -> np.ndarray:
+    """The radial masses with each block's columns a fresh numpy array: the
+    former `kernel._radial_masses`, before its buffers were reused, and with
+    chunk = len(t) the one node-by-all-t product it replaced."""
     from scipy.special import j1
     a = TWO_PI * nodes
-    at = np.outer(a, t)
-    if d == 1:
-        prim = np.sin(at) / a[:, None]
-        prim_hi = np.sin(a * hi) / a
-        inner = 2.0 * coeff
-    elif d == 2:
-        prim = j1(at) * t / a[:, None]
-        prim_hi = hi * j1(a * hi) / a
-        inner = TWO_PI * coeff * nodes
-    else:
-        prim = (np.sin(at) - at * np.cos(at)) / (a * a)[:, None]
-        ahi = a * hi
-        prim_hi = (np.sin(ahi) - ahi * np.cos(ahi)) / (a * a)
-        inner = 2.0 * coeff * nodes
-    return SPHERE_SURFACE[d] * (inner @ (prim_hi[:, None] - prim))
+
+    def prim(v):
+        if d == 1:
+            return np.sin(np.outer(a, v)) / a[:, None]
+        if d == 2:
+            return j1(np.outer(a, v)) * v / a[:, None]
+        av = np.outer(a, v)
+        return (np.sin(av) - av * np.cos(av)) / (a * a)[:, None]
+    inner = 2.0 * coeff if d == 1 else (TWO_PI if d == 2 else 2.0) * coeff * nodes
+    prim_hi = prim(np.array([hi]))
+    return SPHERE_SURFACE[d] * _blocks(inner, t, chunk, lambda v: prim_hi - prim(v))
 
 
 def _full_grid_h(set_, kernel, R, n):

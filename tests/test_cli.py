@@ -331,6 +331,25 @@ def test_kernel_cache_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert caches[0] == caches[1]
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_kernel_cache_bytes_do_not_depend_on_the_cpu_count(tmp_path):
+    # a build pinned to one CPU runs its node sums on one worker
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    one_cpu = {min(os.sched_getaffinity(0))}
+    caches = []
+    for name, preexec in (("pinned", lambda: os.sched_setaffinity(0, one_cpu)),
+                          ("unpinned", None)):
+        cache = tmp_path / f"kernel-{name}.json"
+        proc = subprocess.run([sys.executable, "-m", "discrepancy_forge.cli", "kernel-build",
+                               "--kernel-d", "3", "--kernel-cache", str(cache),
+                               "--out", str(tmp_path / f"report-{name}.json")],
+                              env=env, preexec_fn=preexec,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        caches.append(cache.read_bytes())
+    assert caches[0] == caches[1]
+
+
 def test_csv_rows_equal_per_value_formatting(tmp_path, kernel2):
     # each experiment's CSV against its rows formatted one numpy scalar at a time
     cache = tmp_path / "kernel.json"

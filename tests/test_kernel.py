@@ -1,14 +1,23 @@
 """Kernel construction: bump profile, autocorrelation, kernel table, psi."""
 
 import dataclasses
+import functools
+import importlib
+import inspect
 import math
+import pkgutil
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import kernel_value, radial_masses_whole
+from oracles import (
+    kernel_value,
+    radial_masses_by_blocks,
+    radial_transform_by_blocks,
+)
 from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.special import j0
@@ -285,15 +294,18 @@ def test_blocked_radial_masses_match_one_whole_product(d, kernel_tables):
     assert len(t) == 2501
     for radii, hi in ((t, table.x_max), (np.zeros(1), 1.0)):
         blocked = kernel._radial_masses(d, nodes, coeff, radii, hi)
-        whole = radial_masses_whole(d, nodes, coeff, radii, hi)
+        whole = radial_masses_by_blocks(d, nodes, coeff, radii, hi, len(radii))
         assert np.max(np.abs(blocked - whole)) <= 2e-15
     assert blocked[0] == table.ball_mass
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_build_holds_one_block_of_radii(d):
-    # traced peak of a cold build and its cache document; one node-by-all-radii
-    # product of the radial masses peaked at 39.4 / 19.9 / 59.0 MiB for d = 1 / 2 / 3
+def test_build_holds_one_block_of_radii(d, monkeypatch):
+    # traced peak of a cold build on two workers and its cache document; one
+    # node-by-all-radii product of the radial masses peaked at 39.4 / 19.9 /
+    # 59.0 MiB for d = 1 / 2 / 3, and np.sinc's four node-by-block arrays at 12.6
+    # MiB for d = 3. Each worker holds its own buffers, so the count is fixed.
+    monkeypatch.setattr(kernel, "_WORKERS", 2)
     bump = build_bump(d)
     kernel._squared_transform.cache_clear()
     tracemalloc.start()
@@ -302,7 +314,105 @@ def test_build_holds_one_block_of_radii(d):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * 2 ** 20
+    assert peak <= 9 * 2 ** 20
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_table_does_not_depend_on_the_worker_count(d, monkeypatch):
+    # with 3 workers the blocks split unevenly (40 blocks of K radii, 20 of tail radii)
+    docs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(kernel, "_WORKERS", workers)
+        kernel._squared_transform.cache_clear()
+        docs.append(build_kernel_table(build_bump(d)).to_dict())
+    kernel._squared_transform.cache_clear()
+    assert docs[0] == docs[1] == docs[2]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_node_sums_over_a_suffix_equal_fresh_blocks(d, kernel_tables):
+    # a suffix moves every block boundary and leaves a short last block. Its
+    # columns must be C-contiguous as fresh arrays are, or numpy's cos and sin
+    # take another inner loop and move the last bits. BLAS gemv sums the last
+    # len % 4 radii of a block in another order, so the suffix's last 3 entries
+    # may differ from the full sums' and are checked against fresh blocks only.
+    table = kernel_tables[d]
+    nodes, coeff = _master_coefficients(d)
+    radii = table.tail_grid[table.tail_grid <= table.x_max]
+    chunk = kernel._TRANSFORM_CHUNK
+    transform = kernel._radial_transform(d, nodes, coeff, table.kvals_grid)
+    masses = kernel._radial_masses(d, nodes, coeff, radii, table.x_max)
+    assert np.array_equal(transform, table.kvals)
+    for k in (1, 77, 130):
+        part = kernel._radial_transform(d, nodes, coeff, table.kvals_grid[k:])
+        assert np.array_equal(part, radial_transform_by_blocks(d, nodes, coeff,
+                                                               table.kvals_grid[k:], chunk))
+        assert np.array_equal(part[:-3], transform[k:-3])
+        part = kernel._radial_masses(d, nodes, coeff, radii[k:], table.x_max)
+        assert np.array_equal(part, radial_masses_by_blocks(d, nodes, coeff, radii[k:],
+                                                            table.x_max, chunk))
+        assert np.array_equal(part[:-3], masses[k:-3])
+
+
+def test_build_calls_the_public_api_on_the_calling_thread(monkeypatch):
+    # perfbench's tracer keeps one span stack for all threads, so a public call
+    # from a node-sum worker would give its span the wrong parent
+    package = importlib.import_module("discrepancy_forge")
+    modules = [importlib.import_module(f"discrepancy_forge.{m.name}")
+               for m in pkgutil.iter_modules(package.__path__)]
+    threads = []
+
+    def recorder(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            threads.append((fn.__qualname__, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in modules:
+        for name, obj in list(vars(mod).items()):
+            if name.startswith("_"):
+                continue
+            if inspect.isfunction(obj) and obj.__module__.startswith("discrepancy_forge"):
+                monkeypatch.setattr(mod, name, recorder(obj))
+            elif inspect.isclass(obj) and obj.__module__ == mod.__name__:
+                for meth, raw in list(vars(obj).items()):
+                    if not meth.startswith("_") and inspect.isfunction(raw):
+                        monkeypatch.setattr(obj, meth, recorder(raw))
+    kernel._squared_transform.cache_clear()
+    monkeypatch.setattr(kernel, "_WORKERS", 2)
+    for d in (1, 2, 3):
+        kernel.build_kernel_table(kernel.build_bump(d)).to_dict()
+    kernel._squared_transform.cache_clear()
+    names = {name for name, _ in threads}
+    assert {"build_kernel_table", "autocorrelation_values", "bump_raw", "panel_nodes"} <= names
+    assert all(thread is threading.main_thread() for _, thread in threads)
+
+
+def test_build_leaves_no_thread_running(monkeypatch):
+    monkeypatch.setattr(kernel, "_WORKERS", 3)
+    before = threading.active_count()
+    kernel._squared_transform.cache_clear()
+    build_kernel_table(build_bump(1))
+    kernel._squared_transform.cache_clear()
+    assert threading.active_count() == before
+
+
+def test_worker_error_is_raised_by_the_caller(monkeypatch):
+    monkeypatch.setattr(kernel, "_WORKERS", 2)
+    calls = []
+
+    def fill(sb, x):
+        calls.append(threading.current_thread())
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("worker failed")
+        x[...] = 1.0
+        return x
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="worker failed"):
+        kernel._node_sum(np.ones(4), np.arange(3.0 * kernel._TRANSFORM_CHUNK), fill, 1)
+    assert len(calls) == 3
+    assert threading.active_count() == before
 
 
 def _scipy_pairs(table):
