@@ -46,7 +46,7 @@ from .erdos_turan import (
 from .frequencies import integer_ball_bytes
 from .geometry import TorusSet, set_from_json
 from .glp import PhiBall, check_phi_ball, check_search, search
-from .hfourier import h_coefficient_table
+from .hfourier import check_table_memory, h_coefficient_table
 from .kernel import (
     EXP_MINUS_2PI,
     SUPPORTED_DIMENSIONS,
@@ -66,6 +66,7 @@ from .majorant import (
 )
 from .pointsets import (
     PointSet,
+    check_point_memory,
     is_prime,
     korobov,
     kronecker,
@@ -267,6 +268,8 @@ def run_sandwich(config: ExperimentConfig) -> dict:
     if not grid_n >= 4 * max(rs):
         raise ConfigError(f"--grid-n must be at least 4 max(R) = {4 * max(rs):g}, got {grid_n}")
     require_memory(SANDWICH_BYTES_PER_POINT * grid_n ** 2, f"a sandwich grid at --grid-n {grid_n}")
+    for R in rs:
+        check_table_memory(R, oversample)
     kernel = get_kernel(config)
     max_budget = params.get("max_budget")
     per_r = []
@@ -298,6 +301,8 @@ def run_bound(config: ExperimentConfig) -> dict:
         R = _rule_R(rule, points.size, alpha, beta, params["eps"])
     else:
         R = r_spec
+    if r_spec != "auto:search":   # the search checks each table it tries
+        check_table_memory(R, H_OVERSAMPLE)
     kernel = get_kernel(config)
 
     search_table = None
@@ -363,6 +368,9 @@ def run_lattice_scaling(config: ExperimentConfig) -> dict:
     if any(math.isqrt(m) ** 2 != m for m in ms):
         raise ConfigError(f"--m values must be squares (lattice sizes in d = 2), got {ms}")
     rs = [_rule_R("lattice", m, alpha, beta) for m in ms]
+    for m, R in zip(ms, rs):
+        check_point_memory(m, 2, "lattice")
+        check_table_memory(R, H_OVERSAMPLE)
     kernel = get_kernel(config)
     rows, slope = _scaling_rows(set_, kernel, ms, rs, lambda m: lattice(m, 2),
                                 {"alpha": alpha, "beta": beta})
@@ -385,6 +393,9 @@ def run_kronecker_scaling(config: ExperimentConfig) -> dict:
     if len(x) != d:
         raise ConfigError(f"--x has {len(x)} coordinates, but the set has dimension {d}")
     rs = [_rule_R("kronecker", m, 1.0, 1.0, params["eps"]) for m in params["m"]]
+    for m, R in zip(params["m"], rs):
+        check_point_memory(m, d, "kronecker")
+        check_table_memory(R, H_OVERSAMPLE)
     kernel = get_kernel(config)
 
     schmidt_rows, spread = _log_power_rows(params["schmidt_R"], lambda R: schmidt_sum(x, R),

@@ -69,6 +69,11 @@ class TorusSet:
     def distance_grid(self, n: int, rows=slice(None), cols=slice(None)) -> np.ndarray:
         """Boundary distance on the rows `rows` and columns `cols` (slices or
         index arrays) of the n x n grid (i/n, j/n), d = 2 only."""
+        return self._distance_grid(n, rows, cols)
+
+    def _distance_grid(self, n: int, rows, cols) -> np.ndarray:
+        """distance_grid's body, which calls no public method: H-table strip
+        workers evaluate distances through it."""
         if self.dimension != 2:
             raise ValueError("distance_grid is 2-d only")
         axis = np.arange(n) / n
@@ -292,6 +297,10 @@ class ConvexPolytope(TorusSet):
         return self.vertex_array.mean(axis=0)
 
     def edges(self):
+        return self._edges()
+
+    def _edges(self):
+        """Each edge's start and end vertex; private, so distance workers call it."""
         v = self.vertex_array
         return v, np.roll(v, -1, axis=0)
 
@@ -319,7 +328,7 @@ class ConvexPolytope(TorusSet):
 
     def _distance(self, coords) -> np.ndarray:
         x, y = coords
-        p, q = self.edges()
+        p, q = self._edges()
         best2 = None
         for mid, half in zip(0.5 * (p + q), 0.5 * (q - p)):
             seg2 = np.dot(half, half)

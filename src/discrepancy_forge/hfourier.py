@@ -16,14 +16,19 @@ and the kept columns are gathered into grid order before the column
 transform; the table is bitwise the one every grid row would give.
 
 H is real, so its grid is transformed as a real grid. The class rows are
-evaluated one strip at a time (about 2^20 grid points, an even number of
-rows): each strip's distances and I(R dist) are computed once, its rows are
-gathered into grid columns and given a real FFT, and only the columns
-k2 = 0 ... kmax are kept; one transform along the columns of the
-n x (kmax + 1) array gives the k2 >= 0 half of the block, so memory is
-O(n kmax), not O(n^2). The k2 < 0 half, and k1 < 0 on k2 = 0, are the
-conjugate mirror H(-k) = conj H(k), for the block and for its error
-estimate alike, so the table is exactly Hermitian. A guard estimates those
+evaluated in strips of an even number of rows, dealt round-robin to
+`parallel`'s workers, one per CPU; the strips the workers hold at once add
+up to about 2^20 grid points. A worker computes each of its strips'
+distances and I(R dist) once, gathers its rows into grid columns, gives them
+a real FFT and writes the columns k2 = 0 ... kmax into the strip's own rows
+of the table's arrays. It calls only private bodies (`_distance_grid`,
+`_tail`), so every public call, which a tracer may wrap, stays on the calling
+thread. There, one transform along the columns of the n x (kmax + 1) array
+gives the k2 >= 0 half of the block, so memory is O(n kmax), not O(n^2).
+The k2 < 0 half, and k1 < 0 on k2 = 0, are the conjugate mirror
+H(-k) = conj H(k), for the block and for its error estimate alike, so the
+table is exactly Hermitian. Each row is transformed alone, so the table is
+bitwise the same for any worker count. `check_table_memory` estimates those
 bytes first and raises ConfigError when they exceed physical memory.
 
 The per-coefficient error estimate is the change from the n/2 grid. Its
@@ -40,12 +45,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .errors import require_memory
 from .geometry import TorusSet
 from .kernel import KernelTable
 
 
-# points per strip of grid rows evaluated at once, and bytes held per strip point
+# grid points of the strips all workers hold at once, and bytes held per strip point
 _STRIP_POINTS = 1 << 20
 _STRIP_BYTES_PER_POINT = 34
 # an axis with more distance classes than this share of its indices is taken
@@ -76,8 +82,10 @@ def _grid_order(a: np.ndarray, inverse, axis: int, step: int = 1) -> np.ndarray:
 
 def _h_values(set_: TorusSet, kernel: KernelTable, R: float, n: int,
               rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """H_R at the grid rows `rows` and columns `cols` of the n x n grid."""
-    return kernel.gamma * kernel.tail_integral(R * set_.distance_grid(n, rows, cols))
+    """H_R at the grid rows `rows` and columns `cols` of the n x n grid, through
+    the private bodies of distance_grid and tail_integral: a strip worker
+    calls no public callable."""
+    return kernel.gamma * kernel._tail(R * set_._distance_grid(n, rows, cols))
 
 
 def h_function_grid(set_: TorusSet, kernel: KernelTable, R: float, n: int) -> np.ndarray:
@@ -119,38 +127,35 @@ class HCoefficientTable:
 def h_coefficient_table(set_: TorusSet, kernel: KernelTable, R: float, *,
                         oversample: int = 4) -> HCoefficientTable:
     """Tabulate H_R coefficients on |k|_inf <= ceil(R), with refinement errors."""
-    if R <= 0:
-        raise ValueError("R must be positive")
-    if oversample < 1:
-        raise ValueError(f"oversample must be >= 1, got {oversample}")
     if set_.dimension != 2:
         raise ValueError("coefficient tables are implemented on T^2")
     if kernel.dimension != 2:
         raise ValueError("kernel dimension must match the torus dimension 2")
-    kmax = int(np.ceil(R))
-    n = _fft_resolution(R, oversample)   # n >= 8 R, so kmax <= n / 4
-    rows = 2 * max(1, _STRIP_POINTS // (2 * n))
-    _check_memory(n, kmax, rows)
+    n, kmax, rows = check_table_memory(R, oversample)
     (row_reps, row_inv), (col_reps, col_inv) = _grid_classes(set_, n)
     # the row classes of the n/2 grid, whose rows are the even rows of the n grid
     coarse_classes = np.zeros(len(row_reps), dtype=bool)
     coarse_classes[slice(None, None, 2) if row_inv is None else row_inv[::2]] = True
+    # where each row class's n/2 grid row goes, if it has one
+    coarse_at = np.cumsum(coarse_classes) - coarse_classes
     # the k2 = 0 ... kmax row transforms of each row class, and of each row class of the n/2 grid
     fine = np.empty((len(row_reps), kmax + 1), dtype=complex)
     coarse = np.empty((np.count_nonzero(coarse_classes), kmax + 1), dtype=complex)
-    done = 0
-    for start in range(0, len(row_reps), rows):
-        strip = slice(start, start + rows)
-        h = _h_values(set_, kernel, R, n, row_reps[strip], col_reps)
-        fine[strip] = _row_fft(_grid_order(h, col_inv, 1), kmax)
-        # the n/2 grid point (i, j) is the n grid point (2i, 2j), bitwise
-        h = h[::2] if row_inv is None else h[coarse_classes[strip]]
-        coarse[done:done + len(h)] = _row_fft(_grid_order(h, col_inv, 1, 2), kmax)
-        done += len(h)
-        del h   # h[::2] is a view: free this strip's values before the next is evaluated
+
+    def strips(starts):
+        for start in starts:
+            strip = slice(start, start + rows)
+            h = _h_values(set_, kernel, R, n, row_reps[strip], col_reps)
+            fine[strip] = _row_fft(_grid_order(h, col_inv, 1), kmax)
+            # the n/2 grid point (i, j) is the n grid point (2i, 2j), bitwise
+            h = h[::2] if row_inv is None else h[coarse_classes[strip]]
+            at = coarse_at[start]
+            coarse[at:at + len(h)] = _row_fft(_grid_order(h, col_inv, 1, 2), kmax)
+            del h   # h[::2] is a view: free this strip's values before the next is evaluated
+    parallel.deal(range(0, len(row_reps), rows), strips)
     if row_inv is not None:
         fine = fine[row_inv]
-        coarse = coarse[(np.cumsum(coarse_classes) - 1)[row_inv[::2]]]
+        coarse = coarse[coarse_at[row_inv[::2]]]
     half = _column_fft(fine, kmax)
     err = np.abs(half - _column_fft(coarse, kmax)) + 1e-15 * kernel.gamma
     return HCoefficientTable(R=float(R), kmax=kmax, grid_n=n, block=_mirror(half),
@@ -181,8 +186,10 @@ def _mirror(half: np.ndarray) -> np.ndarray:
     return block
 
 
-def _check_memory(n: int, kmax: int, rows: int) -> None:
-    """Raise ConfigError if the table's arrays would not fit in physical memory.
+def check_table_memory(R: float, oversample: int) -> tuple[int, int, int]:
+    """The grid size n, kmax and the rows per strip of the H-table at R and
+    oversample; ValueError for an R or oversample out of range, and
+    ConfigError if the table's arrays would not fit in physical memory.
 
     Rows of kmax + 1 complex numbers held at once, with w = 2 kmax + 1: while
     row classes are put in grid order, the class rows (at most 3n/4, else they
@@ -190,14 +197,26 @@ def _check_memory(n: int, kmax: int, rows: int) -> None:
     from them; while the columns are transformed, the n fine and n/2 coarse
     rows, one n-row transform and the w rows kept of it; while the halves are
     mirrored, the fine and coarse rows, the half block (w rows) and its error
-    (w/2), the whole block (2w), its error (w) and one mirrored half (w/2). A
-    strip holds at most 34 bytes per point of its grid rows: every 512 x 2048
-    and 256 x 4096 strip of a ball, a box or a quadrilateral peaks at 33 or
-    less under tracemalloc, while its distances and H values are computed.
+    (w/2), the whole block (2w), its error (w) and one mirrored half (w/2).
+    Each worker holds one strip, of at most 34 bytes per point of its grid
+    rows: every 512 x 2048 and 256 x 4096 strip of a ball, a box or a
+    quadrilateral peaks at 33 or less under tracemalloc, while its distances
+    and H values are computed.
     """
+    if not R > 0:
+        raise ValueError("R must be positive")
+    if oversample < 1:
+        raise ValueError(f"oversample must be >= 1, got {oversample}")
+    kmax = int(np.ceil(R))
+    n = _fft_resolution(R, oversample)   # n >= 8 R, so kmax <= n / 4
+    # an even number of rows per strip, so each strip's n/2 grid rows are its
+    # even rows; the workers' strips add up to about 2^20 points
+    rows = 2 * max(1, _STRIP_POINTS // (2 * n * parallel.WORKERS))
     w = 2 * kmax + 1
     gathering = int(_MAX_CLASS_SHARE * n) + n // 2 + n
     transforming = n + n // 2 + n + w
     mirroring = n + n // 2 + 5 * w
     require_memory(16 * (kmax + 1) * max(gathering, transforming, mirroring)
-                   + _STRIP_BYTES_PER_POINT * rows * n, f"H-table on the {n} x {n} grid")
+                   + _STRIP_BYTES_PER_POINT * parallel.WORKERS * rows * n,
+                   f"H-table on the {n} x {n} grid")
+    return n, kmax, rows

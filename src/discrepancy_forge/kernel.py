@@ -16,11 +16,11 @@ m * m = F^-1[(F m)^2], and F is its own inverse on radial functions, so the
 autocorrelation is two applications of F: once for F m on frequency nodes,
 once to map (F m)^2 back to radii. K is F applied to khat on a fixed node
 set, so K, I(t) and radial masses are closed-form sums with no nested
-quadrature. Both node sums run in fixed blocks of radii, dealt to one worker
-thread per CPU the process may use; each worker fills its blocks' columns in
-its own reused buffers by the operations of the plain numpy expressions. No
-node-by-all-radii matrix is held, and a table's bytes depend neither on the
-BLAS thread count nor on the worker count.
+quadrature. Both node sums run in fixed blocks of radii, dealt by `parallel`
+to one worker thread per CPU the process may use; each worker fills its
+blocks' columns in its own reused buffers by the operations of the plain
+numpy expressions. No node-by-all-radii matrix is held, and a table's bytes
+depend neither on the BLAS thread count nor on the worker count.
 
 Downstream modules consume the tables through one numpy piecewise-cubic
 Hermite evaluator: monotone (PCHIP) slopes for I, computed when a table is
@@ -50,7 +50,6 @@ import functools
 import json
 import os
 import tempfile
-import threading
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -58,6 +57,7 @@ import numpy as np
 
 # scipy.special is imported inside the d = 2 branches that call j0 and j1: it
 # is most of the package's import time, and no other path needs it
+from . import parallel
 from .errors import QuadratureError
 from .frequencies import TWO_PI
 from .quadrature import PANEL_ORDER, panel_nodes
@@ -122,52 +122,26 @@ def build_bump(d: int) -> BumpProfile:
 # another order, so other sizes would move the tables' last bits.
 _TRANSFORM_CHUNK = 128
 
-# node-sum workers: the CPUs this process may run on, the calling thread included
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-
 def _node_sum(weights: np.ndarray, s: np.ndarray, fill, buffers: int) -> np.ndarray:
     """weights @ fill(block, *bufs) for each block of _TRANSFORM_CHUNK radii of s.
 
     `fill` writes a block's node-by-radius columns into its `buffers` arrays of
     shape (len(weights), len(block)) and returns the one that holds them. The
-    blocks are dealt round-robin to min(_WORKERS, blocks) workers, the calling
-    thread first; each worker owns its buffers, and numpy's ufuncs, scipy's
-    Bessel functions and the BLAS product release the GIL. Every worker is
-    joined before the sum returns. A short block takes the front of each
-    buffer, so its columns are C-contiguous, as a fresh array's are: numpy may
-    run a ufunc through another inner loop on strided input.
+    blocks are dealt to `parallel`'s workers, each of which owns its buffers.
+    A short block takes the front of each buffer, so its columns are
+    C-contiguous, as a fresh array's are: numpy may run a ufunc through
+    another inner loop on strided input.
     """
     n = len(weights)
     out = np.empty_like(s)
-    starts = range(0, len(s), _TRANSFORM_CHUNK)
-    workers = max(1, min(_WORKERS, len(starts)))
-    errors = []
 
-    def work(k):
+    def work(starts):
         flat = [np.empty(n * min(_TRANSFORM_CHUNK, len(s))) for _ in range(buffers)]
-        for i0 in starts[k::workers]:
+        for i0 in starts:
             sb = s[i0:i0 + _TRANSFORM_CHUNK]
             out[i0:i0 + len(sb)] = weights @ fill(sb, *(f[:n * len(sb)].reshape(n, len(sb))
                                                          for f in flat))
-
-    def guarded(k):                       # a worker thread's error, raised by the caller
-        try:
-            work(k)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=guarded, args=(k,)) for k in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    try:
-        work(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    parallel.deal(range(0, len(s), _TRANSFORM_CHUNK), work)
     return out
 
 
@@ -441,7 +415,9 @@ class KernelTable:
 
     def tail_envelope(self, t):
         """One-sided bound for I(t), valid for t >= x_max."""
-        t = np.asarray(t, dtype=float)
+        return self._envelope(np.asarray(t, dtype=float))
+
+    def _envelope(self, t: np.ndarray) -> np.ndarray:
         omega = SPHERE_SURFACE[self.dimension]
         return 0.5 * omega * self.tail_envelope_coeff * t ** (-2.0)
 
@@ -451,16 +427,20 @@ class KernelTable:
         Never under-estimates the true tail (table values carry the integrated
         envelope remainder), so psi built on it stays a majorant.
         """
-        t = np.asarray(t, dtype=float)
+        out = self._tail(np.asarray(t, dtype=float))
+        return out if out.ndim else float(out)
+
+    def _tail(self, t: np.ndarray) -> np.ndarray:
+        """tail_integral's body on an array, which calls no public method:
+        H-table strip workers evaluate I through it."""
         inside = t <= self.t_max
         if inside.all():  # no copy gathers the points and none scatters them back
             out = self._tail_interp(t.ravel()).reshape(t.shape)
         else:
             out = np.empty_like(t)
             out[inside] = self._tail_interp(t[inside])
-            out[~inside] = self.tail_envelope(t[~inside])
-        np.maximum(out, 0.0, out=out)
-        return out if out.ndim else float(out)
+            out[~inside] = self._envelope(t[~inside])
+        return np.maximum(out, 0.0, out=out)
 
     # -- serialization ------------------------------------------------------
 

@@ -55,7 +55,7 @@ class PointSet:
         return self.points.shape[1]
 
 
-def _check_point_memory(m: int, d: int, kind: str) -> None:
+def check_point_memory(m: int, d: int, kind: str) -> None:
     """Raise ConfigError before building m points in d dimensions would
     exceed physical memory: at most 32 bytes per coordinate while building."""
     require_memory(32 * m * d, f"the {kind} point set of {m} points in d = {d}")
@@ -66,7 +66,7 @@ def lattice(m: int, d: int) -> PointSet:
     n = round(m ** (1.0 / d))
     if n ** d != m:
         raise ValueError(f"m = {m} is not a d = {d} power: m^(1/d) must be an integer")
-    _check_point_memory(m, d, "lattice")
+    check_point_memory(m, d, "lattice")
     axes = np.meshgrid(*([np.arange(n)] * d), indexing="ij")
     pts = np.stack([g.ravel() for g in axes], axis=1) / n
     return PointSet(points=pts, descriptor={"kind": "lattice", "m": int(m), "d": int(d)})
@@ -75,7 +75,7 @@ def lattice(m: int, d: int) -> PointSet:
 def kronecker(x, m: int) -> PointSet:
     """First m multiples {j x mod 1}, j = 1..m."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_point_memory(m, len(x), "kronecker")
+    check_point_memory(m, len(x), "kronecker")
     j = np.arange(1, m + 1)[:, None]
     pts = np.mod(j * x[None, :], 1.0)
     return PointSet(points=pts, descriptor={"kind": "kronecker",

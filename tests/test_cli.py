@@ -350,6 +350,29 @@ def test_kernel_cache_bytes_do_not_depend_on_the_cpu_count(tmp_path):
     assert caches[0] == caches[1]
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_bound_bytes_do_not_depend_on_the_cpu_count(tmp_path, kernel2):
+    # a bound pinned to one CPU evaluates its H-table strips on one worker
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    one_cpu = {min(os.sched_getaffinity(0))}
+    korobov1009 = '{"kind":"korobov","g":[1,33],"m":1009}'
+    cache = tmp_path / "kernel.json"
+    save_kernel(kernel2, cache)
+    outputs = []
+    for name, preexec in (("pinned", lambda: os.sched_setaffinity(0, one_cpu)),
+                          ("unpinned", None)):
+        out, csv_out = tmp_path / f"report-{name}.json", tmp_path / f"terms-{name}.csv"
+        proc = subprocess.run([sys.executable, "-m", "discrepancy_forge.cli", "bound",
+                               "--set", _QUAD, "--points", korobov1009, "--R", "64",
+                               "--kernel-cache", str(cache), "--out", str(out),
+                               "--csv-out", str(csv_out)],
+                              env=env, preexec_fn=preexec,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        outputs.append((out.read_bytes(), csv_out.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_csv_rows_equal_per_value_formatting(tmp_path, kernel2):
     # each experiment's CSV against its rows formatted one numpy scalar at a time
     cache = tmp_path / "kernel.json"
@@ -510,6 +533,28 @@ def test_malformed_input_exits_3_before_any_work(argv, monkeypatch):
         monkeypatch.setattr(cli, name, _no_expensive_work)
     monkeypatch.setattr(cli.PhiBall, "build", staticmethod(_no_expensive_work))
     assert run_cli(argv) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--set", BALL, "--points", LATTICE256, "--R", "1000000"],
+    ["bound", "--set", BALL, "--points", '{"kind":"lattice","m":65536,"d":2}',
+     "--R", "auto:lattice", "--alpha", "1.5", "--beta", "0.5"],
+    ["lattice-scaling", "--set", BALL, "--m", "1024,1000000000000"],
+    ["lattice-scaling", "--set", BALL, "--m", "16,65536", "--alpha", "1.5", "--beta", "0.5"],
+    ["kronecker-scaling", "--set", BALL, "--m", "64,100000000000"],
+    ["kronecker-scaling", "--set", BALL, "--m", "64,256", "--eps", "-20"],
+    ["sandwich", "--set", BALL, "--R", "8", "--oversample", "16777216"],
+], ids=["bound-R", "bound-rule-R", "lattice-points", "lattice-table", "kronecker-points",
+        "kronecker-table", "sandwich-table"])
+def test_oversized_input_exits_3_before_the_kernel_is_built(argv, tmp_path, monkeypatch,
+                                                            capsys):
+    # on an empty cache: no kernel is built or written before the estimate refuses
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv(cli.CACHE_ENV, str(cache))
+    assert run_cli(argv) == EXIT_CONFIG
+    assert "GiB" in capsys.readouterr().err
+    assert list(cache.iterdir()) == []
 
 
 def test_polytope_family_report_does_not_depend_on_normal_scale(tmp_path):

@@ -1,5 +1,6 @@
 """Boundary-layer coefficient tables and the empirical decay constant."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from oracles import (
     minkowski_content,
 )
 
-from discrepancy_forge import hfourier
+from discrepancy_forge import hfourier, parallel
 from discrepancy_forge.errors import ConfigError, require_memory
 from discrepancy_forge.frequencies import integer_ball
 from discrepancy_forge.geometry import Ball, Box, ConvexPolytope
@@ -157,14 +158,58 @@ def test_table_memory_stays_within_its_estimate(kernel2, set_, monkeypatch):
         return require_memory(estimate, what)
 
     monkeypatch.setattr(hfourier, "require_memory", recording)
-    tracemalloc.start()
-    try:
-        table = h_coefficient_table(set_, kernel2, 256.0, oversample=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert table.grid_n == 2048 and len(estimates) == 1
-    assert peak <= estimates[0]
+    for workers in (1, 2):   # tracemalloc sees every worker's strip
+        monkeypatch.setattr(parallel, "WORKERS", workers)
+        estimates.clear()
+        tracemalloc.start()
+        try:
+            table = h_coefficient_table(set_, kernel2, 256.0, oversample=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.grid_n == 2048 and len(estimates) == 1
+        assert peak <= estimates[0]
+
+
+# (set, R, oversample, strips with 1, 2 and 3 workers)
+WORKER_CASES = {
+    "on-grid-one-strip": (ON_GRID, 16.0, 2, [1, 1, 1]),
+    "on-grid": (ON_GRID, 64.0, 2, [1, 2, 2]),
+    # the centre's grid row is odd, so no strip starts on a row of the n/2 grid
+    "odd-centre-row": (Ball((0.5 + 1 / 1024, 0.5 + 3 / 1024), 0.25), 64.0, 2, [1, 2, 2]),
+    "off-grid": (OFF_GRID, 64.0, 2, [1, 2, 4]),
+    "box": (BOX, 64.0, 2, [1, 2, 4]),
+    "quad": (QUAD, 64.0, 2, [1, 2, 4]),
+    "on-grid-odd-strips": (ON_GRID, 256.0, 2, [9, 17, 25]),
+}
+
+
+@pytest.mark.parametrize("set_, R, oversample, strips", WORKER_CASES.values(),
+                         ids=WORKER_CASES.keys())
+def test_table_does_not_depend_on_the_worker_count(kernel2, set_, R, oversample, strips,
+                                                   monkeypatch):
+    # every row class is evaluated by exactly one strip, and never more
+    # workers run than there are strips
+    evaluated = []
+    h_values = hfourier._h_values
+
+    def spy(*args):
+        evaluated.append((args[4], threading.current_thread()))
+        return h_values(*args)
+
+    monkeypatch.setattr(hfourier, "_h_values", spy)
+    reps = np.sort(hfourier._grid_classes(set_, _fft_resolution(R, oversample))[0][0])
+    tables = []
+    for workers, count in zip((1, 2, 3), strips):
+        monkeypatch.setattr(parallel, "WORKERS", workers)
+        evaluated.clear()
+        tables.append(h_coefficient_table(set_, kernel2, R, oversample=oversample))
+        assert len(evaluated) == count
+        assert len({thread for _, thread in evaluated}) == min(workers, count)
+        assert np.array_equal(np.sort(np.concatenate([rows for rows, _ in evaluated])), reps)
+    for table in tables[1:]:
+        assert np.array_equal(table.block, tables[0].block)
+        assert np.array_equal(table.err, tables[0].err)
 
 
 def test_memory_guard_raises_before_allocating(kernel2):

@@ -22,7 +22,8 @@ from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.special import j0
 
-from discrepancy_forge import kernel
+from discrepancy_forge import hfourier, kernel, parallel
+from discrepancy_forge.geometry import Ball, ConvexPolytope
 from discrepancy_forge.kernel import (
     KernelTable,
     _CubicHermite,
@@ -305,7 +306,7 @@ def test_build_holds_one_block_of_radii(d, monkeypatch):
     # node-by-all-radii product of the radial masses peaked at 39.4 / 19.9 /
     # 59.0 MiB for d = 1 / 2 / 3, and np.sinc's four node-by-block arrays at 12.6
     # MiB for d = 3. Each worker holds its own buffers, so the count is fixed.
-    monkeypatch.setattr(kernel, "_WORKERS", 2)
+    monkeypatch.setattr(parallel, "WORKERS", 2)
     bump = build_bump(d)
     kernel._squared_transform.cache_clear()
     tracemalloc.start()
@@ -322,7 +323,7 @@ def test_table_does_not_depend_on_the_worker_count(d, monkeypatch):
     # with 3 workers the blocks split unevenly (40 blocks of K radii, 20 of tail radii)
     docs = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(kernel, "_WORKERS", workers)
+        monkeypatch.setattr(parallel, "WORKERS", workers)
         kernel._squared_transform.cache_clear()
         docs.append(build_kernel_table(build_bump(d)).to_dict())
     kernel._squared_transform.cache_clear()
@@ -354,9 +355,9 @@ def test_node_sums_over_a_suffix_equal_fresh_blocks(d, kernel_tables):
         assert np.array_equal(part[:-3], masses[k:-3])
 
 
-def test_build_calls_the_public_api_on_the_calling_thread(monkeypatch):
+def test_build_calls_the_public_api_on_the_calling_thread(monkeypatch, kernel2):
     # perfbench's tracer keeps one span stack for all threads, so a public call
-    # from a node-sum worker would give its span the wrong parent
+    # from a node-sum or strip worker would give its span the wrong parent
     package = importlib.import_module("discrepancy_forge")
     modules = [importlib.import_module(f"discrepancy_forge.{m.name}")
                for m in pkgutil.iter_modules(package.__path__)]
@@ -380,39 +381,18 @@ def test_build_calls_the_public_api_on_the_calling_thread(monkeypatch):
                     if not meth.startswith("_") and inspect.isfunction(raw):
                         monkeypatch.setattr(obj, meth, recorder(raw))
     kernel._squared_transform.cache_clear()
-    monkeypatch.setattr(kernel, "_WORKERS", 2)
+    monkeypatch.setattr(parallel, "WORKERS", 2)
     for d in (1, 2, 3):
         kernel.build_kernel_table(kernel.build_bump(d)).to_dict()
     kernel._squared_transform.cache_clear()
+    quad = ConvexPolytope(((0.3, 0.25), (0.75, 0.35), (0.7, 0.7), (0.25, 0.6)), epsilon=0.3)
+    for set_ in (Ball((0.3, 0.7), 0.25), quad):   # the ball's tail passes t_max
+        hfourier.h_coefficient_table(set_, kernel2, 64.0, oversample=2)
+        hfourier.h_function_grid(set_, kernel2, 64.0, 512)
     names = {name for name, _ in threads}
-    assert {"build_kernel_table", "autocorrelation_values", "bump_raw", "panel_nodes"} <= names
-    assert all(thread is threading.main_thread() for _, thread in threads)
-
-
-def test_build_leaves_no_thread_running(monkeypatch):
-    monkeypatch.setattr(kernel, "_WORKERS", 3)
-    before = threading.active_count()
-    kernel._squared_transform.cache_clear()
-    build_kernel_table(build_bump(1))
-    kernel._squared_transform.cache_clear()
-    assert threading.active_count() == before
-
-
-def test_worker_error_is_raised_by_the_caller(monkeypatch):
-    monkeypatch.setattr(kernel, "_WORKERS", 2)
-    calls = []
-
-    def fill(sb, x):
-        calls.append(threading.current_thread())
-        if threading.current_thread() is not threading.main_thread():
-            raise FloatingPointError("worker failed")
-        x[...] = 1.0
-        return x
-    before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="worker failed"):
-        kernel._node_sum(np.ones(4), np.arange(3.0 * kernel._TRANSFORM_CHUNK), fill, 1)
-    assert len(calls) == 3
-    assert threading.active_count() == before
+    assert {"build_kernel_table", "autocorrelation_values", "bump_raw", "panel_nodes",
+            "h_coefficient_table", "h_function_grid", "check_table_memory", "deal"} <= names
+    assert [name for name, thread in threads if thread is not threading.main_thread()] == []
 
 
 def _scipy_pairs(table):
