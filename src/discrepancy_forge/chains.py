@@ -20,38 +20,26 @@ chain-by-chain evaluation bitwise.
 
 An orthogonal map that permutes the normal lines maps admissible subspaces,
 and so chains, onto themselves, so Phi is invariant under it. `chain_sum`
-folds the ball by such a group:
-
-- in d = 2, when all 8 signed permutations keep the normal lines (the
-  coordinate system; e1, e2 with both diagonals), it sums the wedge
-  0 <= k2 <= k1 with orbit weights 8 inside and 4 on the axis and the
-  diagonal. Phi is invariant there up to rounding, so the sum may differ from
-  the whole ball's in the last digits.
-- otherwise it uses Phi(-xi) = Phi(xi), which holds bitwise: the
-  lexicographically positive half of the ball, doubled
-  (`frequencies.positive_half`).
-
-In d = 2 the fold runs one stripe of constant k1 at a time
-(`frequencies.stripe_bounds`), and no row passes through `phi`. A basis row
-along one axis meets the other coordinate in an exact zero, so it projects a
-stripe point onto k1 * b or k2 * b exactly: that subspace's factor is one
-entry of a per-k1 table or a slice of a k2 table, both built once per radius
-by `phi`'s own formula. R^2, whose basis is the identity, projects a point
-onto itself, so its factor is min{1, (2 pi sqrt(k1^2 + k2^2))^-1}, one pass
-per stripe. Only a subspace with an oblique basis row builds the stripe's
-rows and projects them with `phi`'s X @ B.T. Each factor is therefore
-bitwise `phi`'s, and the chain products, the orbit weights and each stripe's
-np.sum keep `phi`'s operands, order and lengths, so the sum is bitwise that
-of `phi` on the stripes' rows. d != 2 sums `phi` over the half ball.
+folds the ball by such a group in every d, one stripe of the last coordinate
+at a time (`frequencies.stripe_bounds`): the wedge k1 >= ... >= kd >= 0 with
+orbit weights when all 2^d d! signed permutations keep the normal lines
+(Phi is invariant there up to rounding), else the lexicographically positive
+half, doubled (Phi(-xi) = Phi(xi) bitwise). `_stripe_factor` takes each
+subspace's factor from a table built once per radius by `phi`'s formula or
+from the stripe's prefix; only a subspace that needs kd and another axis
+projects the stripe's rows with `phi`'s X @ B.T. Products, weights and each
+stripe's np.sum keep `phi`'s operands and order, so in d <= 2 the sum is
+bitwise that of `phi` on the stripes' rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frequencies import TWO_PI, ball_extent, positive_half, stripe_bounds
+from .frequencies import TWO_PI, ball_extent, stripe_bounds
 
 
 def _nullspace(mat: np.ndarray, d: int) -> np.ndarray:
@@ -169,69 +157,74 @@ def phi(chains: ChainSystem, xi) -> np.ndarray | float:
 
 
 def symmetry_order(chains: ChainSystem) -> int:
-    """Order of the group of Z^d symmetries that `chain_sum` folds the ball by.
-
-    8 when d = 2 and every signed permutation maps the normal lines onto
-    themselves (compared by projector); otherwise 2, for {I, -I}, which fixes
-    every Phi.
-    """
-    if chains.dimension != 2:
-        return 2
+    """Order of the group of Z^d symmetries that `chain_sum` folds the ball by:
+    2^d d! when every signed permutation maps the normal lines onto
+    themselves (compared by projector), else 2, for {I, -I}, which fixes
+    every Phi."""
+    d = chains.dimension
     normals = np.asarray(chains.normals)
-    lines = {_projector_key(n[None, :], 2) for n in normals}
-    # a reflection in an axis and the swap generate all 8 signed permutations
-    for generator in (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])):
-        if {_projector_key(n[None, :], 2) for n in normals @ generator.T} != lines:
+    lines = {_projector_key(n[None, :], d) for n in normals}
+    # a reflection in an axis and the adjacent transpositions generate them all
+    generators = [np.diag([1.0] * (d - 1) + [-1.0])]
+    generators += [np.eye(d)[[*range(i), i + 1, i, *range(i + 2, d)]] for i in range(d - 1)]
+    for generator in generators:
+        if {_projector_key(n[None, :], d) for n in normals @ generator.T} != lines:
             return 2
-    return 8
+    return 2 ** d * math.factorial(d)
+
+
+def check_chain_sum(chains: ChainSystem, radius: float) -> None:
+    """Raise ValueError if `chain_sum(chains, radius)` would fold more than 1e9
+    rows, (2 floor(radius) + 1)^d / `symmetry_order`; no work is done."""
+    d, order = chains.dimension, symmetry_order(chains)
+    if (2 * ball_extent(radius) + 1) ** d > 10 ** 9 * order:
+        raise ValueError(f"chain sum infeasible: (2 floor(R) + 1)^d / {order} rows "
+                         f"exceed 1e9 at R = {radius} in d = {d}")
 
 
 def _stripe_factor(basis: np.ndarray, axis: np.ndarray, squares: np.ndarray):
-    """The subspace's factor on a d = 2 stripe as a function of (k1 index,
-    k2 slice) into `axis`, equal to `_factor(rows, basis)` on the stripe's
-    rows; None for a basis with an oblique row, which needs the rows.
-
-    A basis row along one axis projects onto k1 * b or k2 * b exactly (the
-    other coordinate's product is +-0), so its factor is a table built once;
-    R^2's projection is the rows themselves, so its squared norm is the sum
-    of the coordinates' squares.
-    """
-    if np.array_equal(basis, np.eye(2)):
-        return lambda i, k2: np.minimum(1.0, 1.0 / (TWO_PI * np.sqrt(squares[i] + squares[k2])))
-    if not basis[:, 1].any():
-        table = _factor(axis[:, None], basis[:, :1])
-        return lambda i, k2: table[i]
-    if not basis[:, 0].any():
-        table = _factor(axis[:, None], basis[:, 1:])
-        return lambda i, k2: table[k2]
+    """The subspace's factor on a stripe as a function of (prefix, kd slice)
+    into `axis`, equal to `_factor(rows, basis)` on the stripe's rows; None
+    for a basis that needs the rows. R^d's squared norm |prefix|^2 + kd^2 is
+    exact; a basis on one axis projects onto k_j * b exactly (the other
+    products are +-0), an entry of a table per stripe, or a slice for kd; a
+    basis without kd sees one point per stripe."""
+    d, kmax = basis.shape[1], len(axis) // 2
+    if np.array_equal(basis, np.eye(d)):
+        return lambda prefix, kd: np.minimum(
+            1.0, 1.0 / (TWO_PI * np.sqrt(sum(k * k for k in prefix) + squares[kd])))
+    used = np.flatnonzero(basis.any(0))
+    if len(used) == 1:
+        j = int(used[0])
+        table = _factor(axis[:, None], basis[:, j:j + 1])
+        if j == d - 1:
+            return lambda prefix, kd: table[kd]
+        return lambda prefix, kd: table[prefix[j] + kmax]
+    if not basis[:, -1].any():
+        return lambda prefix, kd: _factor(np.array([prefix + (0,)], dtype=float), basis)[0]
     return None
 
 
 def chain_sum(chains: ChainSystem, radius: float) -> float:
-    """Sum of Phi over integer frequencies 1 <= |k| <= radius (chunked).
-
-    The sum runs over a fundamental domain of the ball under the chain
-    system's `symmetry_order` group, each row weighted by its orbit size. In
-    d = 2 it runs one k1 stripe at a time from `_stripe_factor`, with `phi`'s
-    values bitwise.
-    """
+    """Sum of Phi over integer frequencies 1 <= |k| <= radius, folded by the
+    `symmetry_order` group and streamed one stripe at a time; ValueError
+    beyond `check_chain_sum`'s cap."""
+    check_chain_sum(chains, radius)
     d = chains.dimension
-    if d != 2:
-        return float(np.sum(2.0 * phi(chains, positive_half(radius, d).astype(float))))
     kmax = ball_extent(radius)
     axis = np.arange(-kmax, kmax + 1, dtype=float)
     squares = axis ** 2
     tables = [_stripe_factor(basis, axis, squares) for basis in chains.subspaces]
     oblique = any(table is None for table in tables)
     total = 0.0
-    for k1, start, stop, weights in stripe_bounds(
-            radius, signed_permutations=symmetry_order(chains) == 8):
-        i, k2 = k1 + kmax, slice(start + kmax, stop + kmax)
+    for prefix, start, stop, weights in stripe_bounds(
+            radius, d, signed_permutations=symmetry_order(chains) > 2):
+        kd = slice(start + kmax, stop + kmax)
         if oblique:
-            rows = np.empty((stop - start, 2))
-            rows[:, 0] = k1
-            rows[:, 1] = axis[k2]
-        factors = [_factor(rows, basis) if table is None else table(i, k2)
+            rows = np.empty((stop - start, d))
+            rows[:, :-1] = prefix
+            rows[:, -1] = axis[kd]
+        factors = [_factor(rows, basis) if table is None else table(prefix, kd)
                    for basis, table in zip(chains.subspaces, tables)]
         total += float(np.sum(weights * _chain_total(chains, factors, stop - start)))
     return total

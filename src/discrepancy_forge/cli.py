@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chains import ChainSystem, chain_sum
+from .chains import ChainSystem, chain_sum, check_chain_sum
 from .errors import ConfigError, InvariantViolation, require_memory
 from .erdos_turan import (
     H_OVERSAMPLE,
@@ -42,6 +42,7 @@ from .erdos_turan import (
     et_bound_r_search,
     optimal_R,
     polytope_family_bound,
+    r_search_candidates,
 )
 from .frequencies import integer_ball_bytes
 from .geometry import TorusSet, set_from_json
@@ -301,8 +302,12 @@ def run_bound(config: ExperimentConfig) -> dict:
         R = _rule_R(rule, points.size, alpha, beta, params["eps"])
     else:
         R = r_spec
-    if r_spec != "auto:search":   # the search checks each table it tries
-        check_table_memory(R, H_OVERSAMPLE)
+    candidates = r_search_candidates(R) if r_spec == "auto:search" else [R]
+    for candidate in candidates:
+        check_table_memory(candidate, H_OVERSAMPLE)
+    # one Weyl spectrum at the largest candidate serves them all
+    require_memory(integer_ball_bytes(max(candidates), points.dimension),
+                   f"the Weyl spectrum's ball |k| < {max(candidates)}")
     kernel = get_kernel(config)
 
     search_table = None
@@ -447,10 +452,8 @@ def run_polytope_family(config: ExperimentConfig) -> dict:
                           f"got {g} at m = {m}")
     else:
         check_phi_ball(m, d)  # the Weyl spectrum and the CSV's ball span it too
-    if d != 2:  # d = 2 chain sums stream their stripes; elsewhere they hold the ball
-        R = max(params["chain_sum_R"])
-        require_memory(integer_ball_bytes(R, d), f"the chain sum's ball |k| <= {R} in d = {d}")
     chains = _chain_system(params)
+    check_chain_sum(chains, max(params["chain_sum_R"]))
     # Phi over |k| < m: the search's ball, the bound's values and the CSV's column
     phi_ball = PhiBall.build(chains, m)
     if g is None:

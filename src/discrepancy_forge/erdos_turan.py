@@ -129,6 +129,15 @@ def optimal_R(rule: str, m: int, d: int, alpha: float, beta: float, *,
     raise ValueError(f"unknown R rule {rule!r}")
 
 
+def r_search_candidates(formula_R: float | None) -> list:
+    """The R values `et_bound_r_search` tries: the powers of two from 4 to
+    R_SEARCH_CAP, then formula_R when it is at least 4 and not among them."""
+    candidates = [float(2 ** j) for j in range(2, 13) if 2 ** j <= R_SEARCH_CAP]
+    if formula_R is not None and formula_R >= 4 and float(formula_R) not in candidates:
+        candidates.append(float(formula_R))
+    return candidates
+
+
 def et_bound_r_search(set_: TorusSet, points: PointSet, kernel: KernelTable, *,
                       formula_R: float | None = None
                       ) -> tuple[DiscrepancyReport, list, HCoefficientTable, WeylSpectrum]:
@@ -139,9 +148,7 @@ def et_bound_r_search(set_: TorusSet, points: PointSet, kernel: KernelTable, *,
     each R. Often beats the formula constant; never worse, because the
     formula candidate participates.
     """
-    candidates = [float(2 ** j) for j in range(2, 13) if 2 ** j <= R_SEARCH_CAP]
-    if formula_R is not None and formula_R >= 4 and float(formula_R) not in candidates:
-        candidates.append(float(formula_R))
+    candidates = r_search_candidates(formula_R)
     spectrum = weyl_spectrum(points, max(candidates))
     table = []
     best = best_h = None

@@ -2,7 +2,8 @@
 
 Single shared implementation so Weyl spectra, coefficient tables and bound
 assemblies all agree on the frequency set and its (deterministic,
-lexicographic) order.
+lexicographic) order. `stripe_bounds` streams a ball's fundamental domain in
+any d, with orbit sizes 2 or d! / prod(mult!) * 2^(nonzero coordinates).
 """
 
 from __future__ import annotations
@@ -52,50 +53,49 @@ def integer_ball_bytes(radius: float, d: int) -> int:
     return 24 * (d + 1) * (2 * ball_extent(radius) + 1) ** d
 
 
-def positive_half(radius: float, d: int) -> np.ndarray:
-    """The lexicographically positive half (first nonzero coordinate > 0) of
-    the punctured closed ball 0 < |k| <= radius, in lexicographic order.
-
-    It is the upper half of the ball's rows, since their lexicographic order
-    reversed is their order negated: a sum of f(k) = f(-k) over the ball is
-    twice the sum over this half.
-    """
-    ball = integer_ball(radius, d, include_boundary=True)
-    return ball[len(ball) // 2:]
-
-
-def stripe_bounds(radius: float, *, signed_permutations: bool = False):
-    """Yield (k1, start, stop, weights): a fundamental domain of the punctured
-    closed ball 0 < |k| <= radius in Z^2 under a group G of symmetries, one
-    stripe {k1} x [start, stop) of constant k1 >= 0 at a time, with each
-    point's orbit size under G (a scalar when the whole stripe shares it).
-
-    A sum of a G-invariant f over the ball is the sum over the stripes of
-    weights * f(k1, start ... stop - 1).
+def stripe_bounds(radius: float, d: int, *, signed_permutations: bool = False):
+    """Yield (prefix, start, stop, weights): a fundamental domain of the
+    punctured closed ball 0 < |k| <= radius in Z^d under a group G, one stripe
+    {prefix} x [start, stop) of kd at a time, prefix = (k1, ..., k_{d-1}), with
+    each point's orbit size under G (a scalar when the stripe shares it).
 
     - G = {I, -I} by default: the lexicographically positive half, weight 2,
-      in lexicographic order (`positive_half(radius, 2)`, stripe by stripe).
-    - With signed_permutations, G is all 8 signed permutation matrices: the
-      wedge 0 <= k2 <= k1, weight 8 inside and 4 on the axis k2 = 0 and the
-      diagonal k2 = k1.
+      in the order of `integer_ball(radius, d, include_boundary=True)`.
+    - With signed_permutations, the 2^d d! signed permutations: the wedge
+      k1 >= ... >= kd >= 0, where k's orbit size is d! / prod(mult!) *
+      2^(nonzero coordinates), mult the multiplicities of its values. The
+      prefix recursion carries that count, so a stripe's weights cost O(1).
 
-    The bounds are exact integer arithmetic on k1^2 + k2^2 <= radius^2, the
-    test `integer_ball(radius, 2, include_boundary=True)` makes.
+    The bounds are exact integer arithmetic on |k|^2 <= radius^2, the test
+    `integer_ball` makes.
     """
-    kmax = ball_extent(radius)
+    ball_extent(radius)                      # raises unless 0 < radius < inf
     r2 = math.floor(float(radius) ** 2)
-    for k1 in range(kmax + 1):
-        reach = math.isqrt(r2 - k1 * k1)     # the largest k2 >= 0 in the ball
+
+    def stripes(prefix, room, orbit, last, run):
+        # room = r2 - |prefix|^2; orbit counts the prefix's orbit, whose last
+        # value `last` repeats `run` times
+        reach = math.isqrt(room)
         if signed_permutations:
-            if k1 == 0:
-                continue                     # the wedge's k1 = 0 stripe holds only 0
-            stop = min(k1, reach) + 1
-            weights = np.full(stop, 8.0)
-            weights[0] = 4.0
-            if stop == k1 + 1:
-                weights[-1] = 4.0
-            yield k1, 0, stop, weights
-        elif k1 > 0:
-            yield k1, -reach, reach + 1, 2.0
-        elif reach:
-            yield 0, 1, reach + 1, 2.0       # the upper half of the k1 = 0 stripe
+            start, stop = 0, (reach if last is None else min(last, reach)) + 1
+        else:
+            start, stop = (-reach if room < r2 else 0), reach + 1
+        if len(prefix) < d - 1:
+            for k in range(start, stop):
+                repeat = run + 1 if k == last else 1
+                yield from stripes(prefix + (k,), room - k * k,
+                                   orbit * (2 if k else 1) // repeat, k, repeat)
+            return
+        if room == r2:
+            start = 1                        # a zero prefix: leave out the origin
+        if start < stop and not signed_permutations:
+            yield prefix, start, stop, 2.0
+        elif start < stop:
+            weights = np.full(stop - start, 2.0 * orbit)    # kd a new nonzero value
+            if start == 0:                                  # kd = 0
+                weights[0] = orbit // (run + 1) if last == 0 else orbit
+            if last and stop == last + 1:                   # kd = k_{d-1}
+                weights[-1] = 2 * orbit // (run + 1)
+            yield prefix, start, stop, weights
+
+    yield from stripes((), r2, math.factorial(d), None, 0)

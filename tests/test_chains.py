@@ -1,6 +1,8 @@
 """Chain systems, the chain functional, and the per-polytope Fourier bound."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +17,14 @@ from oracles import (
 )
 
 from discrepancy_forge import chains as chains_module
-from discrepancy_forge.chains import ChainSystem, chain_sum, phi, symmetry_order
-from discrepancy_forge.frequencies import integer_ball, positive_half, stripe_bounds
+from discrepancy_forge.chains import (
+    ChainSystem,
+    chain_sum,
+    check_chain_sum,
+    phi,
+    symmetry_order,
+)
+from discrepancy_forge.frequencies import integer_ball, stripe_bounds
 from discrepancy_forge.geometry import ConvexPolytope
 
 TWO_PI = 2 * np.pi
@@ -113,9 +121,8 @@ def test_phi_bitwise_equals_per_chain_oracle(name):
 
 @pytest.mark.parametrize("d, radii", [(2, (16, 64, 256, 1024)), (3, (4, 8, 16, 24))])
 def test_chain_sum_half_ball_matches_full_ball_oracle(d, radii):
-    # chain_sum folds the ball (d = 2: the signed-permutation wedge; d = 3: the
-    # positive half); the oracle sums the per-chain Phi over the whole ball
-    # |k| <= R, exactly rounded
+    # chain_sum folds the ball by the signed-permutation wedge; the oracle sums
+    # the per-chain Phi over the whole ball |k| <= R, exactly rounded
     cs = ChainSystem.coordinate(d)
     for R in radii:
         ball = integer_ball(R, d, include_boundary=True).astype(float)
@@ -124,13 +131,16 @@ def test_chain_sum_half_ball_matches_full_ball_oracle(d, radii):
 
 
 def domain_chunks(R, d, *, signed_permutations=False) -> list:
-    """(rows, weights) chunks of the domain `chain_sum` sums over: the d = 2
-    stripe bounds expanded into rows, else the positive half with weight 2."""
-    if d != 2:
-        return [(positive_half(R, d), 2.0)]
-    return [(np.stack([np.full(stop - start, k1), np.arange(start, stop)], axis=1), weights)
-            for k1, start, stop, weights in stripe_bounds(
-                R, signed_permutations=signed_permutations)]
+    """(rows, weights) chunks of the domain `chain_sum` sums over: the stripe
+    bounds expanded into rows, the prefix repeated beside the last coordinate."""
+    chunks = []
+    for prefix, start, stop, weights in stripe_bounds(
+            R, d, signed_permutations=signed_permutations):
+        rows = np.empty((stop - start, d), dtype=np.int64)
+        rows[:, :-1] = prefix
+        rows[:, -1] = np.arange(start, stop)
+        chunks.append((rows, weights))
+    return chunks
 
 
 @pytest.mark.parametrize("d, R", [(1, 9), (2, 13), (3, 5)])
@@ -143,41 +153,53 @@ def test_positive_half_and_its_negation_tile_the_ball(d, R):
     assert np.array_equal(-half[::-1], ball[:len(ball) // 2])
 
 
-_SIGNED_PERMUTATIONS = [np.array(perm) * np.array(signs)[:, None]
-                        for perm in ([[1, 0], [0, 1]], [[0, 1], [1, 0]])
-                        for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+def _signed_permutation_matrices(d: int) -> np.ndarray:
+    """All 2^d d! signed permutation matrices of Z^d."""
+    eye = np.eye(d, dtype=np.int64)
+    return np.array([eye[list(perm)] * np.array(signs)[:, None]
+                     for perm in itertools.permutations(range(d))
+                     for signs in itertools.product((1, -1), repeat=d)])
+
+
+def _codes(points: np.ndarray, R: float) -> np.ndarray:
+    """Integer vectors of the ball |k| <= R, one integer each (last axis)."""
+    side = 2 * int(R) + 1
+    return ((points + int(R)) * side ** np.arange(points.shape[-1])[::-1]).sum(-1)
 
 
 @pytest.mark.parametrize("R", [1, 2, 13, 13.5, 50])
 def test_wedge_orbits_tile_the_ball_with_their_sizes_as_weights(R):
-    ball = integer_ball(R, 2, include_boundary=True)
-    chunks = domain_chunks(R, 2, signed_permutations=True)
-    assert max(len(rows) for rows, _ in chunks) <= int(R) + 1  # one k1 stripe per chunk
-    images, weights = [], []
-    for rows, weight in chunks:
-        for k, w in zip(rows, weight):
-            orbit = {tuple(g @ k) for g in _SIGNED_PERMUTATIONS}
-            images.extend(orbit)
-            weights.append(w)
-            assert w == len(orbit)
-            assert 0 <= k[1] <= k[0]
-    assert sorted(images) == sorted(map(tuple, ball))
-    assert math.fsum(weights) == len(ball)
+    for d in (1, 2, 3):
+        ball = integer_ball(R, d, include_boundary=True)
+        chunks = domain_chunks(R, d, signed_permutations=True)
+        assert max(len(rows) for rows, _ in chunks) <= int(R) + 1  # one stripe per chunk
+        rows = np.concatenate([rows for rows, _ in chunks])
+        weights = np.concatenate([np.broadcast_to(w, len(r)) for r, w in chunks])
+        assert np.all(rows[:, -1] >= 0) and np.all(np.diff(rows, axis=1) <= 0)
+        # each row's orbit by brute force: its images under every signed
+        # permutation, counted distinct
+        images = np.sort(_codes(np.einsum("gij,nj->gni", _signed_permutation_matrices(d), rows), R),
+                         axis=0)
+        assert np.array_equal(weights, 1 + np.count_nonzero(np.diff(images, axis=0), axis=0))
+        assert math.fsum(weights) == len(ball)
+        assert np.array_equal(np.unique(images), np.sort(_codes(ball, R)))
 
 
 _DIAGONALS = ChainSystem.from_normals([[1, 0], [0, 1], [1, 1], [1, -1]])
+_OBLIQUE_3 = ChainSystem.from_normals([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]])
 _FALLBACK = {"coordinate-1": ChainSystem.coordinate(1),
-             "coordinate-3": ChainSystem.coordinate(3),
              "one-diagonal-2": ChainSystem.from_normals([[1, 0], [0, 1], [1, 1]]),
              "four-normals-2": _FAMILIES["four-normals-2"]}
 
 
 def test_symmetry_order_is_8_only_when_every_signed_permutation_keeps_the_lines():
+    # 2^d d! in d = 2 and 3; in d = 1 that group is {I, -I}, of order 2
     assert symmetry_order(ChainSystem.coordinate(2)) == 8
     assert symmetry_order(_DIAGONALS) == 8
     # normal lines, not normals: -e1 and (-2, 2) name the same lines as e1 and (1, -1)
     assert symmetry_order(ChainSystem.from_normals([[-1, 0], [0, 1], [1, 1], [-2, 2]])) == 8
-    for cs in _FALLBACK.values():
+    assert symmetry_order(ChainSystem.coordinate(3)) == 48
+    for cs in [*_FALLBACK.values(), _OBLIQUE_3]:
         assert symmetry_order(cs) == 2
 
 
@@ -192,8 +214,30 @@ def test_wedge_chain_sum_of_diagonal_system_matches_full_ball_oracle():
 @pytest.mark.parametrize("name", list(_FALLBACK))
 def test_chain_sum_without_the_wedge_equals_half_ball_formula_bitwise(name):
     cs = _FALLBACK[name]
-    for R in ((3, 9.5, 40) if cs.dimension == 3 else (3, 9.5, 40, 300)):
+    for R in (3, 9.5, 40, 300):
         assert chain_sum(cs, R) == half_ball_chain_sum(cs, R)
+
+
+@pytest.mark.parametrize("cs", [ChainSystem.coordinate(3), _OBLIQUE_3],
+                         ids=["coordinate-3", "oblique-3"])
+def test_d3_chain_sum_matches_per_chain_fsum_oracle(cs):
+    # the wedge (coordinate) and the half (oblique) stream stripes of k3, so
+    # they sum in another order than the whole ball
+    for R in (1, 3, 9.5, 24):
+        ball = integer_ball(R, 3, include_boundary=True).astype(float)
+        expected = math.fsum(phi_per_chain(cs, ball))
+        assert chain_sum(cs, R) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_d3_chain_sum_streams_its_stripes():
+    # the (2R + 1)^3 cube at R = 128 would hold 1.7e7 rows, about 400 MB as floats
+    tracemalloc.start()
+    try:
+        chain_sum(ChainSystem.coordinate(3), 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
 
 
 _D2_SYSTEMS = {"coordinate-2": ChainSystem.coordinate(2),
@@ -221,15 +265,28 @@ def test_d2_chain_sum_does_not_call_phi(name, monkeypatch):
     assert chain_sum(_D2_SYSTEMS[name], 40) == expected
 
 
+def test_chain_sum_work_is_capped():
+    # (2 floor(R) + 1)^d / symmetry_order rows at most 1e9
+    for cs in [*_D2_SYSTEMS.values(), ChainSystem.from_normals([[3, 0], [0, -2]])]:
+        check_chain_sum(cs, 4096)
+    check_chain_sum(ChainSystem.coordinate(3), 1024)
+    for cs, R in [(ChainSystem.coordinate(3), 2048), (_OBLIQUE_3, 1024),
+                  (ChainSystem.coordinate(1), 1e9), (ChainSystem.coordinate(2), 1e300)]:
+        with pytest.raises(ValueError, match="chain sum infeasible"):
+            check_chain_sum(cs, R)
+        with pytest.raises(ValueError, match="chain sum infeasible"):
+            chain_sum(cs, R)
+
+
 @pytest.mark.parametrize("signed_permutations", [False, True])
 def test_stripe_bounds_are_the_per_row_stripes(signed_permutations):
     # exact integer bounds against the float norm filter, radii on and off the lattice norms
     for R in (0.5, 1, 1.5, 2 ** 0.5, 2, 5, 5 + 1e-12, 5 - 1e-12, 13.5, 50, 99.99):
-        bounds = list(stripe_bounds(R, signed_permutations=signed_permutations))
+        bounds = list(stripe_bounds(R, 2, signed_permutations=signed_permutations))
         rows = list(stripe_rows(R, signed_permutations=signed_permutations))
         assert len(bounds) == len(rows)
-        for (k1, start, stop, weights), (expected, expected_weights) in zip(bounds, rows):
-            assert np.array_equal(expected[:, 0], np.full(stop - start, k1))
+        for (prefix, start, stop, weights), (expected, expected_weights) in zip(bounds, rows):
+            assert np.array_equal(expected[:, 0], np.full(stop - start, *prefix))
             assert np.array_equal(expected[:, 1], np.arange(start, stop))
             assert np.array_equal(weights, expected_weights)
 
@@ -239,9 +296,8 @@ def test_stripe_bounds_are_the_per_row_stripes(signed_permutations):
 def test_nonpositive_radius_is_rejected_in_every_dimension(d, radius):
     with pytest.raises(ValueError, match="radius must be positive and finite"):
         integer_ball(radius, d)
-    if d == 2:
-        with pytest.raises(ValueError, match="radius must be positive and finite"):
-            next(stripe_bounds(radius))
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        next(stripe_bounds(radius, d))
     with pytest.raises(ValueError, match="radius must be positive and finite"):
         chain_sum(ChainSystem.coordinate(d), radius)
 

@@ -25,10 +25,9 @@ from discrepancy_forge.cli import (
     build_parser,
     main,
 )
-from discrepancy_forge.chains import ChainSystem
+from discrepancy_forge.chains import ChainSystem, check_chain_sum
 from discrepancy_forge.erdos_turan import H_OVERSAMPLE, optimal_R
 from discrepancy_forge.errors import require_memory
-from discrepancy_forge.frequencies import integer_ball_bytes
 from discrepancy_forge.geometry import set_from_json
 from discrepancy_forge.glp import PhiBall, check_search
 from discrepancy_forge.hfourier import h_coefficient_table
@@ -202,6 +201,21 @@ def test_polytope_family_subcommand(tmp_path):
     assert code == EXIT_OK
     report = json.loads(out.read_text())["report"]
     assert report["bound"] >= 1 / 101
+    assert report["chain_sum_spread"] <= 4
+
+
+def test_polytope_family_in_d3_streams_its_chain_sums(tmp_path):
+    # the chain sums stream the signed-permutation wedge: R = 256 holds one
+    # stripe, not the 12 GiB (2R + 1)^3 cube; reports and CSVs reproduce
+    outs = []
+    for name in ("a", "b"):
+        out, csv_out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        assert run_cli(["polytope-family", "--m", "31", "--d", "3", "--g", "1,2,5",
+                        "--chain-sum-R", "16,64,256", "--out", str(out),
+                        "--csv-out", str(csv_out)]) == EXIT_OK
+        outs.append((out.read_bytes(), csv_out.read_bytes()))
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0][0])["report"]
     assert report["chain_sum_spread"] <= 4
 
 
@@ -526,7 +540,7 @@ def _no_expensive_work(*args, **kwargs):
         "seed-negative", "random-ball-beyond-memory", "korobov-ball-beyond-memory",
         "family-g-ball-beyond-memory", "sandwich-grid-beyond-memory",
         "lattice-beyond-memory", "kronecker-beyond-memory", "family-X-nan",
-        "glp-X-minus-inf", "orbit-beyond-memory", "family-d3-chain-sum-beyond-memory"])
+        "glp-X-minus-inf", "orbit-beyond-memory", "family-d3-chain-sum-beyond-work-cap"])
 def test_malformed_input_exits_3_before_any_work(argv, monkeypatch):
     for name in ("get_kernel", "enumerate_words", "search", "korobov", "chain_sum",
                  "ball_rho_hat"):
@@ -539,12 +553,14 @@ def test_malformed_input_exits_3_before_any_work(argv, monkeypatch):
     ["bound", "--set", BALL, "--points", LATTICE256, "--R", "1000000"],
     ["bound", "--set", BALL, "--points", '{"kind":"lattice","m":65536,"d":2}',
      "--R", "auto:lattice", "--alpha", "1.5", "--beta", "0.5"],
+    ["bound", "--set", BALL, "--points", '{"kind":"lattice","m":65536,"d":2}',
+     "--R", "auto:search", "--alpha", "1.5", "--beta", "0.5"],
     ["lattice-scaling", "--set", BALL, "--m", "1024,1000000000000"],
     ["lattice-scaling", "--set", BALL, "--m", "16,65536", "--alpha", "1.5", "--beta", "0.5"],
     ["kronecker-scaling", "--set", BALL, "--m", "64,100000000000"],
     ["kronecker-scaling", "--set", BALL, "--m", "64,256", "--eps", "-20"],
     ["sandwich", "--set", BALL, "--R", "8", "--oversample", "16777216"],
-], ids=["bound-R", "bound-rule-R", "lattice-points", "lattice-table", "kronecker-points",
+], ids=["bound-R", "bound-rule-R", "bound-search-R", "lattice-points", "lattice-table", "kronecker-points",
         "kronecker-table", "sandwich-table"])
 def test_oversized_input_exits_3_before_the_kernel_is_built(argv, tmp_path, monkeypatch,
                                                             capsys):
@@ -866,8 +882,7 @@ def _in_domain(config) -> bool:
                 assert len(g) == p["d"] and is_prime(m) and all(1 <= v < m for v in g)
             else:
                 check_search(p["m"], p["d"], "exhaustive")
-            if p["d"] != 2:  # d = 2 streams its stripes
-                require_memory(integer_ball_bytes(max(p["chain_sum_R"]), p["d"]), "chain sum")
+            check_chain_sum(cli._chain_system(p), max(p["chain_sum_R"]))
         if kind == "sphere-orbit":
             assert p["k"] >= 1 and 1 <= p.get("L", 1) <= 50 and 0 < p["delta"] <= 1
             require_memory(orbit_bytes(p["k"]), "orbit")
