@@ -25,11 +25,13 @@ at a time (`frequencies.stripe_bounds`): the wedge k1 >= ... >= kd >= 0 with
 orbit weights when all 2^d d! signed permutations keep the normal lines
 (Phi is invariant there up to rounding), else the lexicographically positive
 half, doubled (Phi(-xi) = Phi(xi) bitwise). `_stripe_factor` takes each
-subspace's factor from a table built once per radius by `phi`'s formula or
-from the stripe's prefix; only a subspace that needs kd and another axis
+subspace's factor from a table built once per radius by `phi`'s formula, from
+an exact integer squared norm when the subspace is spanned by coordinate
+axes, or from the stripe's prefix; only an oblique subspace that needs kd
 projects the stripe's rows with `phi`'s X @ B.T. Products, weights and each
-stripe's np.sum keep `phi`'s operands and order, so in d <= 2 the sum is
-bitwise that of `phi` on the stripes' rows.
+stripe's np.sum keep `phi`'s operands and order, so in d <= 2, and for the
+coordinate chains in every d, the sum is bitwise that of `phi` on the
+stripes' rows.
 """
 
 from __future__ import annotations
@@ -131,6 +133,12 @@ def _factor(X: np.ndarray, basis: np.ndarray) -> np.ndarray:
         return np.minimum(1.0, 1.0 / (TWO_PI * np.sqrt(((X @ basis.T) ** 2).sum(1))))
 
 
+def _norm2_factor(norm2: int) -> float:
+    """`_factor` at one point whose squared projection is the integer norm2,
+    in Python floats: IEEE sqrt, product and quotient, so bitwise the same."""
+    return min(1.0, 1.0 / (TWO_PI * math.sqrt(norm2))) if norm2 else 1.0
+
+
 def _chain_total(chains: ChainSystem, factors: list, n: int) -> np.ndarray:
     """Sum over chains of the product of their subspaces' factors, in chain order."""
     total = np.zeros(n)
@@ -185,14 +193,13 @@ def check_chain_sum(chains: ChainSystem, radius: float) -> None:
 def _stripe_factor(basis: np.ndarray, axis: np.ndarray, squares: np.ndarray):
     """The subspace's factor on a stripe as a function of (prefix, kd slice)
     into `axis`, equal to `_factor(rows, basis)` on the stripe's rows; None
-    for a basis that needs the rows. R^d's squared norm |prefix|^2 + kd^2 is
-    exact; a basis on one axis projects onto k_j * b exactly (the other
-    products are +-0), an entry of a table per stripe, or a slice for kd; a
-    basis without kd sees one point per stripe."""
+    for a basis that needs the rows. A basis on one axis projects onto
+    k_j * b exactly (the other products are +-0): an entry of a table per
+    stripe, or a slice for kd. A basis whose rows are signed unit vectors
+    (R^d, and every subspace of the coordinate chains) has the exact squared
+    norm sum k_j^2 over its axes: an integer over the prefix, plus kd^2 when
+    it uses kd. Any other basis without kd sees one point per stripe."""
     d, kmax = basis.shape[1], len(axis) // 2
-    if np.array_equal(basis, np.eye(d)):
-        return lambda prefix, kd: np.minimum(
-            1.0, 1.0 / (TWO_PI * np.sqrt(sum(k * k for k in prefix) + squares[kd])))
     used = np.flatnonzero(basis.any(0))
     if len(used) == 1:
         j = int(used[0])
@@ -200,6 +207,12 @@ def _stripe_factor(basis: np.ndarray, axis: np.ndarray, squares: np.ndarray):
         if j == d - 1:
             return lambda prefix, kd: table[kd]
         return lambda prefix, kd: table[prefix[j] + kmax]
+    if np.all(np.isin(basis, (-1.0, 0.0, 1.0))):
+        head = [int(j) for j in used if j < d - 1]
+        if used[-1] == d - 1:
+            return lambda prefix, kd: np.minimum(1.0, 1.0 / (TWO_PI * np.sqrt(
+                sum(prefix[j] * prefix[j] for j in head) + squares[kd])))
+        return lambda prefix, kd: _norm2_factor(sum(prefix[j] * prefix[j] for j in head))
     if not basis[:, -1].any():
         return lambda prefix, kd: _factor(np.array([prefix + (0,)], dtype=float), basis)[0]
     return None
@@ -217,14 +230,17 @@ def chain_sum(chains: ChainSystem, radius: float) -> float:
     tables = [_stripe_factor(basis, axis, squares) for basis in chains.subspaces]
     oblique = any(table is None for table in tables)
     total = 0.0
-    for prefix, start, stop, weights in stripe_bounds(
-            radius, d, signed_permutations=symmetry_order(chains) > 2):
-        kd = slice(start + kmax, stop + kmax)
-        if oblique:
-            rows = np.empty((stop - start, d))
-            rows[:, :-1] = prefix
-            rows[:, -1] = axis[kd]
-        factors = [_factor(rows, basis) if table is None else table(prefix, kd)
-                   for basis, table in zip(chains.subspaces, tables)]
-        total += float(np.sum(weights * _chain_total(chains, factors, stop - start)))
+    # a coordinate subspace's projection is 0 on some stripes, where the
+    # factor is min(1, 1/0) = 1, as `_factor` gives it
+    with np.errstate(divide="ignore"):
+        for prefix, start, stop, weights in stripe_bounds(
+                radius, d, signed_permutations=symmetry_order(chains) > 2):
+            kd = slice(start + kmax, stop + kmax)
+            if oblique:
+                rows = np.empty((stop - start, d))
+                rows[:, :-1] = prefix
+                rows[:, -1] = axis[kd]
+            factors = [_factor(rows, basis) if table is None else table(prefix, kd)
+                       for basis, table in zip(chains.subspaces, tables)]
+            total += float(np.sum(weights * _chain_total(chains, factors, stop - start)))
     return total

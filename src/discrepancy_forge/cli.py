@@ -23,7 +23,6 @@ configuration errors, which are raised before any kernel or table is built.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -165,15 +164,17 @@ def _require_valid(rep, check: str = "bound validity") -> None:
 
 
 def _write_csv(path, header: list, rows) -> None:
+    """The bytes of csv.writer's excel dialect for rows of Python numbers and
+    repr strings, none of which needs quoting: fields joined by commas, rows
+    ended by CRLF, as `majorant.sandwich_csv` writes them."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
 
 
 def _columns(*columns: np.ndarray):
-    """CSV rows from equal-length columns, as Python ints and floats: csv writes
-    str(float), which is repr(float), so no per-value numpy scalar is made."""
+    """CSV rows from equal-length columns, as Python ints and floats:
+    str(float) is repr(float), so no per-value numpy scalar is made."""
     return zip(*(c.tolist() for c in columns))
 
 

@@ -11,6 +11,22 @@ that broadcast: `boundary_distances` passes the columns of a point array,
 `distance_grid` passes the grid axes as a column and a row, so an n x n grid
 needs no n^2 point array.
 
+A polygon's distance is the least over its edges and their integer
+translates (images). Let h be an edge's half-vector and y = wrap(x - mid) its
+offset from the edge's midpoint, in [-1/2, 1/2]^2; the diameter bound gives
+|h_x|, |h_y| < 1/2. A nearest point q on image -sign(y_x) moves to
+q + sign(y_x) e_x on image 0, nearer by at least 1 - 2|h_x| >= epsilon in
+squared distance. So per axis only images 0 and sign(y) can be nearest: 4 of
+the 9 images of shifts -1, 0, 1. Image (0, 0) of every edge is evaluated at
+every point, and the least of them bounds the distance from above. The
+segment lies in the box |z| <= |h| per axis, so max(|z_x| - |h_x|,
+|z_y| - |h_y|) bounds an image's distance from below. Each of the 3 other
+images is evaluated only at the points where that bound is below the upper
+bound plus a margin of 1e-9, which covers rounding in both bounds; there it
+is gathered, and its distance is scattered back as a minimum. On the
+benchmark quadrilateral's 1024 x 1024 grid that is about 5% of the points,
+and 8 of the 12 secondary images are never evaluated.
+
 Boundary conventions: boxes are half-open [a, b) per axis; balls and
 polygons are closed. Desk-scale discrepancy is sensitive to points landing
 exactly on boundaries, so the convention is part of each report.
@@ -30,6 +46,10 @@ from .frequencies import TWO_PI
 from .quadrature import gauss_nodes
 
 _SHIFTS2 = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
+# a polygon edge's secondary image is evaluated where its box bound is below
+# the upper bound plus this margin: it covers the rounding of both bounds
+# (about 1e-16 on distances below 1) with room to spare
+_IMAGE_MARGIN = 1e-9
 
 
 class TorusSet:
@@ -327,31 +347,44 @@ class ConvexPolytope(TorusSet):
         return hit
 
     def _distance(self, coords) -> np.ndarray:
+        """Distance to the nearest of each edge's images, as the module
+        docstring derives: image 0 of every edge first, then the images
+        sign(y) per axis only at the points where a box bound lets them win.
+
+        Each kept image's squared distance is the same arithmetic on the same
+        operands as over all 3 x 3 images. Every image left out is farther
+        than one kept: by at least epsilon in squared distance (the lemma), or
+        by at least _IMAGE_MARGIN (the box bound). Both exceed the rounding of
+        a squared distance, about 1e-15, for any epsilon above it. So the
+        distances are bitwise those of the 3 x 3 minimum, and sqrt, being
+        monotone, may be taken before the secondary images' minima.
+        """
         x, y = coords
         p, q = self._edges()
+        edges = list(zip(0.5 * (p + q), 0.5 * (q - p)))
         best2 = None
-        for mid, half in zip(0.5 * (p + q), 0.5 * (q - p)):
-            seg2 = np.dot(half, half)
-            yx = np.mod(x - mid[0] + 0.5, 1.0) - 0.5
-            yy = np.mod(y - mid[1] + 0.5, 1.0) - 0.5
-            for sx in (-1.0, 0.0, 1.0):
-                zx = yx - sx
-                zx_half = zx * half[0]
-                for sy in (-1.0, 0.0, 1.0):
-                    # squared distance from z to the segment [-half, half], in place
-                    zy = yy - sy
-                    t = zx_half + zy * half[1]
-                    t /= seg2
-                    np.clip(t, -1.0, 1.0, out=t)
-                    dx = t * half[0]
-                    np.subtract(zx, dx, out=dx)
-                    dx *= dx
-                    t *= half[1]
-                    np.subtract(zy, t, out=t)
-                    t *= t
-                    dx += t
-                    best2 = dx if best2 is None else np.minimum(best2, dx, out=best2)
-        return np.sqrt(best2, out=best2)
+        for mid, half in edges:
+            d2 = _segment2(_offset(x, mid[0]), _offset(y, mid[1]), half)
+            best2 = d2 if best2 is None else np.minimum(best2, d2, out=best2)
+        dist = np.sqrt(best2, out=best2)
+        # an image whose bound exceeds the largest distance is nowhere evaluated
+        upper = dist.max(initial=-np.inf)
+        for mid, half in edges:
+            # per axis, the offsets to the images 0 and sign(y), each with its
+            # box bound on the distance less the margin
+            images = []
+            for c, m, h in zip(coords, mid, half):
+                z = _offset(c, m)
+                z = (z, z - np.where(z >= 0, 1.0, -1.0))
+                images.append([(zi, np.abs(zi) - abs(h) - _IMAGE_MARGIN) for zi in z])
+            (x0, x1), (y0, y1) = images
+            for (zx, lx), (zy, ly) in ((x1, y0), (x0, y1), (x1, y1)):
+                if not (np.any(lx < upper) and np.any(ly < upper)):
+                    continue
+                at = np.nonzero(np.less(lx, dist) & np.less(ly, dist))
+                zx, zy = (np.broadcast_to(a, dist.shape)[at] for a in (zx, zy))
+                dist[at] = np.minimum(dist[at], np.sqrt(_segment2(zx, zy, half)))
+        return dist
 
     def fourier_coefficients(self, freqs: np.ndarray) -> np.ndarray:
         """Exact Fourier transform of the polygon via the divergence identity.
@@ -409,9 +442,30 @@ class ConvexPolytope(TorusSet):
                 "epsilon": self.epsilon}
 
 
+def _offset(x, c):
+    """Periodic offset of the coordinates x from c, in [-1/2, 1/2]."""
+    return np.mod(x - c + 0.5, 1.0) - 0.5
+
+
 def _offset2(x, c):
     """Squared periodic offset of the coordinates x from c, as the ball's distance adds it."""
-    return (np.mod(x - c + 0.5, 1.0) - 0.5) ** 2
+    return _offset(x, c) ** 2
+
+
+def _segment2(zx, zy, half) -> np.ndarray:
+    """Squared distance from the points z to the segment [-half, half], in
+    place in the arrays the projection makes."""
+    t = zx * half[0] + zy * half[1]
+    t /= np.dot(half, half)
+    np.clip(t, -1.0, 1.0, out=t)
+    dx = t * half[0]
+    np.subtract(zx, dx, out=dx)
+    dx *= dx
+    t *= half[1]
+    np.subtract(zy, t, out=t)
+    t *= t
+    dx += t
+    return dx
 
 
 def _signed_area2(verts: np.ndarray) -> float:

@@ -199,9 +199,10 @@ def check_table_memory(R: float, oversample: int) -> tuple[int, int, int]:
     mirrored, the fine and coarse rows, the half block (w rows) and its error
     (w/2), the whole block (2w), its error (w) and one mirrored half (w/2).
     Each worker holds one strip, of at most 34 bytes per point of its grid
-    rows: every 512 x 2048 and 256 x 4096 strip of a ball, a box or a
-    quadrilateral peaks at 33 or less under tracemalloc, while its distances
-    and H values are computed.
+    rows: under tracemalloc, while its distances and H values are computed,
+    every 512 x 2048 and 256 x 4096 strip peaks at 18 or less for a ball, 26
+    for a box and 33 for a quadrilateral, whose pruned images add nothing to
+    the peak of its image (0, 0) pass.
     """
     if not R > 0:
         raise ValueError("R must be positive")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from discrepancy_forge.chains import ChainSystem, phi, symmetry_order
-from discrepancy_forge.frequencies import integer_ball
+from discrepancy_forge.frequencies import integer_ball, stripe_bounds
 from discrepancy_forge.geometry import Ball, Box, ConvexPolytope, TorusSet
 from discrepancy_forge.glp import PhiBall, _class_of, _residue_class_sums, congruence_sum
 from discrepancy_forge.hfourier import _fft_resolution
@@ -495,6 +495,20 @@ def per_row_chain_sum(chains: ChainSystem, radius: float) -> float:
     return total
 
 
+def stripe_phi_chain_sum(chains: ChainSystem, radius: float) -> float:
+    """Phi summed over 0 < |k| <= radius in any d through `phi` on the rows of
+    each of `stripe_bounds`' stripes, times its weights, in stripe order."""
+    d = chains.dimension
+    total = 0.0
+    for prefix, start, stop, weights in stripe_bounds(
+            radius, d, signed_permutations=symmetry_order(chains) > 2):
+        rows = np.empty((stop - start, d))
+        rows[:, :-1] = prefix
+        rows[:, -1] = np.arange(start, stop)
+        total += float(np.sum(weights * phi(chains, rows)))
+    return total
+
+
 def chain_system_from_polytope(polytope) -> ChainSystem:
     """The chain system of a polygon's edge normals."""
     p, q = polytope.edges()
@@ -541,12 +555,14 @@ def csv_per_value(path, header: list, rows) -> None:
                          for row in rows)
 
 
-def inscribed_polygon(center, radius: float, gaps: np.ndarray, turn: float) -> ConvexPolytope:
+def inscribed_polygon(center, radius: float, gaps: np.ndarray, turn: float, *,
+                      epsilon: float = 0.05) -> ConvexPolytope:
     """Polygon with vertices on the circle (center, radius), at angular gaps in
-    the proportions of `gaps`, rotated by the fraction `turn` of a full turn."""
+    the proportions of `gaps`, rotated by the fraction `turn` of a full turn;
+    its diameter is at most 2 radius, which must not exceed 1 - epsilon."""
     angles = turn * 2 * np.pi + 2 * np.pi * np.cumsum(gaps) / gaps.sum()
     verts = np.asarray(center) + radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return ConvexPolytope(tuple(map(tuple, verts)), epsilon=0.05)
+    return ConvexPolytope(tuple(map(tuple, verts)), epsilon=epsilon)
 
 
 def box_distances_by_where(box: Box, points: np.ndarray) -> np.ndarray:
@@ -587,3 +603,34 @@ def polygon_distances_by_segments(poly: ConvexPolytope, pts: np.ndarray) -> np.n
             t = np.clip(rel @ e / (e @ e), 0.0, 1.0)
             best = np.minimum(best, np.hypot(*(rel - t[:, None] * e).T))
     return best
+
+
+def polygon_distances_by_images(poly: ConvexPolytope, coords) -> np.ndarray:
+    """Periodic boundary distance at the points with per-axis coordinates
+    `coords` (arrays that broadcast), every edge against all 3 x 3 images:
+    the nearest-image search before its pruning, kept verbatim."""
+    x, y = coords
+    p, q = poly.edges()
+    best2 = None
+    for mid, half in zip(0.5 * (p + q), 0.5 * (q - p)):
+        seg2 = np.dot(half, half)
+        yx = np.mod(x - mid[0] + 0.5, 1.0) - 0.5
+        yy = np.mod(y - mid[1] + 0.5, 1.0) - 0.5
+        for sx in (-1.0, 0.0, 1.0):
+            zx = yx - sx
+            zx_half = zx * half[0]
+            for sy in (-1.0, 0.0, 1.0):
+                # squared distance from z to the segment [-half, half], in place
+                zy = yy - sy
+                t = zx_half + zy * half[1]
+                t /= seg2
+                np.clip(t, -1.0, 1.0, out=t)
+                dx = t * half[0]
+                np.subtract(zx, dx, out=dx)
+                dx *= dx
+                t *= half[1]
+                np.subtract(zy, t, out=t)
+                t *= t
+                dx += t
+                best2 = dx if best2 is None else np.minimum(best2, dx, out=best2)
+    return np.sqrt(best2, out=best2)

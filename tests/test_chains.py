@@ -13,6 +13,7 @@ from oracles import (
     per_row_chain_sum,
     phi_per_chain,
     polytope_ft_bound,
+    stripe_phi_chain_sum,
     stripe_rows,
 )
 
@@ -238,6 +239,28 @@ def test_d3_chain_sum_streams_its_stripes():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2 ** 20
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_coordinate_chain_sum_equals_phi_on_each_stripe_bitwise(d):
+    # the axis tables and the exact squared norms give phi's factors bitwise
+    cs = ChainSystem.coordinate(d)
+    for R in [1, 1.5, 3, 9.5, 24, 64] + ([] if d == 3 else [300, 1024]):
+        assert chain_sum(cs, R) == stripe_phi_chain_sum(cs, R)
+
+
+def test_coordinate_chain_sum_projects_no_rows(monkeypatch):
+    # the coordinate planes of R^3 take exact squared norms, not one _factor per stripe
+    calls = []
+    factor = chains_module._factor
+
+    def counted(X, basis):
+        calls.append(len(X))
+        return factor(X, basis)
+
+    monkeypatch.setattr(chains_module, "_factor", counted)
+    chain_sum(ChainSystem.coordinate(3), 64)
+    assert len(calls) == 3     # one table per coordinate axis
 
 
 _D2_SYSTEMS = {"coordinate-2": ChainSystem.coordinate(2),

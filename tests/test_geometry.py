@@ -4,12 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     box_distances_by_where,
     inscribed_polygon,
     minkowski_content,
+    polygon_distances_by_images,
     polygon_distances_by_segments,
     shell_measure,
     shell_measure_mc,
@@ -144,18 +145,21 @@ _unit = st.floats(0.0, 1.0, exclude_max=True)
 
 @st.composite
 def inscribed_polygons(draw):
-    """Strictly convex polygons inscribed in a circle of radius <= 0.45 centred
-    in [0, 1)^2: vertices lie within 0.45 of the unit square."""
+    """Strictly convex polygons inscribed in a circle centred in [0, 1)^2,
+    with epsilon from 0.01 to 0.3 and the largest radius it allows: vertices
+    lie within 0.495 of the unit square."""
     center = (draw(_unit), draw(_unit))
-    radius = draw(st.floats(0.05, 0.45))
+    epsilon = draw(st.floats(0.01, 0.3))
+    radius = draw(st.floats(0.05, (1 - epsilon) / 2))
     gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=3, max_size=7)))
-    return inscribed_polygon(center, radius, gaps, draw(_unit))
+    return inscribed_polygon(center, radius, gaps, draw(_unit), epsilon=epsilon)
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)
 @given(poly=inscribed_polygons(), start=st.integers(0, 63), count=st.integers(1, 64))
 def test_polygon_grid_rows_match_per_point_and_segment_distances(poly, start, count):
-    # guards the 3 x 3 shift loop shared by distance_grid and boundary_distances
+    # the grid rows and the point array reach the same pruned image search
+    # through different shapes: a column and a row, or two columns
     n = 64
     axis = np.arange(n) / n
     rows = slice(start, start + count)
@@ -164,6 +168,77 @@ def test_polygon_grid_rows_match_per_point_and_segment_distances(poly, start, co
     per_point = poly.boundary_distances(pts)
     assert np.array_equal(poly.distance_grid(n, rows=rows).ravel(), per_point)
     assert np.max(np.abs(per_point - polygon_distances_by_segments(poly, pts))) <= 1e-12
+
+
+def _grids_and_points(n, rows, rng):
+    """Per-axis coordinates of the whole n x n grid, of its rows `rows`, and of
+    5,000 points in [-2, 2)^2."""
+    axis = np.arange(n) / n
+    return [(axis[:, None], axis[None, :]), (axis[rows, None], axis[None, :]),
+            tuple((rng.random((5000, 2)) * 4 - 2).T)]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(poly=inscribed_polygons(), start=st.integers(0, 95), count=st.integers(1, 96),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_polygon_distances_are_bitwise_the_nine_image_minimum(poly, start, count, seed):
+    for coords in _grids_and_points(96, slice(start, start + count),
+                                    np.random.default_rng(seed)):
+        assert np.array_equal(poly._distance(coords), polygon_distances_by_images(poly, coords))
+
+
+QUAD = ((0.3, 0.25), (0.75, 0.35), (0.7, 0.7), (0.25, 0.6))
+
+
+@pytest.mark.parametrize("poly", [
+    ConvexPolytope(QUAD, epsilon=0.3),
+    ConvexPolytope(tuple((x + 0.59375, y + 0.8125) for x, y in QUAD), epsilon=0.3),
+    random_convex_polygon(np.random.default_rng(11), 6),
+    # diameter near 0.99: the long edges' half-vectors are nearly 1/2 on one axis
+    ConvexPolytope(((0.0, 0.0), (0.99, 0.0), (0.98, 0.01), (0.01, 0.01)), epsilon=0.01),
+    ConvexPolytope(((0.3, -0.2), (0.31, -0.2), (0.31, 0.785), (0.3, 0.785)), epsilon=0.01),
+], ids=["quad", "shifted-quad", "hexagon", "long-x", "long-y"])
+def test_polygon_grid_and_point_distances_are_the_nine_image_minimum(poly):
+    for coords in _grids_and_points(256, slice(77, 141), np.random.default_rng(4)):
+        assert np.array_equal(poly._distance(coords), polygon_distances_by_images(poly, coords))
+    # on the wrap lines y = -1/2 of every edge, on the edges and at the vertices
+    p, q = poly.edges()
+    mid = 0.5 * (p + q)
+    along = (p + np.linspace(0.0, 1.0, 41)[:, None, None] * (q - p)).reshape(-1, 2)
+    u = np.linspace(-1.0, 1.0, 41)[:, None]
+    wrap_x = np.stack(np.broadcast_arrays(mid[:, 0] - 0.5, mid[:, 1] + u), axis=-1)
+    wrap_y = np.stack(np.broadcast_arrays(mid[:, 0] + u, mid[:, 1] - 0.5), axis=-1)
+    for pts in (along, along + 1.0, along - [1.0, 0.0], wrap_x.reshape(-1, 2),
+                wrap_y.reshape(-1, 2), p):
+        coords = tuple(pts.T)
+        assert np.array_equal(poly._distance(coords), polygon_distances_by_images(poly, coords))
+
+
+def _segment_distance2(z, half) -> float:
+    """Squared distance from the point z to the segment [-half, half]."""
+    t = min(1.0, max(-1.0, float(z @ half) / float(half @ half)))
+    return float(np.sum((z - t * half) ** 2))
+
+
+_half = st.floats(-0.495, 0.495)
+_offset = st.floats(-0.5, 0.5, exclude_max=True)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(hx=_half, hy=_half, yx=_offset, yy=_offset, axis=st.integers(0, 1),
+       other=st.sampled_from([-1.0, 0.0, 1.0]))
+def test_far_image_is_never_nearer_than_image_zero(hx, hy, yx, yy, axis, other):
+    # the two-image lemma: with |h| < 1/2 per axis and y in [-1/2, 1/2)^2,
+    # image -sign(y) on an axis is farther than image 0 by at least 1 - 2|h|
+    # in squared distance, whatever the other axis's shift
+    half = np.array([hx, hy])
+    assume(half @ half > 0)
+    y = np.array([yx, yy])
+    near, far = np.zeros(2), np.zeros(2)
+    near[1 - axis] = far[1 - axis] = other
+    far[axis] = -1.0 if y[axis] >= 0 else 1.0
+    gap = _segment_distance2(y - far, half) - _segment_distance2(y - near, half)
+    assert gap >= 1 - 2 * abs(half[axis]) - 1e-12
 
 
 # -- measure and Fourier coefficients ----------------------------------------
