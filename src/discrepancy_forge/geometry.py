@@ -6,10 +6,10 @@ distance, exact membership (with a recorded boundary convention), Fourier
 coefficients (closed forms for boxes and balls, the disc's J1 from `bessel`
 with numpy alone; divergence-theorem recursion for polygons), and a JSON
 descriptor.
-Each model writes its distance formula once, on per-axis coordinate arrays
-that broadcast: `boundary_distances` passes the columns of a point array,
-`distance_grid` passes the grid axes as a column and a row, so an n x n grid
-needs no n^2 point array.
+Each model writes its distance and membership formulas once, on per-axis
+coordinate arrays that broadcast: `boundary_distances` and `contains` pass
+the columns of a point array, `distance_grid` and `indicator_grid` pass the
+grid axes as a column and a row, so an n x n grid needs no n^2 point array.
 
 A polygon's distance is the least over its edges and their integer
 translates (images). Let h be an edge's half-vector and y = wrap(x - mid) its
@@ -45,7 +45,6 @@ from .bessel import j1
 from .frequencies import TWO_PI
 from .quadrature import gauss_nodes
 
-_SHIFTS2 = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
 # a polygon edge's secondary image is evaluated where its box bound is below
 # the upper bound plus this margin: it covers the rounding of both bounds
 # (about 1e-16 on distances below 1) with room to spare
@@ -61,10 +60,16 @@ class TorusSet:
         raise NotImplementedError
 
     def contains(self, points: np.ndarray) -> np.ndarray:
+        return self._contains(tuple(np.asarray(points, dtype=float).T))
+
+    def _contains(self, coords) -> np.ndarray:
+        """Membership of the points with coordinates `coords`, per axis as for
+        `_distance`."""
         raise NotImplementedError
 
     def _distance(self, coords) -> np.ndarray:
-        """Boundary distance at the points with coordinates `coords`.
+        """Boundary distance at the points with coordinates `coords`, as a new
+        array of their broadcast shape, which callers may overwrite.
 
         `coords` holds one array per axis; the arrays broadcast against each
         other, so columns of a point array and grid axes share one formula.
@@ -110,9 +115,7 @@ class TorusSet:
         if self.dimension != 2:
             raise ValueError("indicator_grid is 2-d only")
         axis = np.arange(n) / n
-        X, Y = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-        return self.contains(pts).reshape(n, n).astype(float)
+        return self._contains((axis[:, None], axis[None, :])).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +152,12 @@ class Box(TorusSet):
     def measure(self) -> float:
         return float(np.prod(self.widths))
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.mod(np.asarray(points, dtype=float), 1.0)
-        a = np.asarray(self.a)
-        b = np.asarray(self.b)
-        return np.all((pts >= a) & (pts < b), axis=1)
+    def _contains(self, coords) -> np.ndarray:
+        inside = True
+        for x, a, b in zip(coords, self.a, self.b):
+            x = np.mod(x, 1.0)
+            inside = inside & (x >= a) & (x < b)
+        return inside
 
     def _distance(self, coords) -> np.ndarray:
         # per axis and shift s in {-1, 0, 1}: squared outside gap, inside flag, margin
@@ -231,7 +235,7 @@ class Ball(TorusSet):
         sq = 0.0
         for x, c in zip(coords, self.center):
             sq = sq + _offset2(x, c)
-        return np.sqrt(sq)
+        return np.sqrt(sq, out=sq)   # the sum is the first full-size array
 
     def grid_classes(self, n: int) -> tuple:
         # the distance adds one double per axis, so the indices whose doubles
@@ -241,11 +245,13 @@ class Ball(TorusSet):
         return tuple(np.unique(_offset2(axis, c), return_index=True, return_inverse=True)[1:]
                      for c in self.center)
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        return self._center_distance(tuple(np.asarray(points, dtype=float).T)) <= self.radius
+    def _contains(self, coords) -> np.ndarray:
+        return self._center_distance(coords) <= self.radius
 
     def _distance(self, coords) -> np.ndarray:
-        return np.abs(self._center_distance(coords) - self.radius)
+        dist = self._center_distance(coords)
+        dist -= self.radius
+        return np.abs(dist, out=dist)
 
     def fourier_coefficients(self, freqs: np.ndarray) -> np.ndarray:
         freqs = np.atleast_2d(np.asarray(freqs, dtype=float))
@@ -327,23 +333,32 @@ class ConvexPolytope(TorusSet):
     def measure(self) -> float:
         return 0.5 * _signed_area2(self.vertex_array)
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        y = np.mod(pts - self.centroid + 0.5, 1.0) - 0.5
-        p, q = self.edges()
-        rel_p = p - self.centroid
+    def _contains(self, coords) -> np.ndarray:
+        """Closed membership with a tolerance of 1e-12 on every edge's cross
+        product, of the offsets y from the centroid and their images y - s.
+
+        Per axis only the images 0 and sign(y) can hold the point: the polygon
+        lies within its diameter, below 1 - epsilon, of the centroid, and the
+        image -sign(y) is at least 1 away on that axis. So 4 of the 9 images
+        are tested, each with the same arithmetic as over all 9.
+        """
+        c = self.centroid
+        p, q = self._edges()
+        rel_p = p - c
         e = q - p
-        hit = np.zeros(len(pts), dtype=bool)
-        for s in _SHIFTS2:
-            z = y - s
-            # closed membership: all edge cross products >= -tol (CCW)
-            inside = np.ones(len(pts), dtype=bool)
-            for i in range(len(p)):
-                d = z - rel_p[i]
-                inside &= e[i, 0] * d[:, 1] - e[i, 1] * d[:, 0] >= -1e-12
+        offsets = []
+        for x, ci in zip(coords, c):
+            y = _offset(x, ci)
+            offsets.append((y, y - np.sign(y)))
+        (x0, x1), (y0, y1) = offsets
+        hit = False
+        for zx, zy in ((x0, y0), (x1, y0), (x0, y1), (x1, y1)):
+            inside = True
+            for (px, py), (ex, ey) in zip(rel_p, e):
+                inside = inside & (ex * (zy - py) - ey * (zx - px) >= -1e-12)
                 if not inside.any():
                     break
-            hit |= inside
+            hit = hit | inside
         return hit
 
     def _distance(self, coords) -> np.ndarray:

@@ -18,18 +18,26 @@ transform; the table is bitwise the one every grid row would give.
 H is real, so its grid is transformed as a real grid. The class rows are
 evaluated in strips of an even number of rows, dealt round-robin to
 `parallel`'s workers, one per CPU; the strips the workers hold at once add
-up to about 2^20 grid points. A worker computes each of its strips'
-distances and I(R dist) once, gathers its rows into grid columns, gives them
-a real FFT and writes the columns k2 = 0 ... kmax into the strip's own rows
-of the table's arrays. It calls only private bodies (`_distance_grid`,
-`_tail`), so every public call, which a tracer may wrap, stays on the calling
-thread. There, one transform along the columns of the n x (kmax + 1) array
-gives the k2 >= 0 half of the block, so memory is O(n kmax), not O(n^2).
-The k2 < 0 half, and k1 < 0 on k2 = 0, are the conjugate mirror
-H(-k) = conj H(k), for the block and for its error estimate alike, so the
-table is exactly Hermitian. Each row is transformed alone, so the table is
-bitwise the same for any worker count. `check_table_memory` estimates those
-bytes first and raises ConfigError when they exceed physical memory.
+up to about 2^18 grid points. Each worker allocates its buffers once per
+table, sized to one strip, and reuses them for every strip it is dealt: the
+grid rows, their real FFT, the n/2 grid's counterparts of both, and the tail
+evaluator's block scratch. Per strip it computes the distances, and then
+R dist, I(R dist) and H in place in that one array; it gathers the rows into
+grid columns and transforms them through `out=`, and writes the columns
+k2 = 0 ... kmax of the strip's rows into the table's arrays, which hold one
+k2 per row, so that each k2 column is contiguous. Chunks of k2 are then
+dealt to the workers in the same way: each gathers its columns into grid
+order in its own buffer, transforms them there along the contiguous axis,
+and writes its part of the k2 >= 0 half of the block and of its error
+estimate. So memory is O(n kmax), not O(n^2), and no n x (kmax + 1)
+temporary is made. Workers call only private bodies (`_distance_grid`,
+`_tail`) and numpy, so every public call, which a tracer may wrap, stays on
+the calling thread. There the k2 < 0 half, and k1 < 0 on k2 = 0, are the
+conjugate mirror H(-k) = conj H(k), for the block and for its error estimate
+alike, so the table is exactly Hermitian. Each row and each column is
+transformed alone, so the table is bitwise the same for any worker count.
+`check_table_memory` estimates those bytes first and raises ConfigError when
+they exceed physical memory.
 
 The per-coefficient error estimate is the change from the n/2 grid. Its
 point (i, j) is the n grid point (2i, 2j) bitwise, so the coarse strip is
@@ -48,12 +56,14 @@ import numpy as np
 from . import parallel
 from .errors import require_memory
 from .geometry import TorusSet
-from .kernel import KernelTable
+from .kernel import _HERMITE_BLOCK, _HERMITE_SCRATCH_BYTES, KernelTable, _hermite_scratch
 
 
 # grid points of the strips all workers hold at once, and bytes held per strip point
-_STRIP_POINTS = 1 << 20
-_STRIP_BYTES_PER_POINT = 34
+_STRIP_POINTS = 1 << 18
+_STRIP_BYTES_PER_POINT = 44
+# k2 columns per chunk of the column transforms
+_COLUMN_CHUNK = 16
 # an axis with more distance classes than this share of its indices is taken
 # in grid order: gathering it would cost more than its repeats save
 _MAX_CLASS_SHARE = 0.75
@@ -72,20 +82,23 @@ def _grid_classes(set_: TorusSet, n: int) -> list[tuple]:
             for reps, inverse in set_.grid_classes(n)]
 
 
-def _grid_order(a: np.ndarray, inverse, axis: int, step: int = 1) -> np.ndarray:
-    """Every `step`-th grid index along `axis` of an array over classes;
-    `inverse` gives the class of each grid index, None the grid itself."""
-    if inverse is None:
-        return a[::step] if axis == 0 else a[:, ::step]
-    return a.take(inverse[::step], axis=axis)   # C order, which the FFTs need to be fast
+def _grid_order(a: np.ndarray, inverse, axis: int) -> np.ndarray:
+    """Every grid index along `axis` of an array over classes; `inverse` gives
+    the class of each grid index, None the grid itself."""
+    return a if inverse is None else a.take(inverse, axis=axis)
 
 
 def _h_values(set_: TorusSet, kernel: KernelTable, R: float, n: int,
-              rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """H_R at the grid rows `rows` and columns `cols` of the n x n grid, through
-    the private bodies of distance_grid and tail_integral: a strip worker
-    calls no public callable."""
-    return kernel.gamma * kernel._tail(R * set_._distance_grid(n, rows, cols))
+              rows: np.ndarray, cols: np.ndarray, scratch: tuple | None = None) -> np.ndarray:
+    """H_R at the grid rows `rows` and columns `cols` of the n x n grid, in
+    place in the distance array, through the private bodies of distance_grid
+    and tail_integral: a strip worker calls no public callable. `scratch` is
+    the worker's `_hermite_scratch`."""
+    h = set_._distance_grid(n, rows, cols)
+    h *= R
+    kernel._tail(h, out=h, scratch=scratch)
+    h *= kernel.gamma
+    return h
 
 
 def h_function_grid(set_: TorusSet, kernel: KernelTable, R: float, n: int) -> np.ndarray:
@@ -138,40 +151,87 @@ def h_coefficient_table(set_: TorusSet, kernel: KernelTable, R: float, *,
     coarse_classes[slice(None, None, 2) if row_inv is None else row_inv[::2]] = True
     # where each row class's n/2 grid row goes, if it has one
     coarse_at = np.cumsum(coarse_classes) - coarse_classes
-    # the k2 = 0 ... kmax row transforms of each row class, and of each row class of the n/2 grid
-    fine = np.empty((len(row_reps), kmax + 1), dtype=complex)
-    coarse = np.empty((np.count_nonzero(coarse_classes), kmax + 1), dtype=complex)
+    starts = range(0, len(row_reps), rows)
+    # the k2 = 0 ... kmax row transforms of each row class, and of each row
+    # class of the n/2 grid, one k2 per row
+    fine = np.empty((kmax + 1, len(row_reps)), dtype=complex)
+    coarse = np.empty((kmax + 1, np.count_nonzero(coarse_classes)), dtype=complex)
+    # the most n/2 grid rows in one strip
+    most = max(np.add.reduceat(coarse_classes, starts, dtype=int))
 
-    def strips(starts):
-        for start in starts:
+    def strips(mine):
+        # this worker's buffers, sized to one strip and reused for each of its strips
+        m = min(rows, len(row_reps))
+        scratch = _hermite_scratch(_HERMITE_BLOCK)
+        grid = None if col_inv is None else np.empty(m * n)
+        spectrum = np.empty(m * (n // 2 + 1), dtype=complex)
+        coarse_grid = None if row_inv is None else np.empty(most * (n // 2))
+        coarse_spectrum = np.empty(most * (n // 4 + 1), dtype=complex)
+        for start in mine:
             strip = slice(start, start + rows)
-            h = _h_values(set_, kernel, R, n, row_reps[strip], col_reps)
-            fine[strip] = _row_fft(_grid_order(h, col_inv, 1), kmax)
+            h = _h_values(set_, kernel, R, n, row_reps[strip], col_reps, scratch)
+            if col_inv is not None:
+                h = np.take(h, col_inv, axis=1, mode="clip", out=_front(grid, (len(h), n)))
+            fine[:, strip] = _row_fft(h, kmax, spectrum)
             # the n/2 grid point (i, j) is the n grid point (2i, 2j), bitwise
-            h = h[::2] if row_inv is None else h[coarse_classes[strip]]
+            if row_inv is None:
+                h = h[::2, ::2]
+            else:
+                local = np.flatnonzero(coarse_classes[strip])
+                h = np.take(h[:, ::2], local, axis=0, mode="clip",
+                            out=_front(coarse_grid, (len(local), n // 2)))
             at = coarse_at[start]
-            coarse[at:at + len(h)] = _row_fft(_grid_order(h, col_inv, 1, 2), kmax)
-            del h   # h[::2] is a view: free this strip's values before the next is evaluated
-    parallel.deal(range(0, len(row_reps), rows), strips)
-    if row_inv is not None:
-        fine = fine[row_inv]
-        coarse = coarse[coarse_at[row_inv[::2]]]
-    half = _column_fft(fine, kmax)
-    err = np.abs(half - _column_fft(coarse, kmax)) + 1e-15 * kernel.gamma
+            coarse[:, at:at + len(h)] = _row_fft(h, kmax, coarse_spectrum)
+            del h   # free this strip's values before the next is evaluated
+    parallel.deal(starts, strips)
+
+    # the k2 >= 0 half of the block, and of its error estimate, by chunks of k2
+    half = np.empty((2 * kmax + 1, kmax + 1), dtype=complex)
+    err = np.empty((2 * kmax + 1, kmax + 1))
+    keep = np.arange(-kmax, kmax + 1)
+    coarse_order = None if row_inv is None else coarse_at[row_inv[::2]]
+
+    def columns(mine):
+        # this worker's buffers, sized to one chunk of columns of each grid
+        fine_cols = np.empty(_COLUMN_CHUNK * n, dtype=complex)
+        coarse_cols = np.empty(_COLUMN_CHUNK * (n // 2), dtype=complex)
+        for k0 in mine:
+            k2 = slice(k0, k0 + _COLUMN_CHUNK)
+            chunk = len(fine[k2])
+            f = _column_fft(fine[k2], row_inv, keep, _front(fine_cols, (chunk, n)))
+            c = _column_fft(coarse[k2], coarse_order, keep, _front(coarse_cols, (chunk, n // 2)))
+            half[:, k2] = f.T
+            err[:, k2] = (np.abs(f - c) + 1e-15 * kernel.gamma).T
+    parallel.deal(range(0, kmax + 1, _COLUMN_CHUNK), columns)
+    del fine, coarse
     return HCoefficientTable(R=float(R), kmax=kmax, grid_n=n, block=_mirror(half),
                              err=_mirror(err))
 
 
-def _row_fft(strip: np.ndarray, kmax: int) -> np.ndarray:
-    """Columns 0 ... kmax of the real DFT along the rows of a strip of an m x m grid."""
-    return np.fft.rfft(strip, axis=1)[:, :kmax + 1]
+def _front(flat: np.ndarray, shape: tuple) -> np.ndarray:
+    """The front of a worker's flat buffer as a C-contiguous array of `shape`."""
+    return flat[:shape[0] * shape[1]].reshape(shape)
 
 
-def _column_fft(cols: np.ndarray, kmax: int) -> np.ndarray:
-    """Rows -kmax ... kmax of the 2-d DFT of a real m x m grid whose columns 0 ... kmax
-    of the row transforms are `cols`: the k2 >= 0 half of the block."""
-    m = len(cols)
-    return np.fft.fft(cols, axis=0)[np.arange(-kmax, kmax + 1) % m] / (m * m)
+def _row_fft(strip: np.ndarray, kmax: int, spectrum: np.ndarray) -> np.ndarray:
+    """Columns 0 ... kmax of the real DFT along the rows of a strip of an m x m
+    grid, in the front of the flat buffer `spectrum`, one k2 per row."""
+    m = strip.shape[1]
+    out = _front(spectrum, (len(strip), m // 2 + 1))
+    return np.fft.rfft(strip, axis=1, out=out)[:, :kmax + 1].T
+
+
+def _column_fft(cols: np.ndarray, order, keep: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rows `keep` (mod m) of the 2-d DFT of a real m x m grid, one k2 per row,
+    whose row transforms hold their columns k2 in the rows of `cols` by row
+    class; `order` gives each grid row's class, None the grid itself. The
+    columns go into grid order in `out` (m per row), and are transformed there."""
+    m = out.shape[1]
+    if order is None:
+        np.fft.fft(cols, axis=1, out=out)
+    else:
+        np.fft.fft(np.take(cols, order, axis=1, mode="clip", out=out), axis=1, out=out)
+    return out[:, keep % m] / (m * m)
 
 
 def _mirror(half: np.ndarray) -> np.ndarray:
@@ -191,18 +251,21 @@ def check_table_memory(R: float, oversample: int) -> tuple[int, int, int]:
     oversample; ValueError for an R or oversample out of range, and
     ConfigError if the table's arrays would not fit in physical memory.
 
-    Rows of kmax + 1 complex numbers held at once, with w = 2 kmax + 1: while
-    row classes are put in grid order, the class rows (at most 3n/4, else they
-    are the grid), the coarse class rows (at most n/2) and the n rows gathered
-    from them; while the columns are transformed, the n fine and n/2 coarse
-    rows, one n-row transform and the w rows kept of it; while the halves are
-    mirrored, the fine and coarse rows, the half block (w rows) and its error
-    (w/2), the whole block (2w), its error (w) and one mirrored half (w/2).
-    Each worker holds one strip, of at most 34 bytes per point of its grid
-    rows: under tracemalloc, while its distances and H values are computed,
-    every 512 x 2048 and 256 x 4096 strip peaks at 18 or less for a ball, 26
-    for a box and 33 for a quadrilateral, whose pruned images add nothing to
-    the peak of its image (0, 0) pass.
+    Held at once, in rows of kmax + 1 complex numbers, with w = 2 kmax + 1:
+    while the strips run, the row transforms of the row classes (at most n)
+    and of the coarse row classes (at most n/2); while the columns are
+    transformed, those and the half block (w rows) and its error (w/2); while
+    the halves are mirrored, the half block and its error, the whole block
+    (2w), its error (w) and one mirrored half (w/2). Each worker adds its
+    buffers: while it runs strips, at most 44 bytes per point of a strip's
+    grid rows and one `_hermite_scratch`; while it transforms columns, one
+    chunk of columns of the n and the n/2 grid, and 6 rows of w values per
+    column for the kept coefficients and their differences. Under
+    tracemalloc, at 128 x 2048 and 256 x 1024 strips, a worker's strip buffers
+    (grid rows, row transforms and their n/2 grid counterparts) and one
+    strip's distances and H values peak at 25 bytes per point for a ball, 37
+    for a box and 43 for a quadrilateral, whose distance temporaries are the
+    most.
     """
     if not R > 0:
         raise ValueError("R must be positive")
@@ -211,13 +274,15 @@ def check_table_memory(R: float, oversample: int) -> tuple[int, int, int]:
     kmax = int(np.ceil(R))
     n = _fft_resolution(R, oversample)   # n >= 8 R, so kmax <= n / 4
     # an even number of rows per strip, so each strip's n/2 grid rows are its
-    # even rows; the workers' strips add up to about 2^20 points
+    # even rows; the workers' strips add up to about _STRIP_POINTS points
     rows = 2 * max(1, _STRIP_POINTS // (2 * n * parallel.WORKERS))
     w = 2 * kmax + 1
-    gathering = int(_MAX_CLASS_SHARE * n) + n // 2 + n
-    transforming = n + n // 2 + n + w
-    mirroring = n + n // 2 + 5 * w
-    require_memory(16 * (kmax + 1) * max(gathering, transforming, mirroring)
-                   + _STRIP_BYTES_PER_POINT * parallel.WORKERS * rows * n,
-                   f"H-table on the {n} x {n} grid")
+    row = 16 * (kmax + 1)
+    held = row * (n + n // 2)
+    striping = held + parallel.WORKERS * (_STRIP_BYTES_PER_POINT * rows * n
+                                          + _HERMITE_SCRATCH_BYTES)
+    transforming = (held + row * (w + w // 2)
+                    + parallel.WORKERS * 16 * _COLUMN_CHUNK * (n + n // 2 + 6 * w))
+    mirroring = row * 5 * w
+    require_memory(max(striping, transforming, mirroring), f"H-table on the {n} x {n} grid")
     return n, kmax, rows

@@ -255,42 +255,59 @@ class _CubicHermite:
         self.c2 = slopes[:-1]
         self.c3 = y[:-1]
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        """Values at the points of the 1-d array v."""
-        x, last = self.x, len(self.x) - 2
-        out = np.empty_like(v)
-        size = min(len(v), _HERMITE_BLOCK)
-        s, s2, tmp = np.empty(size), np.empty(size), np.empty(size)
-        idx, flag = np.empty(size, dtype=np.intp), np.empty(size, dtype=bool)
+    def __call__(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Values at the points of the 1-d array v, into `out` if given (it may
+        be v itself)."""
+        out = np.empty_like(v) if out is None else out
+        scratch = _hermite_scratch(min(len(v), _HERMITE_BLOCK))
         for a in range(0, len(v), _HERMITE_BLOCK):
-            vb, ob = v[a:a + _HERMITE_BLOCK], out[a:a + _HERMITE_BLOCK]
-            n = len(vb)
-            sb, s2b, tb, i, f = s[:n], s2[:n], tmp[:n], idx[:n], flag[:n]
-            # interval: guess from the uniform step, then at most one step either way
-            np.subtract(vb, x[0], out=sb)
-            sb /= self.step
-            np.clip(sb, 0, last, out=sb)
-            i[...] = sb
-            np.take(x, i, out=sb)
-            i -= np.greater(sb, vb, out=f)
-            i += 1
-            np.take(x, i, out=sb)
-            i -= np.greater(sb, vb, out=f)
-            np.clip(i, 0, last, out=i)
-            np.subtract(vb, np.take(x, i, out=sb), out=sb)
-            # c3 + c2 s + c1 (s s) + c0 ((s s) s), summed left to right as scipy does
-            np.take(self.c2, i, out=ob)
-            ob *= sb
-            ob += np.take(self.c3, i, out=tb)
-            np.multiply(sb, sb, out=s2b)
-            np.take(self.c1, i, out=tb)
-            tb *= s2b
-            ob += tb
-            s2b *= sb
-            np.take(self.c0, i, out=tb)
-            tb *= s2b
-            ob += tb
+            self._block(v[a:a + _HERMITE_BLOCK], out[a:a + _HERMITE_BLOCK], scratch)
         return out
+
+    def _block(self, vb: np.ndarray, ob: np.ndarray, scratch: tuple) -> None:
+        """Values at the at most _HERMITE_BLOCK points vb, into ob, which may be
+        vb: vb is last read before ob is first written. The guessed interval
+        is clipped to the knots and moves by at most one before the last clip,
+        so every index gathered with is in range (a NaN point's is not, and
+        its value is NaN either way). So the gathers take mode='clip', which
+        writes into `out` without the default mode's buffered copy."""
+        x, last, n = self.x, len(self.x) - 2, len(vb)
+        sb, s2b, tb, _, i, f, _ = (a[:n] for a in scratch)
+        # interval: guess from the uniform step, then at most one step either way
+        np.subtract(vb, x[0], out=sb)
+        sb /= self.step
+        np.clip(sb, 0, last, out=sb)
+        i[...] = sb
+        np.take(x, i, out=sb, mode="clip")
+        i -= np.greater(sb, vb, out=f)
+        i += 1
+        np.take(x, i, out=sb, mode="clip")
+        i -= np.greater(sb, vb, out=f)
+        np.clip(i, 0, last, out=i)
+        np.subtract(vb, np.take(x, i, out=sb, mode="clip"), out=sb)
+        # c3 + c2 s + c1 (s s) + c0 ((s s) s), summed left to right as scipy does
+        np.take(self.c2, i, out=ob, mode="clip")
+        ob *= sb
+        ob += np.take(self.c3, i, out=tb, mode="clip")
+        np.multiply(sb, sb, out=s2b)
+        np.take(self.c1, i, out=tb, mode="clip")
+        tb *= s2b
+        ob += tb
+        s2b *= sb
+        np.take(self.c0, i, out=tb, mode="clip")
+        tb *= s2b
+        ob += tb
+
+
+def _hermite_scratch(size: int) -> tuple:
+    """Buffers for blocks of at most `size` points of `_CubicHermite._block` and
+    `KernelTable._tail`: four float arrays, an index array and two masks."""
+    return (*(np.empty(size) for _ in range(4)), np.empty(size, dtype=np.intp),
+            np.empty(size, dtype=bool), np.empty(size, dtype=bool))
+
+
+# bytes of one `_hermite_scratch(_HERMITE_BLOCK)`
+_HERMITE_SCRATCH_BYTES = (4 * 8 + 8 + 2) * _HERMITE_BLOCK
 
 
 def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -417,9 +434,10 @@ class KernelTable:
         """One-sided bound for I(t), valid for t >= x_max."""
         return self._envelope(np.asarray(t, dtype=float))
 
-    def _envelope(self, t: np.ndarray) -> np.ndarray:
+    def _envelope(self, t: np.ndarray, out=None, where=True) -> np.ndarray:
         omega = SPHERE_SURFACE[self.dimension]
-        return 0.5 * omega * self.tail_envelope_coeff * t ** (-2.0)
+        out = np.power(t, -2.0, out=out, where=where)
+        return np.multiply(0.5 * omega * self.tail_envelope_coeff, out, out=out, where=where)
 
     def tail_integral(self, t):
         """I(t), monotone interpolation of the table; envelope beyond t_max.
@@ -430,17 +448,38 @@ class KernelTable:
         out = self._tail(np.asarray(t, dtype=float))
         return out if out.ndim else float(out)
 
-    def _tail(self, t: np.ndarray) -> np.ndarray:
+    def _tail(self, t: np.ndarray, out: np.ndarray | None = None,
+              scratch: tuple | None = None) -> np.ndarray:
         """tail_integral's body on an array, which calls no public method:
-        H-table strip workers evaluate I through it."""
-        inside = t <= self.t_max
-        if inside.all():  # no copy gathers the points and none scatters them back
-            out = self._tail_interp(t.ravel()).reshape(t.shape)
-        else:
-            out = np.empty_like(t)
-            out[inside] = self._tail_interp(t[inside])
-            out[~inside] = self._envelope(t[~inside])
-        return np.maximum(out, 0.0, out=out)
+        H-table strip workers evaluate I through it, into a C-contiguous `out`
+        of t's shape (t itself may be `out`) and with their own
+        `_hermite_scratch` buffers.
+
+        Each block of _HERMITE_BLOCK points goes to the interpolant where it
+        lies at or below t_max, and to the envelope elsewhere (NaN included);
+        a block that holds both compresses its interpolated points. Each value
+        is elementwise arithmetic on its own point, so it does not depend on
+        the blocks.
+        """
+        out = np.empty(t.shape) if out is None else out
+        if scratch is None:
+            scratch = _hermite_scratch(min(t.size, _HERMITE_BLOCK))
+        inner, beyond, inside = scratch[3], scratch[5], scratch[6]
+        flat_t, flat_out = t.reshape(-1), out.reshape(-1)
+        for a in range(0, len(flat_t), _HERMITE_BLOCK):
+            tb, ob = flat_t[a:a + _HERMITE_BLOCK], flat_out[a:a + _HERMITE_BLOCK]
+            m = np.less_equal(tb, self.t_max, out=inside[:len(tb)])
+            k = np.count_nonzero(m)
+            if k == len(tb):
+                self._tail_interp._block(tb, ob, scratch)
+            else:
+                vin = np.compress(m, tb, out=inner[:k])   # before ob, which may be tb, is written
+                self._envelope(tb, out=ob, where=np.logical_not(m, out=beyond[:len(tb)]))
+                if k:
+                    self._tail_interp._block(vin, vin, scratch)
+                    ob[m] = vin
+            np.maximum(ob, 0.0, out=ob)
+        return out
 
     # -- serialization ------------------------------------------------------
 

@@ -23,12 +23,12 @@ from .hfourier import HCoefficientTable, h_coefficient_table, h_function_grid
 from .kernel import KernelTable
 
 # bytes per grid point a sandwich run holds at once. By tracemalloc at grid_n
-# 1024, building one R's grids peaks at 72 for a ball and 114 for a
-# quadrilateral, whose membership grid alone peaks at 98 (its distance grid at
-# 32); the grids then hold 32, the report's temporaries add 32 and
-# `sandwich_csv` one block of _CSV_BLOCK_POINTS value lists. Each R's grids go
-# before the next R's are built.
-SANDWICH_BYTES_PER_POINT = 128
+# 1024, building one R's grids peaks at 56 for a ball, a box and a
+# quadrilateral alike (the grid synthesis; the membership grids peak at 9 to
+# 11, the quadrilateral's distance grid at 32); the grids then hold 32, the
+# report's temporaries add 32 and `sandwich_csv` one block of
+# _CSV_BLOCK_POINTS value lists. Each R's grids go before the next R's are built.
+SANDWICH_BYTES_PER_POINT = 72
 # grid points per block of `sandwich_csv`'s value lists (about 200 bytes each)
 _CSV_BLOCK_POINTS = 1 << 14
 

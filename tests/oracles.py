@@ -10,7 +10,7 @@ from discrepancy_forge.chains import ChainSystem, phi, symmetry_order
 from discrepancy_forge.frequencies import integer_ball, stripe_bounds
 from discrepancy_forge.geometry import Ball, Box, ConvexPolytope, TorusSet
 from discrepancy_forge.glp import PhiBall, _class_of, _residue_class_sums, congruence_sum
-from discrepancy_forge.hfourier import _fft_resolution
+from discrepancy_forge.hfourier import _fft_resolution, _grid_classes, _mirror, check_table_memory
 from discrepancy_forge.kernel import SPHERE_SURFACE, KernelTable, _CubicHermite
 
 TWO_PI = 2 * np.pi
@@ -634,3 +634,92 @@ def polygon_distances_by_images(poly: ConvexPolytope, coords) -> np.ndarray:
                 dx += t
                 best2 = dx if best2 is None else np.minimum(best2, dx, out=best2)
     return np.sqrt(best2, out=best2)
+
+
+def h_table_by_strips(set_: TorusSet, kernel: KernelTable, R: float, oversample: int):
+    """(block, err) of the H-table, strip by strip on one thread through the
+    public distance_grid and tail_integral: the row classes' transforms are put
+    in grid order, n x (kmax + 1), and transformed along the columns there."""
+    n, kmax, rows = check_table_memory(R, oversample)
+    (row_reps, row_inv), (col_reps, col_inv) = _grid_classes(set_, n)
+    coarse_classes = np.zeros(len(row_reps), dtype=bool)
+    coarse_classes[slice(None, None, 2) if row_inv is None else row_inv[::2]] = True
+    coarse_at = np.cumsum(coarse_classes) - coarse_classes
+    fine = np.empty((len(row_reps), kmax + 1), dtype=complex)
+    coarse = np.empty((np.count_nonzero(coarse_classes), kmax + 1), dtype=complex)
+
+    def grid_order(a, inverse, axis, step=1):
+        if inverse is None:
+            return a[::step] if axis == 0 else a[:, ::step]
+        return a.take(inverse[::step], axis=axis)
+
+    def row_fft(strip):
+        return np.fft.rfft(strip, axis=1)[:, :kmax + 1]
+
+    def column_fft(cols):
+        m = len(cols)
+        return np.fft.fft(cols, axis=0)[np.arange(-kmax, kmax + 1) % m] / (m * m)
+
+    for start in range(0, len(row_reps), rows):
+        strip = slice(start, start + rows)
+        h = kernel.gamma * kernel.tail_integral(R * set_.distance_grid(n, row_reps[strip],
+                                                                       col_reps))
+        fine[strip] = row_fft(grid_order(h, col_inv, 1))
+        h = h[::2] if row_inv is None else h[coarse_classes[strip]]
+        at = coarse_at[start]
+        coarse[at:at + len(h)] = row_fft(grid_order(h, col_inv, 1, 2))
+    if row_inv is not None:
+        fine = fine[row_inv]
+        coarse = coarse[coarse_at[row_inv[::2]]]
+    half = column_fft(fine)
+    err = np.abs(half - column_fft(coarse)) + 1e-15 * kernel.gamma
+    return _mirror(half), _mirror(err)
+
+
+def polygon_contains_by_translates(poly: ConvexPolytope, points: np.ndarray) -> np.ndarray:
+    """Closed membership tested against all 9 translates by shifts in {-1, 0, 1}^2,
+    through (N, 2) point arrays."""
+    pts = np.asarray(points, dtype=float)
+    y = np.mod(pts - poly.centroid + 0.5, 1.0) - 0.5
+    p, q = poly.edges()
+    rel_p = p - poly.centroid
+    e = q - p
+    hit = np.zeros(len(pts), dtype=bool)
+    for s in itertools.product((-1.0, 0.0, 1.0), repeat=2):
+        z = y - np.asarray(s)
+        inside = np.ones(len(pts), dtype=bool)
+        for i in range(len(p)):
+            d = z - rel_p[i]
+            inside &= e[i, 0] * d[:, 1] - e[i, 1] * d[:, 0] >= -1e-12
+        hit |= inside
+    return hit
+
+
+def indicator_grid_by_points(set_: TorusSet, n: int) -> np.ndarray:
+    """The n x n membership grid through an (n^2, 2) point array."""
+    axis = np.arange(n) / n
+    X, Y = np.meshgrid(axis, axis, indexing="ij")
+    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+    return set_.contains(pts).reshape(n, n).astype(float)
+
+
+def hermite_by_raise(interp: _CubicHermite, v: np.ndarray) -> np.ndarray:
+    """`interp` at the points of the 1-d array v, every gather in numpy's default
+    mode='raise', which raises IndexError for an index out of range."""
+    x, last = interp.x, len(interp.x) - 2
+    i = np.clip((v - x[0]) / interp.step, 0, last).astype(np.intp)
+    i = i - (x.take(i) > v) + 1
+    i = np.clip(i - (x.take(i) > v), 0, last)
+    s = v - x.take(i)
+    return interp.c3.take(i) + interp.c2.take(i) * s + interp.c1.take(i) * (s * s) \
+        + interp.c0.take(i) * ((s * s) * s)
+
+
+def tail_by_whole_array(table: KernelTable, t: np.ndarray) -> np.ndarray:
+    """I(t) with one boolean gather and scatter over the whole array each for the
+    points at or below t_max and for the rest."""
+    inside = t <= table.t_max
+    out = np.empty_like(t)
+    out[inside] = table._tail_interp(t[inside])
+    out[~inside] = table.tail_envelope(t[~inside])
+    return np.maximum(out, 0.0, out=out)

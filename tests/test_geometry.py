@@ -8,8 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     box_distances_by_where,
+    indicator_grid_by_points,
     inscribed_polygon,
     minkowski_content,
+    polygon_contains_by_translates,
     polygon_distances_by_images,
     polygon_distances_by_segments,
     shell_measure,
@@ -398,6 +400,58 @@ def test_json_round_trip():
 
     with pytest.raises(ValueError):
         set_from_json({"variant": "banana"})
+
+
+def _grid_points(n):
+    axis = np.arange(n) / n
+    X, Y = np.meshgrid(axis, axis, indexing="ij")
+    return np.stack([X.ravel(), Y.ravel()], axis=1)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(poly=inscribed_polygons(), seed=st.integers(0, 2 ** 32 - 1))
+def test_polygon_membership_is_bitwise_the_nine_translate_test(poly, seed):
+    # two images per axis, on per-axis coordinates, against all 9 translates
+    # through (N, 2) point arrays
+    pts = np.random.default_rng(seed).random((5000, 2)) * 4 - 2
+    assert np.array_equal(poly.contains(pts), polygon_contains_by_translates(poly, pts))
+    grid = polygon_contains_by_translates(poly, _grid_points(96)).reshape(96, 96)
+    assert np.array_equal(poly.indicator_grid(96), grid.astype(float))
+
+
+@pytest.mark.parametrize("poly", [
+    ConvexPolytope(QUAD, epsilon=0.3),
+    ConvexPolytope(tuple((x + 0.59375, y + 0.8125) for x, y in QUAD), epsilon=0.3),
+    random_convex_polygon(np.random.default_rng(11), 6),
+    ConvexPolytope(((0.0, 0.0), (0.99, 0.0), (0.98, 0.01), (0.01, 0.01)), epsilon=0.01),
+    ConvexPolytope(((0.3, -0.2), (0.31, -0.2), (0.31, 0.785), (0.3, 0.785)), epsilon=0.01),
+    ConvexPolytope(((0.9, 0.9), (1.15, 0.9), (0.9, 1.15)), epsilon=0.5),
+    # the vertex (0, 0) lies beyond 1/2 of the centroid on both axes, so the
+    # points near it are held by the diagonal image (sign(y_x), sign(y_y))
+    ConvexPolytope(((0.0, 0.0), (0.7, 0.68), (0.7, 0.7), (0.68, 0.7)), epsilon=0.01),
+], ids=["quad", "shifted-quad", "hexagon", "long-x", "long-y", "sticking-out", "kite"])
+def test_polygon_membership_on_edges_vertices_and_wrap_lines(poly):
+    # on the edges and their translates, at the vertices, and on the lines
+    # x = c_x + 1/2 and y = c_y + 1/2 where the offsets from the centroid c wrap
+    p, q = poly.edges()
+    c = poly.centroid
+    along = (p + np.linspace(0.0, 1.0, 41)[:, None, None] * (q - p)).reshape(-1, 2)
+    u = np.linspace(-1.0, 1.0, 401)
+    wraps = [np.stack(np.broadcast_arrays(c[0] + h, c[1] + u), axis=-1) for h in (-0.5, 0.5)]
+    wraps += [np.stack(np.broadcast_arrays(c[0] + u, c[1] + h), axis=-1) for h in (-0.5, 0.5)]
+    for pts in (along, along + 1.0, along - [1.0, 0.0], p, p + [0.0, -1.0], *wraps,
+                _grid_points(256)):
+        assert np.array_equal(poly.contains(pts), polygon_contains_by_translates(poly, pts))
+    assert poly.contains(p).all() and poly.contains(along).all()
+
+
+@pytest.mark.parametrize("set_", [Ball((0.5, 0.5), 0.25), Ball((0.98, 0.01), 0.3),
+                                  Box((0.1, 0.2), (0.6, 0.55)), Box((0.0, 0.5), (1.0 - 1e-9, 1.0)),
+                                  ConvexPolytope(QUAD, epsilon=0.3)],
+                         ids=["ball", "wrapped-ball", "box", "edge-box", "quad"])
+def test_indicator_grid_is_the_membership_of_the_grid_points(set_):
+    for n in (96, 512):
+        assert np.array_equal(set_.indicator_grid(n), indicator_grid_by_points(set_, n))
 
 
 def test_membership_conventions():

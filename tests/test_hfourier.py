@@ -9,6 +9,7 @@ from oracles import (
     f_constant,
     full_grid_block,
     full_grid_block_fft2,
+    h_table_by_strips,
     h_zero_by_coarea,
     minkowski_content,
 )
@@ -173,14 +174,14 @@ def test_table_memory_stays_within_its_estimate(kernel2, set_, monkeypatch):
 
 # (set, R, oversample, strips with 1, 2 and 3 workers)
 WORKER_CASES = {
-    "on-grid-one-strip": (ON_GRID, 16.0, 2, [1, 1, 1]),
-    "on-grid": (ON_GRID, 64.0, 2, [1, 2, 2]),
+    "on-grid-one-strip": (ON_GRID, 16.0, 1, [1, 1, 1]),
+    "on-grid": (ON_GRID, 64.0, 2, [3, 5, 7]),
     # the centre's grid row is odd, so no strip starts on a row of the n/2 grid
-    "odd-centre-row": (Ball((0.5 + 1 / 1024, 0.5 + 3 / 1024), 0.25), 64.0, 2, [1, 2, 2]),
-    "off-grid": (OFF_GRID, 64.0, 2, [1, 2, 4]),
-    "box": (BOX, 64.0, 2, [1, 2, 4]),
-    "quad": (QUAD, 64.0, 2, [1, 2, 4]),
-    "on-grid-odd-strips": (ON_GRID, 256.0, 2, [9, 17, 25]),
+    "odd-centre-row": (Ball((0.5 + 1 / 1024, 0.5 + 3 / 1024), 0.25), 64.0, 2, [3, 5, 7]),
+    "off-grid": (OFF_GRID, 64.0, 2, [4, 8, 13]),
+    "box": (BOX, 64.0, 2, [4, 8, 13]),
+    "quad": (QUAD, 64.0, 2, [4, 8, 13]),
+    "on-grid-odd-strips": (ON_GRID, 256.0, 2, [33, 65, 103]),
 }
 
 
@@ -210,6 +211,34 @@ def test_table_does_not_depend_on_the_worker_count(kernel2, set_, R, oversample,
     for table in tables[1:]:
         assert np.array_equal(table.block, tables[0].block)
         assert np.array_equal(table.err, tables[0].err)
+
+
+# (R, oversample) by what the table's partition shows: one strip at every
+# worker count, odd strip counts, and k2 chunks that fill the last one
+PARTITION_CASES = {"one-strip": (16.0, 1), "odd-strips": (64.0, 2), "whole-chunks": (63.0, 2)}
+
+
+@pytest.mark.parametrize("case", PARTITION_CASES)
+@pytest.mark.parametrize("set_", [ON_GRID, OFF_GRID, BOX, QUAD],
+                         ids=["on-grid", "off-grid", "box", "quad"])
+def test_table_equals_the_strip_by_strip_oracle(kernel2, set_, case, monkeypatch):
+    # the oracle puts the row transforms in grid order on one thread and
+    # transforms the n x (kmax + 1) array along its columns; the table deals
+    # strips and chunks of k2 columns to the workers' reused buffers
+    R, oversample = PARTITION_CASES[case]
+    block, err = h_table_by_strips(set_, kernel2, R, oversample)
+    classes = len(hfourier._grid_classes(set_, _fft_resolution(R, oversample))[0][0])
+    strips = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(parallel, "WORKERS", workers)
+        strips.append(-(-classes // hfourier.check_table_memory(R, oversample)[2]))
+        table = h_coefficient_table(set_, kernel2, R, oversample=oversample)
+        assert np.array_equal(table.block, block)
+        assert np.array_equal(table.err, err)
+    chunks_fill = (int(np.ceil(R)) + 1) % hfourier._COLUMN_CHUNK == 0
+    assert chunks_fill == (case == "whole-chunks")
+    assert (strips == [1, 1, 1]) == (case == "one-strip")
+    assert any(count % 2 for count in strips)
 
 
 def test_memory_guard_raises_before_allocating(kernel2):

@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    hermite_by_raise,
     kernel_value,
     radial_masses_by_blocks,
     radial_transform_by_blocks,
+    tail_by_whole_array,
 )
 from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline, PchipInterpolator
@@ -25,9 +27,11 @@ from scipy.special import j0
 from discrepancy_forge import hfourier, kernel, parallel
 from discrepancy_forge.geometry import Ball, ConvexPolytope
 from discrepancy_forge.kernel import (
+    _HERMITE_BLOCK,
     KernelTable,
     _CubicHermite,
     _clamped_slopes,
+    _hermite_scratch,
     autocorrelation_values,
     build_bump,
     build_kernel_table,
@@ -433,6 +437,53 @@ def test_hermite_evaluators_equal_scipy_at_drawn_points(kernel2, values):
     pts = np.asarray(values)
     for ours, ref, _ in _scipy_pairs(kernel2):
         assert np.array_equal(ours(pts), ref(pts))
+
+
+def _tail_inputs(table):
+    """Named arrays of t for the tail evaluator: blocks that straddle t_max,
+    t_max and 0 alone, the lengths around one block, and inf and NaN."""
+    t_max, block = table.t_max, _HERMITE_BLOCK
+    rng = np.random.default_rng(7)
+    cases = {
+        "t_max": np.array([t_max]),
+        "zero": np.array([0.0]),
+        "straddling": np.linspace(0.5 * t_max, 1.5 * t_max, 3 * block + 5),
+        "one-point-beyond": np.append(np.full(block - 1, 0.5 * t_max), 2 * t_max),
+        "inf-nan": np.array([np.inf, np.nan, 1.0, np.nan, 2 * t_max, 0.0, np.inf]),
+        "nan-in-blocks": np.where(np.arange(2 * block) % 97, 1.0, np.nan),
+    }
+    for length in (1, block - 1, block, block + 1):
+        cases[f"length-{length}"] = rng.uniform(0.0, 1.5 * t_max, length)
+    return cases
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tail_into_out_equals_tail_integral_bitwise(d, kernel_tables):
+    # in place, into a fresh array and with a worker's scratch: the same bits
+    # as tail_integral, and as one gather and scatter over the whole array
+    table = kernel_tables[d]
+    for name, t in _tail_inputs(table).items():
+        expected = table.tail_integral(t)
+        assert np.array_equal(expected, tail_by_whole_array(table, t), equal_nan=True), name
+        in_place = t.copy()
+        assert table._tail(in_place, out=in_place) is in_place
+        fresh = table._tail(t, out=np.empty_like(t), scratch=_hermite_scratch(_HERMITE_BLOCK))
+        for got in (in_place, fresh, table._tail(t.reshape(1, -1))[0]):
+            assert np.array_equal(got, expected, equal_nan=True), name
+    assert table.tail_integral(np.inf) == 0.0 and np.isnan(table.tail_integral(np.nan))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.lists(st.floats(-40.0, 80.0, allow_subnormal=True), min_size=1, max_size=64))
+def test_clipped_gathers_equal_raising_gathers(kernel2, values):
+    # below, inside and beyond the knots: mode='clip' never moves an index, or
+    # the reference, whose gathers raise for an index out of range, would differ
+    pts = np.asarray(values)
+    for interp in (kernel2._tail_interp, kernel2._khat_spline,
+                   _CubicHermite(kernel2.kvals_grid, kernel2.kvals)):
+        assert np.array_equal(interp(pts), hermite_by_raise(interp, pts))
+        out = pts.copy()
+        assert interp(out, out=out) is out and np.array_equal(out, interp(pts))
 
 
 def _scipy_clamped_slopes(x, y):
