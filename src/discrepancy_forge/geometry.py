@@ -134,7 +134,7 @@ class Box(TorusSet):
         b = np.asarray(self.b, dtype=float)
         if a.shape != b.shape or a.ndim != 1:
             raise ValueError("a and b must be equal-length vectors")
-        if np.any(a < 0) or np.any(b > 1) or np.any(a >= b):
+        if not (np.all(0 <= a) and np.all(a < b) and np.all(b <= 1)):   # NaN fails it too
             raise ValueError("need 0 <= a_j < b_j <= 1 per axis")
         if np.any(b - a >= 1.0):
             raise ValueError("box must not wrap: width < 1 per axis")
@@ -218,6 +218,8 @@ class Ball(TorusSet):
         c = np.asarray(self.center, dtype=float)
         if c.ndim != 1 or len(c) not in (2, 3):
             raise ValueError("ball center must be a 2- or 3-vector")
+        if not np.all(np.isfinite(c)):
+            raise ValueError(f"ball center must be finite, got {c.tolist()}")
         if not (0 < self.radius < 0.5):
             raise ValueError("ball radius must satisfy 0 < r < 1/2")
         object.__setattr__(self, "center", tuple(float(x) for x in c))
@@ -289,6 +291,8 @@ class ConvexPolytope(TorusSet):
         verts = np.asarray(self.vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
             raise ValueError("need at least 3 planar vertices")
+        if not np.all(np.isfinite(verts)):
+            raise ValueError(f"polygon vertices must be finite, got {verts.tolist()}")
         if not (0 < self.epsilon < 1):
             raise ValueError("epsilon must be in (0, 1); it is required, not defaulted")
         area2 = _signed_area2(verts)

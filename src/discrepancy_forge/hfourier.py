@@ -20,13 +20,13 @@ evaluated in strips of an even number of rows, dealt round-robin to
 `parallel`'s workers, one per CPU; the strips the workers hold at once add
 up to about 2^18 grid points. Each worker allocates its buffers once per
 table, sized to one strip, and reuses them for every strip it is dealt: the
-grid rows, their real FFT, the n/2 grid's counterparts of both, and the tail
-evaluator's block scratch. Per strip it computes the distances, and then
-R dist, I(R dist) and H in place in that one array; it gathers the rows into
-grid columns and transforms them through `out=`, and writes the columns
-k2 = 0 ... kmax of the strip's rows into the table's arrays, which hold one
-k2 per row, so that each k2 column is contiguous. Chunks of k2 are then
-dealt to the workers in the same way: each gathers its columns into grid
+grid rows, their real FFT and the tail evaluator's block scratch. Per strip
+it computes the distances, and then R dist, I(R dist) and H in place in that
+one array; it gathers the rows into grid columns and transforms them through
+`out=`, and writes the columns k2 = 0 ... kmax of the strip's rows, and of
+its n/2 grid rows, into the table's arrays, which hold one k2 per row, so
+that each k2 column is contiguous. Chunks of k2 are then dealt to the
+workers in the same way: each gathers its columns into grid
 order in its own buffer, transforms them there along the contiguous axis,
 and writes its part of the k2 >= 0 half of the block and of its error
 estimate. So memory is O(n kmax), not O(n^2), and no n x (kmax + 1)
@@ -40,11 +40,12 @@ transformed alone, so the table is bitwise the same for any worker count.
 they exceed physical memory.
 
 The per-coefficient error estimate is the change from the n/2 grid. Its
-point (i, j) is the n grid point (2i, 2j) bitwise, so the coarse strip is
-taken from the fine one: the row classes of even grid rows, at even grid
-columns. No point is evaluated twice. `h_function_grid` evaluates H through
-the same classes on a whole grid, for callers that need the values
-themselves (psi(R dist) = 4 H_{R/2} in the sandwich checks).
+point (i, j) is the n grid point (2i, 2j), so no point is evaluated twice and
+no row is transformed twice: the DFT of the even columns of a row whose real
+DFT is X is (X(k2) + conj X(n/2 - k2)) / 2, taken at the row classes of even
+grid rows. `h_function_grid` evaluates H through the same classes on a whole
+grid, for callers that need the values themselves (psi(R dist) = 4 H_{R/2}
+in the sandwich checks).
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .kernel import _HERMITE_BLOCK, _HERMITE_SCRATCH_BYTES, KernelTable, _hermit
 
 # grid points of the strips all workers hold at once, and bytes held per strip point
 _STRIP_POINTS = 1 << 18
-_STRIP_BYTES_PER_POINT = 44
+_STRIP_BYTES_PER_POINT = 43
 # k2 columns per chunk of the column transforms
 _COLUMN_CHUNK = 16
 # an axis with more distance classes than this share of its indices is taken
@@ -119,14 +120,17 @@ class HCoefficientTable:
     err: np.ndarray     # per-coefficient refinement error estimate
 
     def values(self, freqs: np.ndarray) -> np.ndarray:
+        return self.block[self._index(freqs)]
+
+    def errors(self, freqs: np.ndarray) -> np.ndarray:
+        return self.err[self._index(freqs)]
+
+    def _index(self, freqs: np.ndarray) -> tuple:
+        """The block index of each frequency; ValueError outside the block."""
         freqs = np.atleast_2d(np.asarray(freqs, dtype=np.int64))
         if np.any(np.abs(freqs) > self.kmax):
             raise ValueError("frequency outside tabulated block")
-        return self.block[freqs[:, 0] + self.kmax, freqs[:, 1] + self.kmax]
-
-    def errors(self, freqs: np.ndarray) -> np.ndarray:
-        freqs = np.atleast_2d(np.asarray(freqs, dtype=np.int64))
-        return self.err[freqs[:, 0] + self.kmax, freqs[:, 1] + self.kmax]
+        return freqs[:, 0] + self.kmax, freqs[:, 1] + self.kmax
 
     @property
     def zero(self) -> complex:
@@ -156,8 +160,6 @@ def h_coefficient_table(set_: TorusSet, kernel: KernelTable, R: float, *,
     # class of the n/2 grid, one k2 per row
     fine = np.empty((kmax + 1, len(row_reps)), dtype=complex)
     coarse = np.empty((kmax + 1, np.count_nonzero(coarse_classes)), dtype=complex)
-    # the most n/2 grid rows in one strip
-    most = max(np.add.reduceat(coarse_classes, starts, dtype=int))
 
     def strips(mine):
         # this worker's buffers, sized to one strip and reused for each of its strips
@@ -165,24 +167,21 @@ def h_coefficient_table(set_: TorusSet, kernel: KernelTable, R: float, *,
         scratch = _hermite_scratch(_HERMITE_BLOCK)
         grid = None if col_inv is None else np.empty(m * n)
         spectrum = np.empty(m * (n // 2 + 1), dtype=complex)
-        coarse_grid = None if row_inv is None else np.empty(most * (n // 2))
-        coarse_spectrum = np.empty(most * (n // 4 + 1), dtype=complex)
         for start in mine:
             strip = slice(start, start + rows)
             h = _h_values(set_, kernel, R, n, row_reps[strip], col_reps, scratch)
             if col_inv is not None:
                 h = np.take(h, col_inv, axis=1, mode="clip", out=_front(grid, (len(h), n)))
-            fine[:, strip] = _row_fft(h, kmax, spectrum)
-            # the n/2 grid point (i, j) is the n grid point (2i, 2j), bitwise
-            if row_inv is None:
-                h = h[::2, ::2]
-            else:
-                local = np.flatnonzero(coarse_classes[strip])
-                h = np.take(h[:, ::2], local, axis=0, mode="clip",
-                            out=_front(coarse_grid, (len(local), n // 2)))
-            at = coarse_at[start]
-            coarse[:, at:at + len(h)] = _row_fft(h, kmax, coarse_spectrum)
+            x = np.fft.rfft(h, axis=1, out=_front(spectrum, (len(h), n // 2 + 1)))
             del h   # free this strip's values before the next is evaluated
+            fine[:, strip] = x[:, :kmax + 1].T
+            # the n/2 grid point (i, j) is the n grid point (2i, 2j), so an n/2
+            # grid row's DFT is (X(k2) + X(k2 + n/2)) / 2 of its n grid row's X,
+            # and X(k2 + n/2) = conj X(n/2 - k2) for a real row
+            even = coarse_classes[strip]
+            at = coarse_at[start]
+            c = (x[even, :kmax + 1] + x[even, n // 2:n // 2 - kmax - 1:-1].conj()) / 2
+            coarse[:, at:at + len(c)] = c.T
     parallel.deal(starts, strips)
 
     # the k2 >= 0 half of the block, and of its error estimate, by chunks of k2
@@ -211,14 +210,6 @@ def h_coefficient_table(set_: TorusSet, kernel: KernelTable, R: float, *,
 def _front(flat: np.ndarray, shape: tuple) -> np.ndarray:
     """The front of a worker's flat buffer as a C-contiguous array of `shape`."""
     return flat[:shape[0] * shape[1]].reshape(shape)
-
-
-def _row_fft(strip: np.ndarray, kmax: int, spectrum: np.ndarray) -> np.ndarray:
-    """Columns 0 ... kmax of the real DFT along the rows of a strip of an m x m
-    grid, in the front of the flat buffer `spectrum`, one k2 per row."""
-    m = strip.shape[1]
-    out = _front(spectrum, (len(strip), m // 2 + 1))
-    return np.fft.rfft(strip, axis=1, out=out)[:, :kmax + 1].T
 
 
 def _column_fft(cols: np.ndarray, order, keep: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -257,14 +248,14 @@ def check_table_memory(R: float, oversample: int) -> tuple[int, int, int]:
     transformed, those and the half block (w rows) and its error (w/2); while
     the halves are mirrored, the half block and its error, the whole block
     (2w), its error (w) and one mirrored half (w/2). Each worker adds its
-    buffers: while it runs strips, at most 44 bytes per point of a strip's
+    buffers: while it runs strips, at most 43 bytes per point of a strip's
     grid rows and one `_hermite_scratch`; while it transforms columns, one
     chunk of columns of the n and the n/2 grid, and 6 rows of w values per
     column for the kept coefficients and their differences. Under
     tracemalloc, at 128 x 2048 and 256 x 1024 strips, a worker's strip buffers
-    (grid rows, row transforms and their n/2 grid counterparts) and one
-    strip's distances and H values peak at 25 bytes per point for a ball, 37
-    for a box and 43 for a quadrilateral, whose distance temporaries are the
+    (grid rows and their real FFT), one strip's distances and H values and
+    its n/2 grid row transforms peak at 22 bytes per point for a ball, 36 for
+    a box and 42 for a quadrilateral, whose distance temporaries are the
     most.
     """
     if not R > 0:

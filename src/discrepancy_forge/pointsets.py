@@ -42,7 +42,9 @@ class PointSet:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("points must be an (m, d) array")
-        if np.any(pts < 0) or np.any(pts >= 1):
+        if len(pts) == 0:
+            raise ValueError("a point set needs at least one point")
+        if not (np.all(0 <= pts) and np.all(pts < 1)):   # NaN fails it too
             raise ValueError("all coordinates must lie in [0, 1)")
         object.__setattr__(self, "points", pts)
 

@@ -648,14 +648,6 @@ def h_table_by_strips(set_: TorusSet, kernel: KernelTable, R: float, oversample:
     fine = np.empty((len(row_reps), kmax + 1), dtype=complex)
     coarse = np.empty((np.count_nonzero(coarse_classes), kmax + 1), dtype=complex)
 
-    def grid_order(a, inverse, axis, step=1):
-        if inverse is None:
-            return a[::step] if axis == 0 else a[:, ::step]
-        return a.take(inverse[::step], axis=axis)
-
-    def row_fft(strip):
-        return np.fft.rfft(strip, axis=1)[:, :kmax + 1]
-
     def column_fft(cols):
         m = len(cols)
         return np.fft.fft(cols, axis=0)[np.arange(-kmax, kmax + 1) % m] / (m * m)
@@ -664,10 +656,12 @@ def h_table_by_strips(set_: TorusSet, kernel: KernelTable, R: float, oversample:
         strip = slice(start, start + rows)
         h = kernel.gamma * kernel.tail_integral(R * set_.distance_grid(n, row_reps[strip],
                                                                        col_reps))
-        fine[strip] = row_fft(grid_order(h, col_inv, 1))
-        h = h[::2] if row_inv is None else h[coarse_classes[strip]]
+        x = np.fft.rfft(h if col_inv is None else h.take(col_inv, axis=1), axis=1)
+        fine[strip] = x[:, :kmax + 1]
+        # the n/2 grid row of the even columns: (X(k2) + conj X(n/2 - k2)) / 2
+        x = x[::2] if row_inv is None else x[coarse_classes[strip]]
         at = coarse_at[start]
-        coarse[at:at + len(h)] = row_fft(grid_order(h, col_inv, 1, 2))
+        coarse[at:at + len(x)] = (x[:, :kmax + 1] + x[:, n // 2:n // 2 - kmax - 1:-1].conj()) / 2
     if row_inv is not None:
         fine = fine[row_inv]
         coarse = coarse[coarse_at[row_inv[::2]]]

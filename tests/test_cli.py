@@ -528,6 +528,19 @@ def _no_expensive_work(*args, **kwargs):
     ["glp-search", "--m", "101", "--X", "[[1,0],[0,1],[1,-Infinity]]"],
     ["sphere-orbit", "--k", "20"],
     ["polytope-family", "--m", "11", "--d", "3", "--g", "1,2,3"],
+    ["bound", "--set", '{"variant":"ball","center":[NaN,0.5],"radius":0.25}',
+     "--points", '{"kind":"korobov","g":[1,76],"m":1009}', "--R", "64"],
+    ["sandwich", "--set", '{"variant":"ball","center":[0.5,Infinity],"radius":0.25}',
+     "--R", "8"],
+    ["sandwich", "--set", '{"variant":"box","a":[NaN,0.2],"b":[0.6,0.55]}', "--R", "8"],
+    ["bound", "--set", '{"variant":"polytope","epsilon":0.3,'
+     '"vertices":[[0.3,0.25],[0.75,NaN],[0.7,0.7],[0.25,0.6]]}',
+     "--points", LATTICE256, "--R", "8"],
+    ["bound", "--set", BALL, "--points", '{"kind":"lattice","m":0,"d":2}', "--R", "8"],
+    ["bound", "--set", BALL, "--points", '{"kind":"kronecker","x":[0.41,0.73],"m":0}',
+     "--R", "8"],
+    ["bound", "--set", BALL, "--points", '{"kind":"kronecker","x":[NaN,0.73],"m":16}',
+     "--R", "8"],
 ], ids=["cap-3-values", "cap-5-values", "base-zero", "L-zero", "m-empty",
         "lattice-one-size", "kronecker-one-size", "R-empty", "x-empty", "glp-X-dimension",
         "family-X-dimension", "k-zero", "k-zero-with-L", "x-dimension", "g-length",
@@ -540,7 +553,9 @@ def _no_expensive_work(*args, **kwargs):
         "seed-negative", "random-ball-beyond-memory", "korobov-ball-beyond-memory",
         "family-g-ball-beyond-memory", "sandwich-grid-beyond-memory",
         "lattice-beyond-memory", "kronecker-beyond-memory", "family-X-nan",
-        "glp-X-minus-inf", "orbit-beyond-memory", "family-d3-chain-sum-beyond-work-cap"])
+        "glp-X-minus-inf", "orbit-beyond-memory", "family-d3-chain-sum-beyond-work-cap",
+        "ball-centre-nan", "ball-centre-inf", "box-corner-nan", "polygon-vertex-nan",
+        "lattice-no-points", "kronecker-no-points", "kronecker-x-nan"])
 def test_malformed_input_exits_3_before_any_work(argv, monkeypatch):
     for name in ("get_kernel", "enumerate_words", "search", "korobov", "chain_sum",
                  "ball_rho_hat"):

@@ -388,6 +388,26 @@ def test_constructor_validation():
         ConvexPolytope(((0, 0), (0.2, 0), (0.2, 0.2)), epsilon=0.0)  # epsilon required
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Box((NAN, 0.2), (0.6, 0.55)),
+    lambda: Box((0.1, 0.2), (0.6, NAN)),
+    lambda: Box((0.1, -INF), (0.6, 0.55)),
+    lambda: Box((0.1, 0.2), (INF, 0.55)),
+    lambda: Ball((NAN, 0.5), 0.25),
+    lambda: Ball((0.5, INF), 0.25),
+    lambda: Ball((0.5, 0.5, -INF), 0.25),
+    lambda: ConvexPolytope(((0.3, 0.25), (NAN, 0.35), (0.7, 0.7)), epsilon=0.3),
+    lambda: ConvexPolytope(((0.3, 0.25), (0.75, 0.35), (0.7, INF)), epsilon=0.3),
+], ids=["box-a-nan", "box-b-nan", "box-a-minus-inf", "box-b-inf", "ball-nan", "ball-inf",
+        "ball-3d-minus-inf", "polygon-nan", "polygon-inf"])
+def test_non_finite_coordinates_are_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_json_round_trip():
     sets = [
         Box((0.1, 0.2), (0.6, 0.55)),

@@ -44,6 +44,14 @@ def test_hermitian_symmetry(table16):
     assert np.array_equal(table16.errors(freqs), table16.errors(-freqs))
 
 
+@pytest.mark.parametrize("k", [(-17, 0), (17, 0), (0, -17), (3, 17), (-17, -17)])
+@pytest.mark.parametrize("read", ["values", "errors"])
+def test_frequency_outside_the_block_is_rejected(table16, read, k):
+    # a negative index would wrap to the other edge of the block
+    with pytest.raises(ValueError, match="outside tabulated block"):
+        getattr(table16, read)(np.array([[0, 0], k]))
+
+
 def test_refinement_agreement(kernel2, table16):
     # doubling the grid moves H-hat(1,0) by less than 1e-5
     doubled = h_coefficient_table(BALL, kernel2, 16.0, oversample=8)
@@ -99,7 +107,8 @@ TABLE_CASES = {
 def test_strip_table_matches_full_grid_fft(kernel2, set_, R, oversample):
     # oracle: fft2 of H on the whole fine grid, and on a separately
     # evaluated n/2 grid for the refinement estimate; the table evaluates H
-    # once per class pair and takes the n/2 grid from its fine strips
+    # once per class pair and takes the n/2 grid's row transforms from its
+    # fine rows' transforms
     n = _fft_resolution(R, oversample)
     kmax = int(np.ceil(R))
     fine = full_grid_block(set_, kernel2, R, n, kmax)
@@ -109,7 +118,20 @@ def test_strip_table_matches_full_grid_fft(kernel2, set_, R, oversample):
     assert table.grid_n == n
     # both routes evaluate the same distances and the same 1-d transforms
     assert np.array_equal(table.block, fine)
-    assert np.array_equal(table.err, err)
+    # the n/2 row transforms differ from the oracle's in rounding only
+    assert np.all(np.abs(table.err - err) <= 1e-15 * kernel2.gamma)
+
+
+@pytest.mark.parametrize("n", [256, 512, 768])
+def test_even_columns_transform_is_the_folded_row_transform(n):
+    # for a real row with rfft X, the DFT of its even columns is
+    # (X(k) + conj X(n/2 - k)) / 2 for k = 0 ... n/4
+    rows = np.random.default_rng(n).standard_normal((5, n))
+    x = np.fft.rfft(rows, axis=1)
+    k = np.arange(n // 4 + 1)
+    folded = (x[:, k] + x[:, n // 2 - k].conj()) / 2
+    direct = np.fft.rfft(rows[:, ::2], axis=1)[:, k]
+    assert np.allclose(folded, direct, rtol=0, atol=1e-13 * np.abs(direct).max())
 
 
 @pytest.mark.parametrize("case", ["ball-8.0-2", "off-grid", "one-axis-on-grid", "quad-8.0-2",

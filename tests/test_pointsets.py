@@ -31,6 +31,22 @@ def test_lattice_requires_perfect_power():
         lattice(15, d=2)
 
 
+@pytest.mark.parametrize("make", [lambda: lattice(0, d=2),
+                                  lambda: kronecker((SQRT2M1, SQRT3M1), 0),
+                                  lambda: PointSet(np.empty((0, 2)), {"kind": "explicit"})],
+                         ids=["lattice", "kronecker", "explicit"])
+def test_empty_point_set_is_rejected(make):
+    with pytest.raises(ValueError, match="at least one point"):
+        make()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")   # inf mod 1 is NaN
+@pytest.mark.parametrize("x", [(np.nan, 0.5), (0.41, np.inf)], ids=["nan", "inf"])
+def test_non_finite_kronecker_vector_is_rejected(x):
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        kronecker(x, 4)
+
+
 def test_korobov_definition():
     ps = korobov((1, 3), 5)
     expected = {(j / 5 % 1, 3 * j / 5 % 1) for j in range(1, 6)}
