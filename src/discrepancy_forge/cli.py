@@ -402,6 +402,8 @@ def run_kronecker_scaling(config: ExperimentConfig) -> dict:
     for m, R in zip(params["m"], rs):
         check_point_memory(m, d, "kronecker")
         check_table_memory(R, H_OVERSAMPLE)
+    schmidt_R = max(params["schmidt_R"])
+    require_memory(integer_ball_bytes(schmidt_R, d), f"the Schmidt sum at --schmidt-R {schmidt_R}")
     kernel = get_kernel(config)
 
     schmidt_rows, spread = _log_power_rows(params["schmidt_R"], lambda R: schmidt_sum(x, R),

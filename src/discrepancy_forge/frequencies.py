@@ -31,7 +31,10 @@ def integer_ball(radius: float, d: int, *, include_boundary: bool = False,
     """Integer vectors k with 0 < |k| < radius (Euclidean), lexicographic order.
 
     include_boundary switches the norm test to |k| <= radius; include_zero
-    prepends the origin.
+    keeps the origin, in its lexicographic place: the middle row. The ball is
+    symmetric under k -> -k, so its lexicographic order is antisymmetric,
+    ball[::-1] == -ball: row i of any per-row array holds k, and row -1 - i
+    holds -k.
     """
     kmax = ball_extent(radius)
     if d < 1:

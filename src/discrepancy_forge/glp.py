@@ -116,8 +116,8 @@ def check_phi_ball(m: int, d: int) -> None:
 
 
 def check_search(m: int, d: int, strategy: str, n_samples: int = 128) -> None:
-    """Raise ValueError unless `search` can run these parameters and its Phi
-    ball fits in memory; no work is done."""
+    """Raise ValueError unless `search` can run these parameters and its
+    random candidates and Phi ball fit in memory; no work is done."""
     if not is_prime(m):
         raise ValueError(f"modulus must be prime, got {m}")
     if strategy not in ("exhaustive", "random", "korobov-rank1"):
@@ -127,8 +127,13 @@ def check_search(m: int, d: int, strategy: str, n_samples: int = 128) -> None:
             raise ValueError(f"exhaustive search infeasible: (m-1)^d = {(m - 1) ** d:.2e}")
         if d != 2:
             raise ValueError("exhaustive search is implemented for d = 2 only")
-    if strategy == "random" and n_samples < 1:
-        raise ValueError(f"random search needs n_samples >= 1, got {n_samples}")
+    if strategy == "random":
+        if n_samples < 1:
+            raise ValueError(f"random search needs n_samples >= 1, got {n_samples}")
+        # the candidates (8 d bytes each) and, in d = 2, the class lookup's
+        # temporaries, else a list of floats: by tracemalloc at 2 10^5 to
+        # 2 10^6 samples, 48, 57, 68 and 72 bytes per candidate for d = 1 ... 4
+        require_memory((8 * d + 48) * n_samples, f"{n_samples} random candidates in d = {d}")
     check_phi_ball(m, d)
 
 

@@ -32,10 +32,10 @@ and writes its part of the k2 >= 0 half of the block and of its error
 estimate. So memory is O(n kmax), not O(n^2), and no n x (kmax + 1)
 temporary is made. Workers call only private bodies (`_distance_grid`,
 `_tail`) and numpy, so every public call, which a tracer may wrap, stays on
-the calling thread. There the k2 < 0 half, and k1 < 0 on k2 = 0, are the
-conjugate mirror H(-k) = conj H(k), for the block and for its error estimate
-alike, so the table is exactly Hermitian. Each row and each column is
-transformed alone, so the table is bitwise the same for any worker count.
+the calling thread. The table keeps only that half: it reads k2 < 0, and
+k1 < 0 on k2 = 0, at -k as H(-k) = conj H(k), for the block and its error
+estimate alike, so the table is exactly Hermitian. Each row and each column
+is transformed alone, so the table is bitwise the same for any worker count.
 `check_table_memory` estimates those bytes first and raises ConfigError when
 they exceed physical memory.
 
@@ -111,34 +111,40 @@ def h_function_grid(set_: TorusSet, kernel: KernelTable, R: float, n: int) -> np
 
 @dataclass
 class HCoefficientTable:
-    """Block of H_R coefficients for |k|_inf <= kmax with error estimates."""
+    """Block of H_R coefficients for |k|_inf <= kmax with error estimates,
+    kept as its k2 >= 0 half: the rest is read at -k, H(-k) = conj H(k)."""
 
     R: float
     kmax: int
     grid_n: int
-    block: np.ndarray   # complex, index [k1 + kmax, k2 + kmax]
-    err: np.ndarray     # per-coefficient refinement error estimate
+    block: np.ndarray   # complex, index [k1 + kmax, k2] for k2 = 0 ... kmax
+    err: np.ndarray     # per-coefficient refinement error estimate, indexed as block
 
     def values(self, freqs: np.ndarray) -> np.ndarray:
-        return self.block[self._index(freqs)]
+        index, flip = self._index(freqs)
+        values = self.block[index]
+        return np.conjugate(values, out=values, where=flip)
 
     def errors(self, freqs: np.ndarray) -> np.ndarray:
-        return self.err[self._index(freqs)]
+        return self.err[self._index(freqs)[0]]
 
     def _index(self, freqs: np.ndarray) -> tuple:
-        """The block index of each frequency; ValueError outside the block."""
+        """The half's index of each frequency k, or of -k where k lies in the
+        other half, and where it does; ValueError outside the block."""
         freqs = np.atleast_2d(np.asarray(freqs, dtype=np.int64))
         if np.any(np.abs(freqs) > self.kmax):
             raise ValueError("frequency outside tabulated block")
-        return freqs[:, 0] + self.kmax, freqs[:, 1] + self.kmax
+        flip = (freqs[:, 1] < 0) | ((freqs[:, 1] == 0) & (freqs[:, 0] < 0))
+        k = np.where(flip[:, None], -freqs, freqs)
+        return (k[:, 0] + self.kmax, k[:, 1]), flip
 
     @property
     def zero(self) -> complex:
-        return complex(self.block[self.kmax, self.kmax])
+        return complex(self.block[self.kmax, 0])
 
     @property
     def zero_error(self) -> float:
-        return float(self.err[self.kmax, self.kmax])
+        return float(self.err[self.kmax, 0])
 
 
 def h_coefficient_table(set_: TorusSet, kernel: KernelTable, R: float, *,
@@ -203,8 +209,7 @@ def h_coefficient_table(set_: TorusSet, kernel: KernelTable, R: float, *,
             err[:, k2] = (np.abs(f - c) + 1e-15 * kernel.gamma).T
     parallel.deal(range(0, kmax + 1, _COLUMN_CHUNK), columns)
     del fine, coarse
-    return HCoefficientTable(R=float(R), kmax=kmax, grid_n=n, block=_mirror(half),
-                             err=_mirror(err))
+    return HCoefficientTable(R=float(R), kmax=kmax, grid_n=n, block=half, err=err)
 
 
 def _front(flat: np.ndarray, shape: tuple) -> np.ndarray:
@@ -225,18 +230,6 @@ def _column_fft(cols: np.ndarray, order, keep: np.ndarray, out: np.ndarray) -> n
     return out[:, keep % m] / (m * m)
 
 
-def _mirror(half: np.ndarray) -> np.ndarray:
-    """The whole block from its k2 >= 0 half: H(k1, -k2) = conj H(-k1, k2), and
-    on k2 = 0 H(-k1, 0) = conj H(k1, 0) for k1 > 0, since a complex FFT of a
-    real column is Hermitian only to rounding. The block is exactly Hermitian."""
-    kmax = half.shape[1] - 1
-    block = np.empty((2 * kmax + 1, 2 * kmax + 1), dtype=half.dtype)
-    block[:, kmax:] = half
-    block[:, :kmax] = np.conj(half[::-1, :0:-1])
-    block[:kmax, kmax] = np.conj(half[:kmax:-1, 0])
-    return block
-
-
 def check_table_memory(R: float, oversample: int) -> tuple[int, int, int]:
     """The grid size n, kmax and the rows per strip of the H-table at R and
     oversample; ValueError for an R or oversample out of range, and
@@ -245,9 +238,8 @@ def check_table_memory(R: float, oversample: int) -> tuple[int, int, int]:
     Held at once, in rows of kmax + 1 complex numbers, with w = 2 kmax + 1:
     while the strips run, the row transforms of the row classes (at most n)
     and of the coarse row classes (at most n/2); while the columns are
-    transformed, those and the half block (w rows) and its error (w/2); while
-    the halves are mirrored, the half block and its error, the whole block
-    (2w), its error (w) and one mirrored half (w/2). Each worker adds its
+    transformed, those and the table: the k2 >= 0 half of the block (w rows)
+    and of its error (w/2). Each worker adds its
     buffers: while it runs strips, at most 43 bytes per point of a strip's
     grid rows and one `_hermite_scratch`; while it transforms columns, one
     chunk of columns of the n and the n/2 grid, and 6 rows of w values per
@@ -274,6 +266,5 @@ def check_table_memory(R: float, oversample: int) -> tuple[int, int, int]:
                                           + _HERMITE_SCRATCH_BYTES)
     transforming = (held + row * (w + w // 2)
                     + parallel.WORKERS * 16 * _COLUMN_CHUNK * (n + n // 2 + 6 * w))
-    mirroring = row * 5 * w
-    require_memory(max(striping, transforming, mirroring), f"H-table on the {n} x {n} grid")
+    require_memory(max(striping, transforming), f"H-table on the {n} x {n} grid")
     return n, kmax, rows

@@ -23,11 +23,12 @@ from .hfourier import HCoefficientTable, h_coefficient_table, h_function_grid
 from .kernel import KernelTable
 
 # bytes per grid point a sandwich run holds at once. By tracemalloc at grid_n
-# 1024, building one R's grids peaks at 56 for a ball, a box and a
-# quadrilateral alike (the grid synthesis; the membership grids peak at 9 to
-# 11, the quadrilateral's distance grid at 32); the grids then hold 32, the
-# report's temporaries add 32 and `sandwich_csv` one block of
-# _CSV_BLOCK_POINTS value lists. Each R's grids go before the next R's are built.
+# 1024, building one R's grids peaks at 38 for a ball, 49 for a box and 56 for
+# a quadrilateral (a synthesis, the real inverse FFT, at 24 over the grids
+# before it; the box's and the quadrilateral's distance grids at more); the
+# grids then hold 32, the report's temporaries add 32, to 64, and
+# `sandwich_csv` one block of _CSV_BLOCK_POINTS value lists, to 38. Each R's
+# grids go before the next R's are built.
 SANDWICH_BYTES_PER_POINT = 72
 # grid points per block of `sandwich_csv`'s value lists (about 200 bytes each)
 _CSV_BLOCK_POINTS = 1 << 14
@@ -39,8 +40,8 @@ class TrigPolynomial:
 
     dimension: int
     degree: float
-    freqs: np.ndarray       # (N, d) integers, includes k = 0
-    coeffs: np.ndarray      # (N,) complex, Hermitian across k -> -k
+    freqs: np.ndarray       # (N, d) integers, includes k = 0, freqs[::-1] == -freqs
+    coeffs: np.ndarray      # (N,) complex, Hermitian: coeffs[::-1] == conj coeffs
 
     def __post_init__(self):
         norms2 = (self.freqs.astype(float) ** 2).sum(1)
@@ -53,18 +54,21 @@ class TrigPolynomial:
         return float(np.real(self.coeffs[zero][0])) if zero.any() else 0.0
 
     def grid_synthesis(self, n: int) -> np.ndarray:
-        """Values on the n x n grid (i/n, j/n) by inverse FFT; needs n > 2 degree."""
+        """Values on the n x n grid (i/n, j/n) by a real inverse FFT of the
+        k2 >= 0 coefficients; needs n > 2 degree and freqs[::-1] == -freqs."""
         if self.dimension != 2:
             raise ValueError("grid synthesis implemented on T^2")
         if n <= 2 * self.degree:
             raise ValueError("synthesis grid must exceed twice the degree")
-        spectrum = np.zeros((n, n), dtype=complex)
-        idx0 = self.freqs[:, 0] % n
-        idx1 = self.freqs[:, 1] % n
-        spectrum[idx0, idx1] = self.coeffs
-        vals = np.fft.ifft2(spectrum) * (n * n)
-        out = vals.real.copy()  # a view would keep the complex buffer alive
-        if np.max(np.abs(vals.imag)) > 1e-8 * max(1.0, np.max(np.abs(out))):
+        if not np.array_equal(self.freqs[::-1], -self.freqs):
+            raise ValueError("synthesis needs antisymmetric freqs: freqs[::-1] == -freqs")
+        half = self.freqs[:, 1] >= 0
+        spectrum = np.zeros((n, n // 2 + 1), dtype=complex)
+        spectrum[self.freqs[half, 0] % n, self.freqs[half, 1]] = self.coeffs[half]
+        out = np.fft.irfft2(spectrum, s=(n, n)) * (n * n)
+        # a bound on the imaginary part that a complex synthesis would show
+        imag = 0.5 * np.sum(np.abs(self.coeffs - np.conj(self.coeffs[::-1])))
+        if imag > 1e-8 * max(1.0, np.max(np.abs(out))):
             raise ValueError("synthesis lost realness: coefficients not Hermitian")
         return out
 

@@ -10,7 +10,7 @@ from discrepancy_forge.chains import ChainSystem, phi, symmetry_order
 from discrepancy_forge.frequencies import integer_ball, stripe_bounds
 from discrepancy_forge.geometry import Ball, Box, ConvexPolytope, TorusSet
 from discrepancy_forge.glp import PhiBall, _class_of, _residue_class_sums, congruence_sum
-from discrepancy_forge.hfourier import _fft_resolution, _grid_classes, _mirror, check_table_memory
+from discrepancy_forge.hfourier import _fft_resolution, _grid_classes, check_table_memory
 from discrepancy_forge.kernel import SPHERE_SURFACE, KernelTable, _CubicHermite
 
 TWO_PI = 2 * np.pi
@@ -637,9 +637,10 @@ def polygon_distances_by_images(poly: ConvexPolytope, coords) -> np.ndarray:
 
 
 def h_table_by_strips(set_: TorusSet, kernel: KernelTable, R: float, oversample: int):
-    """(block, err) of the H-table, strip by strip on one thread through the
-    public distance_grid and tail_integral: the row classes' transforms are put
-    in grid order, n x (kmax + 1), and transformed along the columns there."""
+    """(block, err) of the H-table, its k2 >= 0 halves, strip by strip on one
+    thread through the public distance_grid and tail_integral: the row
+    classes' transforms are put in grid order, n x (kmax + 1), and transformed
+    along the columns there."""
     n, kmax, rows = check_table_memory(R, oversample)
     (row_reps, row_inv), (col_reps, col_inv) = _grid_classes(set_, n)
     coarse_classes = np.zeros(len(row_reps), dtype=bool)
@@ -667,7 +668,7 @@ def h_table_by_strips(set_: TorusSet, kernel: KernelTable, R: float, oversample:
         coarse = coarse[coarse_at[row_inv[::2]]]
     half = column_fft(fine)
     err = np.abs(half - column_fft(coarse)) + 1e-15 * kernel.gamma
-    return _mirror(half), _mirror(err)
+    return half, err
 
 
 def polygon_contains_by_translates(poly: ConvexPolytope, points: np.ndarray) -> np.ndarray:

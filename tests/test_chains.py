@@ -315,6 +315,22 @@ def test_stripe_bounds_are_the_per_row_stripes(signed_permutations):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("include_boundary", [False, True])
+@pytest.mark.parametrize("include_zero", [False, True])
+def test_integer_ball_order_is_antisymmetric(d, include_boundary, include_zero):
+    # row -1 - i is -k for row i; the origin keeps its lexicographic place, the
+    # middle row (index 10 of 21 at radius 2.5 in d = 2)
+    for radius in (1, 2.5, 5, 7.3):
+        ball = integer_ball(radius, d, include_boundary=include_boundary,
+                            include_zero=include_zero)
+        assert np.array_equal(ball[::-1], -ball)
+        if include_zero:
+            punctured = integer_ball(radius, d, include_boundary=include_boundary)
+            assert np.array_equal(np.delete(ball, len(ball) // 2, axis=0), punctured)
+            assert not ball[len(ball) // 2].any()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("radius", [0, -1.0, np.nan, np.inf, -np.inf])
 def test_nonpositive_radius_is_rejected_in_every_dimension(d, radius):
     with pytest.raises(ValueError, match="radius must be positive and finite"):

@@ -575,8 +575,10 @@ def test_malformed_input_exits_3_before_any_work(argv, monkeypatch):
     ["kronecker-scaling", "--set", BALL, "--m", "64,100000000000"],
     ["kronecker-scaling", "--set", BALL, "--m", "64,256", "--eps", "-20"],
     ["sandwich", "--set", BALL, "--R", "8", "--oversample", "16777216"],
+    ["glp-search", "--m", "101", "--strategy", "random", "--n-samples", "1000000000000"],
+    ["kronecker-scaling", "--set", BALL, "--m", "64,256", "--schmidt-R", "64,1000000000"],
 ], ids=["bound-R", "bound-rule-R", "bound-search-R", "lattice-points", "lattice-table", "kronecker-points",
-        "kronecker-table", "sandwich-table"])
+        "kronecker-table", "sandwich-table", "glp-random-candidates", "kronecker-schmidt-ball"])
 def test_oversized_input_exits_3_before_the_kernel_is_built(argv, tmp_path, monkeypatch,
                                                             capsys):
     # on an empty cache: no kernel is built or written before the estimate refuses

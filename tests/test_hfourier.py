@@ -32,16 +32,41 @@ def h_coefficient(set_, kernel, R, k, *, oversample) -> complex:
     return complex(block[k[0] + kmax, k[1] + kmax])
 
 
+def whole_block(table):
+    """(values, errors) of a table at every frequency of its block, index
+    [k1 + kmax, k2 + kmax]."""
+    axis = np.arange(-table.kmax, table.kmax + 1)
+    freqs = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    shape = (len(axis), len(axis))
+    return table.values(freqs).reshape(shape), table.errors(freqs).reshape(shape)
+
+
 @pytest.fixture(scope="module")
 def table16(kernel2):
     return h_coefficient_table(BALL, kernel2, 16.0, oversample=4)
 
 
 def test_hermitian_symmetry(table16):
-    # the k2 < 0 half, and k1 < 0 on k2 = 0, are the conjugate mirror, exactly
+    # the k2 < 0 half, and k1 < 0 on k2 = 0, are read as the conjugate at -k, exactly
     freqs = integer_ball(10, 2)
     assert np.array_equal(table16.values(freqs), np.conj(table16.values(-freqs)))
     assert np.array_equal(table16.errors(freqs), table16.errors(-freqs))
+
+
+def test_table_keeps_the_k2_nonnegative_half(table16):
+    # the stored half is read as it is where k2 > 0, or k2 = 0 <= k1, and
+    # every other frequency is the conjugate of its mirror image
+    kmax = table16.kmax
+    assert table16.block.shape == table16.err.shape == (2 * kmax + 1, kmax + 1)
+    values, errors = whole_block(table16)
+    assert np.array_equal(values[:, kmax + 1:], table16.block[:, 1:])
+    assert np.array_equal(values[kmax:, kmax], table16.block[kmax:, 0])
+    assert np.array_equal(values[:, :kmax], np.conj(values[::-1, :kmax:-1]))
+    assert np.array_equal(values[:kmax, kmax], np.conj(values[:kmax:-1, kmax]))
+    assert np.array_equal(errors[:, :kmax], errors[::-1, :kmax:-1])
+    assert np.array_equal(errors[:kmax, kmax], errors[:kmax:-1, kmax])
+    assert table16.zero == values[kmax, kmax]
+    assert table16.zero_error == errors[kmax, kmax]
 
 
 @pytest.mark.parametrize("k", [(-17, 0), (17, 0), (0, -17), (3, 17), (-17, -17)])
@@ -116,10 +141,11 @@ def test_strip_table_matches_full_grid_fft(kernel2, set_, R, oversample):
     err = np.abs(fine - coarse) + 1e-15 * kernel2.gamma
     table = h_coefficient_table(set_, kernel2, R, oversample=oversample)
     assert table.grid_n == n
+    values, errors = whole_block(table)
     # both routes evaluate the same distances and the same 1-d transforms
-    assert np.array_equal(table.block, fine)
+    assert np.array_equal(values, fine)
     # the n/2 row transforms differ from the oracle's in rounding only
-    assert np.all(np.abs(table.err - err) <= 1e-15 * kernel2.gamma)
+    assert np.all(np.abs(errors - err) <= 1e-15 * kernel2.gamma)
 
 
 @pytest.mark.parametrize("n", [256, 512, 768])
@@ -143,9 +169,10 @@ def test_real_transform_matches_complex_fft2(kernel2, case):
     kmax = int(np.ceil(R))
     table = h_coefficient_table(set_, kernel2, R, oversample=oversample)
     complex_block = full_grid_block_fft2(set_, kernel2, R, n, kmax)
-    gap = np.abs(table.block - complex_block)
+    values, errors = whole_block(table)
+    gap = np.abs(values - complex_block)
     assert np.all(gap <= 1e-15 * np.abs(complex_block).max())
-    assert np.all(gap <= 1e-3 * table.err)
+    assert np.all(gap <= 1e-3 * errors)
 
 
 @pytest.mark.parametrize("n", [512, 768])

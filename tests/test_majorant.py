@@ -15,7 +15,7 @@ from oracles import (
 
 from discrepancy_forge import majorant
 from discrepancy_forge.frequencies import integer_ball
-from discrepancy_forge.geometry import Ball, ConvexPolytope
+from discrepancy_forge.geometry import Ball, Box, ConvexPolytope
 from discrepancy_forge.kernel import psi
 from discrepancy_forge.majorant import (
     TrigPolynomial,
@@ -48,13 +48,10 @@ def test_degree_constraint(pair16):
 
 
 def test_coefficients_hermitian(pair16):
+    # exactly: the synthesis reads coeffs[::-1] as the coefficients at -k
     for poly in pair16:
-        freqs = integer_ball(8, 2)
-        idx = {tuple(k): i for i, k in enumerate(map(tuple, poly.freqs))}
-        for k in map(tuple, freqs):
-            neg = tuple(-np.array(k))
-            assert poly.coeffs[idx[k]] == pytest.approx(
-                np.conj(poly.coeffs[idx[neg]]), abs=1e-10)
+        assert np.array_equal(poly.freqs[::-1], -poly.freqs)
+        assert np.array_equal(poly.coeffs[::-1], np.conj(poly.coeffs))
 
 
 def test_evaluation_matches_direct_sum(pair16):
@@ -75,6 +72,26 @@ def test_synthesis_matches_evaluation(pair16):
         x = np.array([i / n, j / n])
         direct = float(evaluate_polynomial(pair16.lower, x)[0])
         assert grid_vals[i, j] == pytest.approx(direct, abs=1e-9)
+
+
+def test_synthesis_rejects_non_hermitian_coefficients():
+    # real coefficients, even in k, give a real polynomial; an imaginary part
+    # of 1e-3 on one pair k, -k does not
+    freqs = integer_ball(4, 2, include_zero=True)
+    coeffs = np.random.default_rng(5).standard_normal(len(freqs))
+    coeffs = coeffs + coeffs[::-1] + 0j
+    TrigPolynomial(2, 4.0, freqs, coeffs).grid_synthesis(16)
+    coeffs[3] += 1e-3j
+    with pytest.raises(ValueError, match="not Hermitian"):
+        TrigPolynomial(2, 4.0, freqs, coeffs).grid_synthesis(16)
+
+
+def test_synthesis_needs_antisymmetric_frequency_order():
+    # coeffs[::-1] must be the values at -k: the order of integer_ball
+    freqs = integer_ball(4, 2, include_zero=True)
+    swapped = freqs[[1, 0, *range(2, len(freqs))]]
+    with pytest.raises(ValueError, match="antisymmetric"):
+        TrigPolynomial(2, 4.0, swapped, np.ones(len(freqs), dtype=complex)).grid_synthesis(16)
 
 
 def test_sandwich_within_budget(kernel2, pair16):
@@ -120,6 +137,28 @@ def test_sandwich_csv_memory_is_block_bounded(tmp_path, kernel2):
     assert peak <= 10 * 2 ** 20
 
 
+@pytest.mark.parametrize("set_, csv", [
+    (BALL, True), (Box((0.1, 0.2), (0.6, 0.55)), False),
+    (ConvexPolytope(((0.3, 0.25), (0.75, 0.35), (0.7, 0.7), (0.25, 0.6)), epsilon=0.3), False),
+], ids=["ball", "box", "quad"])
+def test_sandwich_memory_stays_within_its_estimate(tmp_path, kernel2, set_, csv):
+    # one R of a sandwich run: its grids, its report and its CSV. The CSV
+    # reads only the four grids, so its peak is the same for every set; it
+    # takes about 17 s under tracemalloc on a 2-core box, so one set writes it
+    n = 1024
+    pair = majorant_pair(set_, kernel2, 8.0, oversample=1)
+    tracemalloc.start()
+    try:
+        grids = sandwich_grids(pair, set_, kernel2, n)
+        sandwich_report(pair, grids)
+        if csv:
+            sandwich_csv(grids, tmp_path / "grid.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= majorant.SANDWICH_BYTES_PER_POINT * n * n
+
+
 def test_far_field_width(kernel2):
     # at dist >= 8/R the gap is below psi(8), by monotone decay
     R, n = 32.0, 256
@@ -141,7 +180,6 @@ def test_observed_width_ratio_below_one(kernel2, pair16):
 def test_proof_chain_smoothing_inequality(kernel2):
     # |chi - K_R * chi|(x) <= I(R dist(x, boundary)) + budget, 100 random x
     # per set variant
-    from discrepancy_forge.geometry import Box, ConvexPolytope
     R = 16.0
     freqs = integer_ball(R, 2, include_zero=True)
     weights = kernel2.khat_value(np.sqrt((freqs.astype(float) ** 2).sum(1)) / R)
