@@ -46,7 +46,7 @@ from .erdos_turan import (
 from .frequencies import integer_ball_bytes
 from .geometry import TorusSet, set_from_json
 from .glp import PhiBall, check_phi_ball, check_search, search
-from .hfourier import check_table_memory, h_coefficient_table
+from .hfourier import check_table_memory
 from .kernel import (
     EXP_MINUS_2PI,
     SUPPORTED_DIMENSIONS,
@@ -311,16 +311,9 @@ def run_bound(config: ExperimentConfig) -> dict:
                    f"the Weyl spectrum's ball |k| < {max(candidates)}")
     kernel = get_kernel(config)
 
-    search_table = None
-    if r_spec == "auto:search":
-        report, search_table, h_table, spectrum = et_bound_r_search(
-            set_, points, kernel, formula_R=R)
-    else:
-        # one table and one spectrum (et_bound's oversample) serve the bound and its CSV
-        h_table = h_coefficient_table(set_, kernel, R, oversample=H_OVERSAMPLE)
-        spectrum = weyl_spectrum(points, R)
-        report = et_bound(set_, points, kernel, R, h_table=h_table, spectrum=spectrum,
-                          exponents={"alpha": alpha, "beta": beta})
+    # the best candidate's table and spectrum serve its CSV as well
+    report, search_table, h_table, spectrum = et_bound_r_search(
+        set_, points, kernel, candidates, exponents={"alpha": alpha, "beta": beta})
     _require_valid(report)
 
     if config.csv_out:
@@ -334,7 +327,7 @@ def run_bound(config: ExperimentConfig) -> dict:
                             spectrum.values, (chi_abs + h_vals) * spectrum.values))
     doc = report.to_json()
     doc["kernel_provenance"] = kernel.provenance
-    if search_table is not None:
+    if r_spec == "auto:search":
         doc["search_table"] = [[r, b] for r, b in search_table]
     return doc
 

@@ -138,23 +138,24 @@ def r_search_candidates(formula_R: float | None) -> list:
     return candidates
 
 
-def et_bound_r_search(set_: TorusSet, points: PointSet, kernel: KernelTable, *,
-                      formula_R: float | None = None
+def et_bound_r_search(set_: TorusSet, points: PointSet, kernel: KernelTable, candidates: list,
+                      *, exponents: dict | None = None
                       ) -> tuple[DiscrepancyReport, list, HCoefficientTable, WeylSpectrum]:
-    """Minimize the bound over a power-of-two R grid plus the formula R.
+    """Minimize the bound over the cutoffs `candidates`: `r_search_candidates`
+    for a grid search, or one fixed R.
 
     Returns (best report, [(R, bound), ...] table, the best R's H-table and
     Weyl spectrum). One spectrum at the largest candidate is restricted to
-    each R. Often beats the formula constant; never worse, because the
-    formula candidate participates.
+    each R. Over `r_search_candidates(formula_R)` it often beats the formula
+    constant and is never worse, because the formula candidate participates.
     """
-    candidates = r_search_candidates(formula_R)
     spectrum = weyl_spectrum(points, max(candidates))
     table = []
     best = best_h = None
     for R in candidates:
         h_table = h_coefficient_table(set_, kernel, R, oversample=H_OVERSAMPLE)
-        rep = et_bound(set_, points, kernel, R, h_table=h_table, spectrum=spectrum)
+        rep = et_bound(set_, points, kernel, R, h_table=h_table, spectrum=spectrum,
+                       exponents=exponents)
         table.append((R, rep.bound))
         if best is None or rep.bound < best.bound:
             best, best_h = rep, h_table

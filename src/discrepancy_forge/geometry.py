@@ -34,7 +34,6 @@ exactly on boundaries, so the convention is part of each report.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -160,31 +159,24 @@ class Box(TorusSet):
         return inside
 
     def _distance(self, coords) -> np.ndarray:
-        # per axis and shift s in {-1, 0, 1}: squared outside gap, inside flag, margin
-        per_axis = []
+        # per axis, the signed margin to its nearest copy [a + s, b + s), s in
+        # {-1, 0, 1}: positive in the copy that holds x (one at most), minus
+        # the gap outside. Then the summed squared gaps in axis order, the AND
+        # of the inside flags and the least margin. This is bitwise the least
+        # over the 3^d copies: the least sum is the sum of the least gaps, and
+        # an inside point's other copies are farther by at least 1 - width.
+        out2, inside, margin = 0.0, True, np.inf
         for x, a, b in zip(coords, self.a, self.b):
             x = np.mod(x, 1.0)
-            terms = []
+            near = -np.inf
             for s in (-1.0, 0.0, 1.0):
-                lo = (a + s) - x
-                hi = x - (b + s)
-                terms.append((np.maximum(np.maximum(lo, hi), 0.0) ** 2,
-                              (lo < 0) & (hi < 0), np.minimum(-lo, -hi)))
-            per_axis.append(terms)
-        # each of the 3^d shifts is combined in the same three full-size buffers
-        shape = np.broadcast_shapes(*(np.shape(x) for x in coords))
-        out2, inside, margin = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape)
-        best = np.full(shape, np.inf)
-        for (o2, ins, mar), *rest in itertools.product(*per_axis):
-            out2[...], inside[...], margin[...] = o2, ins, mar
-            for o2, ins, mar in rest:
-                np.add(out2, o2, out=out2)
-                np.logical_and(inside, ins, out=inside)
-                np.minimum(margin, mar, out=margin)
-            np.sqrt(out2, out=out2)
-            np.copyto(out2, margin, where=inside)
-            np.minimum(best, out2, out=best)
-        return best
+                near = np.maximum(near, np.minimum(x - (a + s), (b + s) - x))
+            out2 = out2 + np.maximum(-near, 0.0) ** 2
+            inside = inside & (near > 0)
+            margin = np.minimum(margin, near)
+        np.sqrt(out2, out=out2)
+        np.copyto(out2, margin, where=inside)
+        return out2
 
     def fourier_coefficients(self, freqs: np.ndarray) -> np.ndarray:
         freqs = np.atleast_2d(np.asarray(freqs, dtype=float))

@@ -9,11 +9,12 @@ the degree-R spectrum |k| < R and stays below n/4.
 H is evaluated once per pair of distance classes. A set's `grid_classes`
 groups the indices of each grid axis whose distances agree bitwise: for a
 ball, equal squared periodic offsets from the centre, n/2 + 1 classes per
-axis when n is a power of two and the centre lies on the grid. Polygons, boxes and any axis with
-more than 3n/4 classes take the grid itself, in order, and gather nothing.
-Grid rows of one class are equal, so each class row is transformed once,
-and the kept columns are gathered into grid order before the column
-transform; the table is bitwise the one every grid row would give.
+axis when n is a power of two and the centre lies on the grid; a polygon's
+or a box's axis has one class per index. Every axis is gathered through its
+classes, whatever their number. Grid rows of one class are equal, so each
+class row is transformed once, and the kept columns are gathered into grid
+order before the column transform; the table is bitwise the one every grid
+row would give.
 
 H is real, so its grid is transformed as a real grid. The class rows are
 evaluated in strips of an even number of rows, dealt round-robin to
@@ -60,33 +61,19 @@ from .geometry import TorusSet
 from .kernel import _HERMITE_BLOCK, _HERMITE_SCRATCH_BYTES, KernelTable, _hermite_scratch
 
 
-# grid points of the strips all workers hold at once, and bytes held per strip point
+# grid points of the strips all workers hold at once; a worker's strip holds
+# bytes per point of its rows and per grid column (see check_table_memory)
 _STRIP_POINTS = 1 << 18
-_STRIP_BYTES_PER_POINT = 43
+_STRIP_BYTES_PER_POINT = 54
+_STRIP_BYTES_PER_COLUMN = 128
 # k2 columns per chunk of the column transforms
 _COLUMN_CHUNK = 16
-# an axis with more distance classes than this share of its indices is taken
-# in grid order: gathering it would cost more than its repeats save
-_MAX_CLASS_SHARE = 0.75
 
 
 def _fft_resolution(R: float, oversample: int) -> int:
     base = max(int(np.ceil(8 * R)), 256)
     n = 1 << int(np.ceil(np.log2(base)))
     return n * oversample
-
-
-def _grid_classes(set_: TorusSet, n: int) -> list[tuple]:
-    """The set's (reps, inverse) per grid axis, with inverse None where the
-    classes are too many to repay gathering: that axis is the grid in order."""
-    return [(np.arange(n), None) if len(reps) > _MAX_CLASS_SHARE * n else (reps, inverse)
-            for reps, inverse in set_.grid_classes(n)]
-
-
-def _grid_order(a: np.ndarray, inverse, axis: int) -> np.ndarray:
-    """Every grid index along `axis` of an array over classes; `inverse` gives
-    the class of each grid index, None the grid itself."""
-    return a if inverse is None else a.take(inverse, axis=axis)
 
 
 def _h_values(set_: TorusSet, kernel: KernelTable, R: float, n: int,
@@ -104,9 +91,9 @@ def _h_values(set_: TorusSet, kernel: KernelTable, R: float, n: int,
 
 def h_function_grid(set_: TorusSet, kernel: KernelTable, R: float, n: int) -> np.ndarray:
     """H_R on the whole n x n grid (i/n, j/n)."""
-    (row_reps, row_inv), (col_reps, col_inv) = _grid_classes(set_, n)
+    (row_reps, row_inv), (col_reps, col_inv) = set_.grid_classes(n)
     h = _h_values(set_, kernel, R, n, row_reps, col_reps)
-    return _grid_order(_grid_order(h, row_inv, 0), col_inv, 1)
+    return h.take(row_inv, axis=0).take(col_inv, axis=1)
 
 
 @dataclass
@@ -155,10 +142,10 @@ def h_coefficient_table(set_: TorusSet, kernel: KernelTable, R: float, *,
     if kernel.dimension != 2:
         raise ValueError("kernel dimension must match the torus dimension 2")
     n, kmax, rows = check_table_memory(R, oversample)
-    (row_reps, row_inv), (col_reps, col_inv) = _grid_classes(set_, n)
+    (row_reps, row_inv), (col_reps, col_inv) = set_.grid_classes(n)
     # the row classes of the n/2 grid, whose rows are the even rows of the n grid
     coarse_classes = np.zeros(len(row_reps), dtype=bool)
-    coarse_classes[slice(None, None, 2) if row_inv is None else row_inv[::2]] = True
+    coarse_classes[row_inv[::2]] = True
     # where each row class's n/2 grid row goes, if it has one
     coarse_at = np.cumsum(coarse_classes) - coarse_classes
     starts = range(0, len(row_reps), rows)
@@ -171,13 +158,12 @@ def h_coefficient_table(set_: TorusSet, kernel: KernelTable, R: float, *,
         # this worker's buffers, sized to one strip and reused for each of its strips
         m = min(rows, len(row_reps))
         scratch = _hermite_scratch(_HERMITE_BLOCK)
-        grid = None if col_inv is None else np.empty(m * n)
+        grid = np.empty(m * n)
         spectrum = np.empty(m * (n // 2 + 1), dtype=complex)
         for start in mine:
             strip = slice(start, start + rows)
             h = _h_values(set_, kernel, R, n, row_reps[strip], col_reps, scratch)
-            if col_inv is not None:
-                h = np.take(h, col_inv, axis=1, mode="clip", out=_front(grid, (len(h), n)))
+            h = np.take(h, col_inv, axis=1, mode="clip", out=_front(grid, (len(h), n)))
             x = np.fft.rfft(h, axis=1, out=_front(spectrum, (len(h), n // 2 + 1)))
             del h   # free this strip's values before the next is evaluated
             fine[:, strip] = x[:, :kmax + 1].T
@@ -194,7 +180,7 @@ def h_coefficient_table(set_: TorusSet, kernel: KernelTable, R: float, *,
     half = np.empty((2 * kmax + 1, kmax + 1), dtype=complex)
     err = np.empty((2 * kmax + 1, kmax + 1))
     keep = np.arange(-kmax, kmax + 1)
-    coarse_order = None if row_inv is None else coarse_at[row_inv[::2]]
+    coarse_order = coarse_at[row_inv[::2]]
 
     def columns(mine):
         # this worker's buffers, sized to one chunk of columns of each grid
@@ -217,16 +203,14 @@ def _front(flat: np.ndarray, shape: tuple) -> np.ndarray:
     return flat[:shape[0] * shape[1]].reshape(shape)
 
 
-def _column_fft(cols: np.ndarray, order, keep: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _column_fft(cols: np.ndarray, order: np.ndarray, keep: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
     """Rows `keep` (mod m) of the 2-d DFT of a real m x m grid, one k2 per row,
     whose row transforms hold their columns k2 in the rows of `cols` by row
-    class; `order` gives each grid row's class, None the grid itself. The
-    columns go into grid order in `out` (m per row), and are transformed there."""
+    class; `order` gives each grid row's class. The columns go into grid
+    order in `out` (m per row), and are transformed there."""
     m = out.shape[1]
-    if order is None:
-        np.fft.fft(cols, axis=1, out=out)
-    else:
-        np.fft.fft(np.take(cols, order, axis=1, mode="clip", out=out), axis=1, out=out)
+    np.fft.fft(np.take(cols, order, axis=1, mode="clip", out=out), axis=1, out=out)
     return out[:, keep % m] / (m * m)
 
 
@@ -239,16 +223,23 @@ def check_table_memory(R: float, oversample: int) -> tuple[int, int, int]:
     while the strips run, the row transforms of the row classes (at most n)
     and of the coarse row classes (at most n/2); while the columns are
     transformed, those and the table: the k2 >= 0 half of the block (w rows)
-    and of its error (w/2). Each worker adds its
-    buffers: while it runs strips, at most 43 bytes per point of a strip's
-    grid rows and one `_hermite_scratch`; while it transforms columns, one
+    and of its error (w/2). Each worker adds its buffers: while it runs
+    strips, one strip's worth, 54 bytes per point of its rows and 128 per
+    grid column, and one `_hermite_scratch`; while it transforms columns, one
     chunk of columns of the n and the n/2 grid, and 6 rows of w values per
-    column for the kept coefficients and their differences. Under
-    tracemalloc, at 128 x 2048 and 256 x 1024 strips, a worker's strip buffers
-    (grid rows and their real FFT), one strip's distances and H values and
-    its n/2 grid row transforms peak at 22 bytes per point for a ball, 36 for
-    a box and 42 for a quadrilateral, whose distance temporaries are the
-    most.
+    column for the kept coefficients and their differences.
+
+    Under tracemalloc on the 2048 grid, a worker's strip (its distances and
+    H values, their gathered copy, its real FFT and its n/2 grid row
+    transforms) peaks at 21-38 bytes per point for a ball, 34-51 for a box
+    and 48-96 for a quadrilateral, from 128-row strips down to 2-row ones.
+    The per-column term is each grid axis's vectors, which cost a strip the
+    same at any height. A polygon's secondary edge images crowd into the
+    strips across an image boundary, so its worst strip grows as strips
+    shrink: 48.5 bytes per point at 128 rows, 51.1 at 64 and 54.8 at 32.
+    Workers out of step can each hold their worst strip at once, so every
+    worker is counted at it. 54 per point and 128 per column cover every
+    strip measured, 2 to 256 rows on the 1024, 2048 and 4096 grids.
     """
     if not R > 0:
         raise ValueError("R must be positive")
@@ -262,7 +253,8 @@ def check_table_memory(R: float, oversample: int) -> tuple[int, int, int]:
     w = 2 * kmax + 1
     row = 16 * (kmax + 1)
     held = row * (n + n // 2)
-    striping = held + parallel.WORKERS * (_STRIP_BYTES_PER_POINT * rows * n
+    striping = held + parallel.WORKERS * ((_STRIP_BYTES_PER_POINT * rows
+                                           + _STRIP_BYTES_PER_COLUMN) * n
                                           + _HERMITE_SCRATCH_BYTES)
     transforming = (held + row * (w + w // 2)
                     + parallel.WORKERS * 16 * _COLUMN_CHUNK * (n + n // 2 + 6 * w))

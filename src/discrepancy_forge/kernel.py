@@ -430,11 +430,8 @@ class KernelTable:
         out[inside] = self._khat_spline(r[inside])
         return out if out.ndim else float(out)
 
-    def tail_envelope(self, t):
-        """One-sided bound for I(t), valid for t >= x_max."""
-        return self._envelope(np.asarray(t, dtype=float))
-
     def _envelope(self, t: np.ndarray, out=None, where=True) -> np.ndarray:
+        """One-sided bound for I(t), valid for t >= x_max."""
         omega = SPHERE_SURFACE[self.dimension]
         out = np.power(t, -2.0, out=out, where=where)
         return np.multiply(0.5 * omega * self.tail_envelope_coeff, out, out=out, where=where)

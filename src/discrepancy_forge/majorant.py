@@ -48,11 +48,6 @@ class TrigPolynomial:
         if np.any(norms2 >= self.degree ** 2):
             raise ValueError("coefficient outside the degree ball")
 
-    @property
-    def mean(self) -> float:
-        zero = np.all(self.freqs == 0, axis=1)
-        return float(np.real(self.coeffs[zero][0])) if zero.any() else 0.0
-
     def grid_synthesis(self, n: int) -> np.ndarray:
         """Values on the n x n grid (i/n, j/n) by a real inverse FFT of the
         k2 >= 0 coefficients; needs n > 2 degree and freqs[::-1] == -freqs."""
@@ -81,9 +76,6 @@ class MajorantPair:
     upper: TrigPolynomial
     h_table: HCoefficientTable
     budget: float
-
-    def __iter__(self):
-        return iter((self.lower, self.upper))
 
 
 def majorant_pair(set_: TorusSet, kernel: KernelTable, R: float, *,

@@ -10,7 +10,7 @@ from discrepancy_forge.chains import ChainSystem, phi, symmetry_order
 from discrepancy_forge.frequencies import integer_ball, stripe_bounds
 from discrepancy_forge.geometry import Ball, Box, ConvexPolytope, TorusSet
 from discrepancy_forge.glp import PhiBall, _class_of, _residue_class_sums, congruence_sum
-from discrepancy_forge.hfourier import _fft_resolution, _grid_classes, check_table_memory
+from discrepancy_forge.hfourier import _fft_resolution, check_table_memory
 from discrepancy_forge.kernel import SPHERE_SURFACE, KernelTable, _CubicHermite
 
 TWO_PI = 2 * np.pi
@@ -642,9 +642,9 @@ def h_table_by_strips(set_: TorusSet, kernel: KernelTable, R: float, oversample:
     classes' transforms are put in grid order, n x (kmax + 1), and transformed
     along the columns there."""
     n, kmax, rows = check_table_memory(R, oversample)
-    (row_reps, row_inv), (col_reps, col_inv) = _grid_classes(set_, n)
+    (row_reps, row_inv), (col_reps, col_inv) = set_.grid_classes(n)
     coarse_classes = np.zeros(len(row_reps), dtype=bool)
-    coarse_classes[slice(None, None, 2) if row_inv is None else row_inv[::2]] = True
+    coarse_classes[row_inv[::2]] = True
     coarse_at = np.cumsum(coarse_classes) - coarse_classes
     fine = np.empty((len(row_reps), kmax + 1), dtype=complex)
     coarse = np.empty((np.count_nonzero(coarse_classes), kmax + 1), dtype=complex)
@@ -657,17 +657,14 @@ def h_table_by_strips(set_: TorusSet, kernel: KernelTable, R: float, oversample:
         strip = slice(start, start + rows)
         h = kernel.gamma * kernel.tail_integral(R * set_.distance_grid(n, row_reps[strip],
                                                                        col_reps))
-        x = np.fft.rfft(h if col_inv is None else h.take(col_inv, axis=1), axis=1)
+        x = np.fft.rfft(h.take(col_inv, axis=1), axis=1)
         fine[strip] = x[:, :kmax + 1]
         # the n/2 grid row of the even columns: (X(k2) + conj X(n/2 - k2)) / 2
-        x = x[::2] if row_inv is None else x[coarse_classes[strip]]
+        x = x[coarse_classes[strip]]
         at = coarse_at[start]
         coarse[at:at + len(x)] = (x[:, :kmax + 1] + x[:, n // 2:n // 2 - kmax - 1:-1].conj()) / 2
-    if row_inv is not None:
-        fine = fine[row_inv]
-        coarse = coarse[coarse_at[row_inv[::2]]]
-    half = column_fft(fine)
-    err = np.abs(half - column_fft(coarse)) + 1e-15 * kernel.gamma
+    half = column_fft(fine[row_inv])
+    err = np.abs(half - column_fft(coarse[coarse_at[row_inv[::2]]])) + 1e-15 * kernel.gamma
     return half, err
 
 
@@ -716,5 +713,5 @@ def tail_by_whole_array(table: KernelTable, t: np.ndarray) -> np.ndarray:
     inside = t <= table.t_max
     out = np.empty_like(t)
     out[inside] = table._tail_interp(t[inside])
-    out[~inside] = table.tail_envelope(t[~inside])
+    out[~inside] = table._envelope(t[~inside])
     return np.maximum(out, 0.0, out=out)

@@ -433,7 +433,6 @@ def test_r_search_csv_reuses_the_winning_table(tmp_path, monkeypatch):
         return h_coefficient_table(*args, **kwargs)
 
     monkeypatch.setattr(erdos_turan, "h_coefficient_table", counting_table)
-    monkeypatch.setattr(cli, "h_coefficient_table", counting_table)
     out, csv_out = tmp_path / "search.json", tmp_path / "search.csv"
     assert run_cli(["bound", "--set", BALL, "--points", LATTICE256, "--R", "auto:search",
                     "--out", str(out), "--csv-out", str(csv_out)]) == EXIT_OK
@@ -786,7 +785,7 @@ class _Reached(Exception):
 
 # the calls each experiment's work starts with (PhiBall.build besides)
 _SENTINELS = ("get_kernel", "enumerate_words", "search", "korobov", "chain_sum",
-              "ball_rho_hat", "h_coefficient_table")
+              "ball_rho_hat")
 
 _BOX = '{"variant":"box","a":[0.2,0.3],"b":[0.6,0.7]}'
 _BALL3 = '{"variant":"ball","center":[0.5,0.5,0.5],"radius":0.25}'

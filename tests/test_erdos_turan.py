@@ -10,6 +10,7 @@ from discrepancy_forge.erdos_turan import (
     et_bound_r_search,
     optimal_R,
     polytope_family_bound,
+    r_search_candidates,
 )
 from discrepancy_forge.geometry import Ball
 from discrepancy_forge.glp import search
@@ -28,6 +29,18 @@ def test_lattice_bound_reduces_to_zero_term(kernel2):
     rep = et_bound(BALL, lattice(256, d=2), kernel2, 16.0)
     assert rep.sum_term == 0.0
     assert rep.bound == pytest.approx(rep.zero_term)
+
+
+@pytest.mark.parametrize("m", [1024, 4096, 16384, 65536])
+def test_lattice_scaling_bound_is_its_zero_term(kernel2, m):
+    # lattice-scaling's rule at alpha = beta = 1 is R = sqrt(m), and the full
+    # lattice's Weyl sums vanish on 0 < |k| < R: the bound is |H_R(0)| alone
+    # (BALL is perfbench's ball before its seed's shift)
+    R = optimal_R("lattice", m, 2, 1.0, 1.0)
+    assert R == np.sqrt(m)
+    rep = et_bound(BALL, lattice(m, d=2), kernel2, R)
+    assert rep.sum_term == 0.0
+    assert rep.bound == rep.zero_term
     assert rep.valid
 
 
@@ -70,7 +83,7 @@ def test_grid_search_never_worse_than_formula(kernel2, monkeypatch):
     monkeypatch.setattr(erdos_turan, "R_SEARCH_CAP", 128)
     ps = lattice(1024, d=2)
     formula_R = optimal_R("lattice", 1024, 2, 1.0, 1.0)
-    best, table, _, _ = et_bound_r_search(BALL, ps, kernel2, formula_R=formula_R)
+    best, table, _, _ = et_bound_r_search(BALL, ps, kernel2, r_search_candidates(formula_R))
     formula_bound = [b for r, b in table if r == formula_R]
     assert formula_bound and best.bound <= formula_bound[0]
 
@@ -78,7 +91,8 @@ def test_grid_search_never_worse_than_formula(kernel2, monkeypatch):
 def test_r_search_builds_each_R_once(kernel2, monkeypatch):
     # the formula R = 16 is already a power-of-two candidate
     monkeypatch.setattr(erdos_turan, "R_SEARCH_CAP", 32)
-    _, table, _, _ = et_bound_r_search(BALL, lattice(256, d=2), kernel2, formula_R=16.0)
+    _, table, _, _ = et_bound_r_search(BALL, lattice(256, d=2), kernel2,
+                                       r_search_candidates(16.0))
     assert [r for r, _ in table] == [4.0, 8.0, 16.0, 32.0]
 
 

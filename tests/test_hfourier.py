@@ -248,7 +248,7 @@ def test_table_does_not_depend_on_the_worker_count(kernel2, set_, R, oversample,
         return h_values(*args)
 
     monkeypatch.setattr(hfourier, "_h_values", spy)
-    reps = np.sort(hfourier._grid_classes(set_, _fft_resolution(R, oversample))[0][0])
+    reps = np.sort(set_.grid_classes(_fft_resolution(R, oversample))[0][0])
     tables = []
     for workers, count in zip((1, 2, 3), strips):
         monkeypatch.setattr(parallel, "WORKERS", workers)
@@ -276,7 +276,7 @@ def test_table_equals_the_strip_by_strip_oracle(kernel2, set_, case, monkeypatch
     # strips and chunks of k2 columns to the workers' reused buffers
     R, oversample = PARTITION_CASES[case]
     block, err = h_table_by_strips(set_, kernel2, R, oversample)
-    classes = len(hfourier._grid_classes(set_, _fft_resolution(R, oversample))[0][0])
+    classes = len(set_.grid_classes(_fft_resolution(R, oversample))[0][0])
     strips = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(parallel, "WORKERS", workers)

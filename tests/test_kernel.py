@@ -424,7 +424,7 @@ def test_hermite_evaluators_equal_scipy_bitwise(d, kernel_tables):
         t = np.concatenate([[0.0, table.t_max], rng.uniform(0.0, t_hi, 99_998)])
         t = t.reshape(200, 500)
         tail = np.where(t <= table.t_max, PchipInterpolator(table.tail_grid, table.tail)(t),
-                        table.tail_envelope(np.maximum(t, table.t_max)))
+                        table._envelope(np.maximum(t, table.t_max)))
         assert np.array_equal(table.tail_integral(t), np.maximum(tail, 0.0))
     r = rng.uniform(0.0, 1.0, 100_000)
     khat = CubicSpline(table.khat_grid, table.khat, bc_type="clamped")(r)

@@ -34,10 +34,12 @@ def pair16(kernel2):
 
 
 def test_mean_ordering(pair16):
-    lower, upper = pair16
-    assert upper.mean - lower.mean == pytest.approx(2 * pair16.h_table.zero.real, rel=1e-12)
-    assert upper.mean - lower.mean >= 0
-    assert lower.mean <= BALL.measure() <= upper.mean
+    # a polynomial's mean is its k = 0 coefficient
+    lower, upper = (float(poly.coeffs[np.all(poly.freqs == 0, axis=1)][0].real)
+                    for poly in (pair16.lower, pair16.upper))
+    assert upper - lower == pytest.approx(2 * pair16.h_table.zero.real, rel=1e-12)
+    assert upper - lower >= 0
+    assert lower <= BALL.measure() <= upper
 
 
 def test_degree_constraint(pair16):
@@ -49,7 +51,7 @@ def test_degree_constraint(pair16):
 
 def test_coefficients_hermitian(pair16):
     # exactly: the synthesis reads coeffs[::-1] as the coefficients at -k
-    for poly in pair16:
+    for poly in (pair16.lower, pair16.upper):
         assert np.array_equal(poly.freqs[::-1], -poly.freqs)
         assert np.array_equal(poly.coeffs[::-1], np.conj(poly.coeffs))
 
