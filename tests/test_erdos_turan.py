@@ -29,6 +29,7 @@ def test_lattice_bound_reduces_to_zero_term(kernel2):
     rep = et_bound(BALL, lattice(256, d=2), kernel2, 16.0)
     assert rep.sum_term == 0.0
     assert rep.bound == pytest.approx(rep.zero_term)
+    assert rep.valid
 
 
 @pytest.mark.parametrize("m", [1024, 4096, 16384, 65536])
