@@ -312,8 +312,7 @@ def run_bound(config: ExperimentConfig) -> dict:
     kernel = get_kernel(config)
 
     # the best candidate's table and spectrum serve its CSV as well
-    report, search_table, h_table, spectrum = et_bound_r_search(
-        set_, points, kernel, candidates, exponents={"alpha": alpha, "beta": beta})
+    report, search_table, h_table, spectrum = et_bound_r_search(set_, points, kernel, candidates)
     _require_valid(report)
 
     if config.csv_out:
@@ -326,6 +325,7 @@ def run_bound(config: ExperimentConfig) -> dict:
                    _columns(*spectrum.freqs.T, chi.real, chi.imag, chi_abs, h_vals,
                             spectrum.values, (chi_abs + h_vals) * spectrum.values))
     doc = report.to_json()
+    doc["exponents"] = {"alpha": alpha, "beta": beta}
     doc["kernel_provenance"] = kernel.provenance
     if r_spec == "auto:search":
         doc["search_table"] = [[r, b] for r, b in search_table]
@@ -333,12 +333,12 @@ def run_bound(config: ExperimentConfig) -> dict:
 
 
 def _scaling_rows(set_: TorusSet, kernel: KernelTable, ms: list, rs: list,
-                  points_for, exponents: dict) -> tuple[list, float]:
+                  points_for) -> tuple[list, float]:
     """Per size m: the bound at its rule's R, its validity check and its row;
     then the log-log slope of the bound against m."""
     rows = []
     for m, R in zip(ms, rs):
-        rep = et_bound(set_, points_for(m), kernel, R, exponents=exponents)
+        rep = et_bound(set_, points_for(m), kernel, R)
         _require_valid(rep, f"bound validity at m={m}")
         rows.append({"m": m, "R": rep.R, "bound": rep.bound,
                      "true_discrepancy": rep.true_discrepancy})
@@ -371,8 +371,7 @@ def run_lattice_scaling(config: ExperimentConfig) -> dict:
         check_point_memory(m, 2, "lattice")
         check_table_memory(R, H_OVERSAMPLE)
     kernel = get_kernel(config)
-    rows, slope = _scaling_rows(set_, kernel, ms, rs, lambda m: lattice(m, 2),
-                                {"alpha": alpha, "beta": beta})
+    rows, slope = _scaling_rows(set_, kernel, ms, rs, lambda m: lattice(m, 2))
     _require(abs(slope - SLOPE_TARGET) <= SLOPE_TOLERANCE, "lattice scaling slope",
              slope, SLOPE_TARGET)
     if config.csv_out:
@@ -397,13 +396,11 @@ def run_kronecker_scaling(config: ExperimentConfig) -> dict:
         check_table_memory(R, H_OVERSAMPLE)
     schmidt_R = max(params["schmidt_R"])
     require_memory(integer_ball_bytes(schmidt_R, d), f"the Schmidt sum at --schmidt-R {schmidt_R}")
-    kernel = get_kernel(config)
-
+    # the Schmidt rows need no kernel, and a resonant x is refused before one is built
     schmidt_rows, spread = _log_power_rows(params["schmidt_R"], lambda R: schmidt_sum(x, R),
                                            1, d + 1, "schmidt ratio spread")
-    rows, slope = _scaling_rows(set_, kernel, params["m"], rs,
-                                lambda m: kronecker(x, m),
-                                {"alpha": 1.0, "beta": 1.0, "eps": params["eps"]})
+    kernel = get_kernel(config)
+    rows, slope = _scaling_rows(set_, kernel, params["m"], rs, lambda m: kronecker(x, m))
     _require(slope <= SLOPE_MAX, "kronecker scaling slope", slope, SLOPE_MAX)
     return {"set": set_.to_json(), "x": list(x), "schmidt": schmidt_rows,
             "schmidt_spread": spread, "rows": rows, "slope": slope,

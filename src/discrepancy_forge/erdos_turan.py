@@ -19,7 +19,7 @@ coefficient tables at R = 4096 are out of desk-scale memory).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class DiscrepancyReport:
     sum_term: float           # sum (|chi-hat| + |H-hat|) Psi
     uncertainty: float
     true_discrepancy: float | None
-    exponents: dict = field(default_factory=dict)
 
     @property
     def valid(self) -> bool | None:
@@ -64,15 +63,13 @@ class DiscrepancyReport:
             "sum_term": self.sum_term,
             "uncertainty": self.uncertainty,
             "true_discrepancy": self.true_discrepancy,
-            "exponents": self.exponents,
             "valid": self.valid,
         }
 
 
 def et_bound(set_: TorusSet, points: PointSet, kernel: KernelTable, R: float, *,
              h_table: HCoefficientTable | None = None,
-             spectrum: WeylSpectrum | None = None,
-             exponents: dict | None = None) -> DiscrepancyReport:
+             spectrum: WeylSpectrum | None = None) -> DiscrepancyReport:
     """Assemble the discrepancy bound at cutoff R and attach the true value."""
     if R < 4:
         raise ValueError("R must be >= 4")
@@ -104,7 +101,6 @@ def et_bound(set_: TorusSet, points: PointSet, kernel: KernelTable, R: float, *,
         sum_term=sum_term,
         uncertainty=uncertainty,
         true_discrepancy=true_discrepancy(points, set_),
-        exponents=exponents or {},
     )
 
 
@@ -138,8 +134,7 @@ def r_search_candidates(formula_R: float | None) -> list:
     return candidates
 
 
-def et_bound_r_search(set_: TorusSet, points: PointSet, kernel: KernelTable, candidates: list,
-                      *, exponents: dict | None = None
+def et_bound_r_search(set_: TorusSet, points: PointSet, kernel: KernelTable, candidates: list
                       ) -> tuple[DiscrepancyReport, list, HCoefficientTable, WeylSpectrum]:
     """Minimize the bound over the cutoffs `candidates`: `r_search_candidates`
     for a grid search, or one fixed R.
@@ -154,8 +149,7 @@ def et_bound_r_search(set_: TorusSet, points: PointSet, kernel: KernelTable, can
     best = best_h = None
     for R in candidates:
         h_table = h_coefficient_table(set_, kernel, R, oversample=H_OVERSAMPLE)
-        rep = et_bound(set_, points, kernel, R, h_table=h_table, spectrum=spectrum,
-                       exponents=exponents)
+        rep = et_bound(set_, points, kernel, R, h_table=h_table, spectrum=spectrum)
         table.append((R, rep.bound))
         if best is None or rep.bound < best.bound:
             best, best_h = rep, h_table

@@ -93,7 +93,8 @@ def h_function_grid(set_: TorusSet, kernel: KernelTable, R: float, n: int) -> np
     """H_R on the whole n x n grid (i/n, j/n)."""
     (row_reps, row_inv), (col_reps, col_inv) = set_.grid_classes(n)
     h = _h_values(set_, kernel, R, n, row_reps, col_reps)
-    return h.take(row_inv, axis=0).take(col_inv, axis=1)
+    h = h.take(row_inv, axis=0)   # frees the class grid before the columns are taken
+    return h.take(col_inv, axis=1)
 
 
 @dataclass

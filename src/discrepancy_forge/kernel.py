@@ -14,13 +14,16 @@ One radial Fourier transform F (cos, J0 or sinc sums over Gauss-Legendre
 nodes) serves both transforms in the chain. By the convolution theorem
 m * m = F^-1[(F m)^2], and F is its own inverse on radial functions, so the
 autocorrelation is two applications of F: once for F m on frequency nodes,
-once to map (F m)^2 back to radii. K is F applied to khat on a fixed node
-set, so K, I(t) and radial masses are closed-form sums with no nested
-quadrature. Both node sums run in fixed blocks of radii, dealt by `parallel`
-to one worker thread per CPU the process may use; each worker fills its
-blocks' columns in its own reused buffers by the operations of the plain
-numpy expressions. No node-by-all-radii matrix is held, and a table's bytes
-depend neither on the BLAS thread count nor on the worker count.
+once to map (F m)^2 back to radii. A build maps it back to the master nodes
+and the khat knots in one pass, so F m is computed once per resolution; the
+error estimate is each radius's change from the coarser resolution. K is F
+applied to khat on a fixed node set, so K, I(t) and radial masses are
+closed-form sums with no nested quadrature. Both node sums run in fixed
+blocks of radii, dealt by `parallel` to one worker thread per CPU the
+process may use; each worker fills its blocks' columns in its own reused
+buffers by the operations of the plain numpy expressions. No
+node-by-all-radii matrix is held, and a table's bytes depend neither on the
+BLAS thread count nor on the worker count.
 
 Downstream modules consume the tables through one numpy piecewise-cubic
 Hermite evaluator: monotone (PCHIP) slopes for I, computed when a table is
@@ -38,15 +41,14 @@ every table's provenance records.
 The cache file's `version` is bumped whenever a change moves table numbers,
 adds a field or fixes a value that older files may hold otherwise (version 4:
 the extents x_max and t_max), so tables written by older code are rebuilt,
-not reused. Blocked radial masses and the worker threads kept version 4:
-their tables are bitwise what the earlier code wrote on one BLAS thread, and
-its files from more are as valid.
+not reused. Blocked radial masses, the worker threads and the one
+autocorrelation pass kept version 4: their tables are bitwise what the
+earlier code wrote on one BLAS thread, and its files from more are as valid.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import os
 import tempfile
@@ -175,43 +177,31 @@ def _radial_transform(d: int, r: np.ndarray, wf: np.ndarray, s: np.ndarray) -> n
     return _node_sum(SPHERE_SURFACE[d] * wf * r ** (d - 1), s, columns, 2 if d == 3 else 1)
 
 
-@functools.lru_cache(maxsize=4)
 def _squared_transform(bump: BumpProfile, cutoff: float, xi_panels: int,
                        r_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes xi over [0, cutoff] and their weights times (F m)(xi)^2.
-
-    Kept for the last few bumps and resolutions: a kernel build maps the same
-    (F m)^2 back to two radius sets, so F m is computed once per resolution.
-    """
+    """Nodes xi over [0, cutoff] and their weights times (F m)(xi)^2."""
     r, w_r = panel_nodes(0.0, SUPPORT_RADIUS, r_panels)
     xi, w_xi = panel_nodes(0.0, cutoff, xi_panels)
     mhat = _radial_transform(bump.dimension, r, w_r * bump(r), xi)
-    wf = w_xi * mhat ** 2
-    xi.flags.writeable = wf.flags.writeable = False
-    return xi, wf
+    return xi, w_xi * mhat ** 2
 
 
-def _autocorrelation(bump: BumpProfile, s: np.ndarray, cutoff: float,
-                     xi_panels: int, r_panels: int) -> np.ndarray:
-    """m * m = F[(F m)^2], with F m sampled on nodes over [0, cutoff]."""
-    xi, wf = _squared_transform(bump, cutoff, xi_panels, r_panels)
-    return _radial_transform(bump.dimension, xi, wf, s)
+def autocorrelation_values(bump: BumpProfile, s) -> tuple[np.ndarray, np.ndarray]:
+    """(m * m)(s) = F[(F m)^2](s) for radii s in [0, 1], and each radius's
+    change under refinement, an error estimate.
 
-
-def autocorrelation_values(bump: BumpProfile, s) -> tuple[np.ndarray, float]:
-    """(m * m)(s) for radii s in [0, 1], plus a refinement-based error estimate.
-
-    The doubling doubles the frequency cutoff and both sets of panels, so the
-    estimate also covers the truncated transform tail. Raises QuadratureError
-    when the doubling moves any value by more than 1e-8.
+    The refinement doubles the frequency cutoff and both sets of panels, so
+    the estimate also covers the truncated transform tail. Raises
+    QuadratureError when it moves any value by more than 1e-8.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    coarse = _autocorrelation(bump, s, cutoff=50.0, xi_panels=50, r_panels=8)
-    fine = _autocorrelation(bump, s, cutoff=100.0, xi_panels=100, r_panels=16)
-    err = float(np.max(np.abs(fine - coarse)))
+    coarse, fine = (_radial_transform(bump.dimension, *_squared_transform(bump, *resolution), s)
+                    for resolution in ((50.0, 50, 8), (100.0, 100, 16)))
+    change = np.abs(fine - coarse)
+    err = float(np.max(change))
     if err > 1e-8:
         raise QuadratureError(f"autocorrelation quadrature unstable: change {err:.3e}")
-    return fine, err
+    return fine, change
 
 
 # ---------------------------------------------------------------------------
@@ -581,17 +571,18 @@ def build_kernel_table(bump: BumpProfile) -> KernelTable:
 
     decay = (d + 1) / 2.0
     nodes, weights = panel_nodes(0.0, 1.0, p["master_panels"])
-    conv_nodes, conv_err = autocorrelation_values(bump, nodes)
-    khat_nodes = (1.0 + nodes ** 2) ** (-decay) * conv_nodes
+    khat_grid = np.linspace(0.0, 1.0, p["khat_grid_n"])
+    # khat on the master nodes, then on the knots: one pass over both
+    s = np.concatenate([nodes, khat_grid])
+    conv, change = autocorrelation_values(bump, s)
+    khat_nodes, khat_tab = np.split((1.0 + s ** 2) ** (-decay) * conv, [len(nodes)])
     coeff = weights * khat_nodes        # K = F khat as a finite sum over the nodes
 
-    khat_grid = np.linspace(0.0, 1.0, p["khat_grid_n"])
-    conv_grid, _ = autocorrelation_values(bump, khat_grid)
-    khat_tab = (1.0 + khat_grid ** 2) ** (-decay) * conv_grid
     khat_tab[-1] = 0.0  # support constraint is exact
     khat_slopes = _clamped_slopes(khat_grid, khat_tab)
     spline = _CubicHermite(khat_grid, khat_tab, khat_slopes)
-    khat_accuracy = float(np.max(np.abs(spline(nodes) - khat_nodes))) + conv_err
+    khat_accuracy = (float(np.max(np.abs(spline(nodes) - khat_nodes)))
+                     + float(np.max(change[:len(nodes)])))
 
     kvals_grid = np.arange(0.0, x_max + 0.5 * kvals_step, kvals_step)
     kvals = _radial_transform(d, nodes, coeff, kvals_grid)

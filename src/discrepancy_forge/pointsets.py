@@ -80,6 +80,7 @@ def kronecker(x, m: int) -> PointSet:
     check_point_memory(m, len(x), "kronecker")
     j = np.arange(1, m + 1)[:, None]
     pts = np.mod(j * x[None, :], 1.0)
+    pts[pts == 1.0] = 0.0   # a tiny negative j x rounds up to 1, the same torus point as 0
     return PointSet(points=pts, descriptor={"kind": "kronecker",
                                             "x": [float(v) for v in x], "m": int(m)})
 

@@ -147,7 +147,6 @@ def set_discrepancy(points: np.ndarray, region) -> float:
 # Wigner blocks and the truncated spectral radius
 # ---------------------------------------------------------------------------
 
-_WIGNER_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 MAX_DEGREE = 50  # highest harmonic degree checked to stay unitary to ~1e-12
 
 
@@ -158,19 +157,17 @@ def _wigner_eig(ell: int) -> tuple[np.ndarray, np.ndarray]:
     The spectrum of Jy is exactly the integers -ell..ell, so the computed
     eigenvalues are snapped to them.
     """
-    if ell not in _WIGNER_CACHE:
-        m = np.arange(-ell, ell + 1, dtype=float)
-        raising = np.sqrt(ell * (ell + 1) - m[:-1] * (m[:-1] + 1))
-        jy = np.zeros((2 * ell + 1, 2 * ell + 1), dtype=complex)
-        for i, a in enumerate(raising):
-            jy[i + 1, i] = -0.5j * a
-            jy[i, i + 1] = 0.5j * a
-        vals, vecs = np.linalg.eigh(jy)
-        levels = np.round(vals).astype(float)
-        if np.max(np.abs(vals - levels)) > 1e-8:
-            raise QuadratureError(f"Jy spectrum drifted from integers at l = {ell}")
-        _WIGNER_CACHE[ell] = (levels, vecs)
-    return _WIGNER_CACHE[ell]
+    m = np.arange(-ell, ell + 1, dtype=float)
+    raising = np.sqrt(ell * (ell + 1) - m[:-1] * (m[:-1] + 1))
+    jy = np.zeros((2 * ell + 1, 2 * ell + 1), dtype=complex)
+    for i, a in enumerate(raising):
+        jy[i + 1, i] = -0.5j * a
+        jy[i, i + 1] = 0.5j * a
+    vals, vecs = np.linalg.eigh(jy)
+    levels = np.round(vals).astype(float)
+    if np.max(np.abs(vals - levels)) > 1e-8:
+        raise QuadratureError(f"Jy spectrum drifted from integers at l = {ell}")
+    return levels, vecs
 
 
 def euler_zyz(matrix: np.ndarray) -> tuple[float, float, float]:

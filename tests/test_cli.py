@@ -440,10 +440,13 @@ def test_r_search_csv_reuses_the_winning_table(tmp_path, monkeypatch):
     # one H-table per candidate R; the CSV reuses the winner's
     assert tables == [r for r, _ in report["search_table"]]
     # and equals the CSV of a plain run at the winning R, byte for byte
-    plain_csv = tmp_path / "plain.csv"
+    plain, plain_csv = tmp_path / "plain.json", tmp_path / "plain.csv"
     assert run_cli(["bound", "--set", BALL, "--points", LATTICE256, "--R", repr(report["R"]),
-                    "--out", str(tmp_path / "plain.json"), "--csv-out", str(plain_csv)]) == EXIT_OK
+                    "--out", str(plain), "--csv-out", str(plain_csv)]) == EXIT_OK
     assert plain_csv.read_bytes() == csv_out.read_bytes()
+    # both reports carry the exponents that set the formula candidate
+    for doc in (report, json.loads(plain.read_text())["report"]):
+        assert doc["exponents"] == {"alpha": 1.0, "beta": 1.0}
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -540,6 +543,7 @@ def _no_expensive_work(*args, **kwargs):
      "--R", "8"],
     ["bound", "--set", BALL, "--points", '{"kind":"kronecker","x":[NaN,0.73],"m":16}',
      "--R", "8"],
+    ["kronecker-scaling", "--set", BALL, "--m", "64,256", "--x", "0.5,0.25"],
 ], ids=["cap-3-values", "cap-5-values", "base-zero", "L-zero", "m-empty",
         "lattice-one-size", "kronecker-one-size", "R-empty", "x-empty", "glp-X-dimension",
         "family-X-dimension", "k-zero", "k-zero-with-L", "x-dimension", "g-length",
@@ -554,7 +558,7 @@ def _no_expensive_work(*args, **kwargs):
         "lattice-beyond-memory", "kronecker-beyond-memory", "family-X-nan",
         "glp-X-minus-inf", "orbit-beyond-memory", "family-d3-chain-sum-beyond-work-cap",
         "ball-centre-nan", "ball-centre-inf", "box-corner-nan", "polygon-vertex-nan",
-        "lattice-no-points", "kronecker-no-points", "kronecker-x-nan"])
+        "lattice-no-points", "kronecker-no-points", "kronecker-x-nan", "kronecker-x-resonant"])
 def test_malformed_input_exits_3_before_any_work(argv, monkeypatch):
     for name in ("get_kernel", "enumerate_words", "search", "korobov", "chain_sum",
                  "ball_rho_hat"):

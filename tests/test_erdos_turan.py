@@ -157,9 +157,7 @@ def test_r_precondition(kernel2):
 
 
 def test_report_serialization(kernel2):
-    rep = et_bound(BALL, lattice(256, d=2), kernel2, 16.0,
-                   exponents={"alpha": 1.0, "beta": 1.0})
+    rep = et_bound(BALL, lattice(256, d=2), kernel2, 16.0)
     doc = rep.to_json()
     assert doc["valid"] is True
     assert doc["set"]["variant"] == "ball"
-    assert doc["exponents"]["alpha"] == 1.0

@@ -186,6 +186,22 @@ def test_function_grid_matches_full_evaluation(kernel2, set_, n):
     assert np.array_equal(h_function_grid(set_, kernel2, 5.0, n), expected)
 
 
+@pytest.mark.parametrize("set_", [ON_GRID, OFF_GRID, BOX], ids=["on-grid", "off-grid", "box"])
+def test_function_grid_frees_the_class_grid_before_taking_columns(kernel2, set_):
+    # at most the row-gathered grid (n rows of the column classes) and the whole
+    # grid at once, and 2 bytes per point of the evaluation's scratch; with the
+    # class grid held as well the peaks were 14.0, 24.0 and 24.0 bytes per point
+    n = 1024
+    columns = len(set_.grid_classes(n)[1][0])
+    tracemalloc.start()
+    try:
+        h_function_grid(set_, kernel2, 16.0, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * (n + columns) + 2 * n * n
+
+
 def test_table_memory_is_strip_bounded(kernel2):
     # R = 256 at oversample 2 is a 4096 x 4096 grid: 128 MB per real copy
     tracemalloc.start()

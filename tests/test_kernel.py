@@ -74,10 +74,10 @@ def test_bump_rejects_bad_arguments():
 
 
 def test_autocorrelation_normalization_and_support(bump2):
-    values, err = autocorrelation_values(bump2, np.linspace(0.0, 1.0, 513))
+    values, change = autocorrelation_values(bump2, np.linspace(0.0, 1.0, 513))
     assert abs(values[0] - 1.0) < 1e-6
     assert values[-1] == pytest.approx(0.0, abs=1e-12)
-    assert err < 1e-8
+    assert change.shape == values.shape and change.max() < 1e-8
 
 
 def direct_autocorrelation(bump, s):
@@ -114,9 +114,9 @@ def direct_autocorrelation(bump, s):
 def test_autocorrelation_matches_direct_convolution(d, s):
     # m * m = F[(F m)^2] against the convolution integral itself
     bump = build_bump(d)
-    values, err = autocorrelation_values(bump, s)
+    values, change = autocorrelation_values(bump, s)
     assert abs(values[0] - direct_autocorrelation(bump, s)) < 1e-12
-    assert err < 1e-12
+    assert change[0] < 1e-12
 
 
 def test_autocorrelation_matches_monte_carlo(bump2):
@@ -134,18 +134,35 @@ def test_autocorrelation_matches_monte_carlo(bump2):
     assert abs(est - direct[0]) < 3 * se
 
 
-def test_build_transforms_the_bump_once_per_resolution():
-    # the master nodes and the khat knots map one (F m)^2 back per resolution
-    bump = build_bump(1)
-    kernel._squared_transform.cache_clear()
-    build_kernel_table(bump)
-    info = kernel._squared_transform.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
-    s = np.linspace(0.0, 1.0, 300)
-    kernel._squared_transform.cache_clear()
-    cold, cold_err = autocorrelation_values(bump, s)
-    warm, warm_err = autocorrelation_values(bump, s)
-    assert np.array_equal(cold, warm) and cold_err == warm_err
+def test_build_transforms_the_bump_once_per_resolution(monkeypatch):
+    # per resolution, F m on its 800 or 1,600 frequency nodes and (F m)^2 mapped
+    # back to the 1,024 master nodes and 1,025 khat knots at once; then K = F khat
+    radii = []
+    transform = kernel._radial_transform
+
+    def counting(d, r, wf, s):
+        radii.append(len(s))
+        return transform(d, r, wf, s)
+
+    monkeypatch.setattr(kernel, "_radial_transform", counting)
+    table = build_kernel_table(build_bump(1))
+    assert radii == [800, 2049, 1600, 2049, len(table.kvals_grid)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_joined_radii_keep_each_sets_values_and_accuracy(d, kernel_tables):
+    # the master nodes fill whole blocks of radii, so the knots after them
+    # start a block, as they do alone; the table's accuracy adds the largest
+    # refinement change over the nodes, not over the knots as well
+    table, bump = kernel_tables[d], build_bump(d)
+    nodes, _ = panel_nodes(0.0, 1.0, kernel.BUILD_PARAMETERS["master_panels"])
+    assert len(nodes) % kernel._TRANSFORM_CHUNK == 0
+    joined, change = autocorrelation_values(bump, np.concatenate([nodes, table.khat_grid]))
+    for part, s in zip(np.split(joined, [len(nodes)]), (nodes, table.khat_grid)):
+        assert np.array_equal(part, autocorrelation_values(bump, s)[0])
+    khat_nodes = (1.0 + nodes ** 2) ** (-(d + 1) / 2.0) * joined[:len(nodes)]
+    spline_gap = float(np.max(np.abs(table.khat_value(nodes) - khat_nodes)))
+    assert table.khat_accuracy == spline_gap + float(np.max(change[:len(nodes)]))
 
 
 def test_tail_integral_normalized(kernel2):
@@ -312,7 +329,6 @@ def test_build_holds_one_block_of_radii(d, monkeypatch):
     # MiB for d = 3. Each worker holds its own buffers, so the count is fixed.
     monkeypatch.setattr(parallel, "WORKERS", 2)
     bump = build_bump(d)
-    kernel._squared_transform.cache_clear()
     tracemalloc.start()
     try:
         build_kernel_table(bump).to_dict()
@@ -328,9 +344,7 @@ def test_table_does_not_depend_on_the_worker_count(d, monkeypatch):
     docs = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(parallel, "WORKERS", workers)
-        kernel._squared_transform.cache_clear()
         docs.append(build_kernel_table(build_bump(d)).to_dict())
-    kernel._squared_transform.cache_clear()
     assert docs[0] == docs[1] == docs[2]
 
 
@@ -384,11 +398,9 @@ def test_build_calls_the_public_api_on_the_calling_thread(monkeypatch, kernel2):
                 for meth, raw in list(vars(obj).items()):
                     if not meth.startswith("_") and inspect.isfunction(raw):
                         monkeypatch.setattr(obj, meth, recorder(raw))
-    kernel._squared_transform.cache_clear()
     monkeypatch.setattr(parallel, "WORKERS", 2)
     for d in (1, 2, 3):
         kernel.build_kernel_table(kernel.build_bump(d)).to_dict()
-    kernel._squared_transform.cache_clear()
     quad = ConvexPolytope(((0.3, 0.25), (0.75, 0.35), (0.7, 0.7), (0.25, 0.6)), epsilon=0.3)
     for set_ in (Ball((0.3, 0.7), 0.25), quad):   # the ball's tail passes t_max
         hfourier.h_coefficient_table(set_, kernel2, 64.0, oversample=2)

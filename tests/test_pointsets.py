@@ -67,6 +67,13 @@ def test_kronecker_points_distinct():
     assert len({tuple(p) for p in ps.points}) == 100
 
 
+def test_tiny_negative_kronecker_coordinate_is_the_torus_point_zero():
+    # np.mod(-1e-20, 1.0) rounds to 1.0, outside [0, 1); on the torus it is 0
+    ps = kronecker((-1e-20, 0.3), 10)
+    assert np.array_equal(ps.points[:, 0], np.zeros(10))
+    assert np.array_equal(ps.points[:, 1], np.mod(np.arange(1, 11) * 0.3, 1.0))
+
+
 def test_lattice_weyl_dichotomy():
     ps = lattice(16, d=2)
     spec = weyl_spectrum(ps, 9.0)
