@@ -563,12 +563,12 @@ def _finite(text: str) -> float:
 
 
 def _list_of(cast, min_len: int = 1):
-    """argparse type: a comma-separated list of at least min_len values."""
+    """argparse type: a comma-separated list of at least min_len distinct values."""
     def parse(text: str) -> list:
         vals = [cast(v) for v in text.split(",") if v != ""]
-        if len(vals) < min_len:
+        if len(set(vals)) < min_len:
             raise argparse.ArgumentTypeError(
-                f"needs at least {min_len} comma-separated values, got {text!r}")
+                f"needs at least {min_len} distinct comma-separated values, got {text!r}")
         return vals
     parse.__name__ = f"{cast.__name__} list"
     return parse
@@ -634,7 +634,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--set", required=True)
     p.add_argument("--m", type=_list_of(_within(int, 1), 2), required=True,
-                   help="comma-separated lattice sizes (at least two squares)")
+                   help="comma-separated lattice sizes (at least two distinct squares)")
     p.add_argument("--alpha", type=_finite, default=1.0)
     p.add_argument("--beta", type=_finite, default=1.0)
 
@@ -642,7 +642,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--set", required=True)
     p.add_argument("--m", type=_list_of(_within(int, 2), 2), required=True,
-                   help="comma-separated point counts (at least two)")
+                   help="comma-separated point counts (at least two distinct)")
     p.add_argument("--x", type=_list_of(_finite),
                    help="comma-separated generator coordinates (default: sqrt2-1,sqrt3-1)")
     p.add_argument("--eps", type=_finite, default=0.1)

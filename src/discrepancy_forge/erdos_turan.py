@@ -7,7 +7,10 @@ Main assembly: for a torus set, a point multiset and a cutoff R,
 
 with Psi the Weyl spectrum. Magnitudes are used exactly as the inequality is
 stated (no complex cancellation). Coefficient quadrature errors inflate a
-reported uncertainty, never silently. The polyhedra-family variant replaces
+reported uncertainty, never silently. When Psi vanishes on 0 < |k| < R, as a
+full lattice's does at the lattice rule, the bound is |H_R-hat(0)| alone, and
+`et_bound` computes it by class sums (`hfourier.h_zero_coefficient`) without
+a coefficient table. The polyhedra-family variant replaces
 the set coefficients by the chain functional Phi.
 
 R selection rules: the full-lattice rule R = m^(1/(d+beta-alpha)) and the
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TorusSet
-from .hfourier import HCoefficientTable, h_coefficient_table
+from .hfourier import HCoefficientTable, h_coefficient_table, h_zero_coefficient
 from .kernel import KernelTable
 from .pointsets import PointSet, WeylSpectrum, true_discrepancy, weyl_spectrum
 
@@ -73,8 +76,6 @@ def et_bound(set_: TorusSet, points: PointSet, kernel: KernelTable, R: float, *,
     """Assemble the discrepancy bound at cutoff R and attach the true value."""
     if R < 4:
         raise ValueError("R must be >= 4")
-    if h_table is None:
-        h_table = h_coefficient_table(set_, kernel, R, oversample=H_OVERSAMPLE)
     if spectrum is None:
         spectrum = weyl_spectrum(points, R)
     elif spectrum.R < R:
@@ -82,15 +83,24 @@ def et_bound(set_: TorusSet, points: PointSet, kernel: KernelTable, R: float, *,
     else:
         spectrum = spectrum.restrict(R)
 
-    freqs = spectrum.freqs
-    chi = np.abs(set_.fourier_coefficients(freqs))
-    h_vals = np.abs(h_table.values(freqs))
-    h_errs = h_table.errors(freqs)
+    if h_table is None and not np.any(spectrum.values):
+        # every Weyl sum on 0 < |k| < R vanishes, as a full lattice's do at
+        # the lattice rule: the bound is |H_R-hat(0)| alone, and no table is built
+        zero, zero_error = h_zero_coefficient(set_, kernel, R, oversample=H_OVERSAMPLE)
+        zero_term, sum_term = abs(zero), 0.0
+        uncertainty = zero_error + 1e-14
+    else:
+        if h_table is None:
+            h_table = h_coefficient_table(set_, kernel, R, oversample=H_OVERSAMPLE)
+        freqs = spectrum.freqs
+        chi = np.abs(set_.fourier_coefficients(freqs))
+        h_vals = np.abs(h_table.values(freqs))
+        h_errs = h_table.errors(freqs)
 
-    zero_term = abs(h_table.zero)
-    sum_term = float(np.sum((chi + h_vals) * spectrum.values))
-    uncertainty = float(h_table.zero_error + np.sum(h_errs * spectrum.values)
-                        + 1e-14 * (1.0 + np.sum(chi * spectrum.values)))
+        zero_term = abs(h_table.zero)
+        sum_term = float(np.sum((chi + h_vals) * spectrum.values))
+        uncertainty = float(h_table.zero_error + np.sum(h_errs * spectrum.values)
+                            + 1e-14 * (1.0 + np.sum(chi * spectrum.values)))
 
     return DiscrepancyReport(
         set_descriptor=set_.to_json(),

@@ -373,10 +373,14 @@ class ConvexPolytope(TorusSet):
         x, y = coords
         p, q = self._edges()
         edges = list(zip(0.5 * (p + q), 0.5 * (q - p)))
-        best2 = None
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        best2 = np.full(shape, np.inf)
+        # every edge's projection runs in the same two buffers
+        buffers = np.empty(shape), np.empty(shape)
         for mid, half in edges:
-            d2 = _segment2(_offset(x, mid[0]), _offset(y, mid[1]), half)
-            best2 = d2 if best2 is None else np.minimum(best2, d2, out=best2)
+            d2 = _segment2(_offset(x, mid[0]), _offset(y, mid[1]), half, buffers)
+            np.minimum(best2, d2, out=best2)
+        del buffers, d2   # the secondary images need the distances alone
         dist = np.sqrt(best2, out=best2)
         # an image whose bound exceeds the largest distance is nowhere evaluated
         upper = dist.max(initial=-np.inf)
@@ -463,13 +467,15 @@ def _offset2(x, c):
     return _offset(x, c) ** 2
 
 
-def _segment2(zx, zy, half) -> np.ndarray:
+def _segment2(zx, zy, half, buffers=None) -> np.ndarray:
     """Squared distance from the points z to the segment [-half, half], in
-    place in the arrays the projection makes."""
-    t = zx * half[0] + zy * half[1]
+    place in `buffers`, two arrays of the points' broadcast shape, or in the
+    arrays the projection makes; the result is the second buffer."""
+    t, dx = buffers or (None, None)
+    t = np.add(zx * half[0], zy * half[1], out=t)
     t /= np.dot(half, half)
     np.clip(t, -1.0, 1.0, out=t)
-    dx = t * half[0]
+    dx = np.multiply(t, half[0], out=dx)
     np.subtract(zx, dx, out=dx)
     dx *= dx
     t *= half[1]

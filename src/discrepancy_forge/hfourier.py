@@ -47,6 +47,15 @@ DFT is X is (X(k2) + conj X(n/2 - k2)) / 2, taken at the row classes of even
 grid rows. `h_function_grid` evaluates H through the same classes on a whole
 grid, for callers that need the values themselves (psi(R dist) = 4 H_{R/2}
 in the sandwich checks).
+
+When a bound needs H-hat(0) alone (the Weyl spectrum vanishes on
+0 < |k| < R), `h_zero_coefficient` computes it and its error by class sums,
+with no table: on the same grid, classes and strips, each strip's rows are
+summed against the column classes' counts, of all columns and of the even
+ones, and the row classes' counts, of all rows and of the even ones, finish
+the means over the n and the n/2 grid. A row's sum reads that row alone, so
+the result is bitwise the same for any worker count; it agrees with the
+table's to rounding, since a DFT sums in another order.
 """
 
 from __future__ import annotations
@@ -64,7 +73,7 @@ from .kernel import _HERMITE_BLOCK, _HERMITE_SCRATCH_BYTES, KernelTable, _hermit
 # grid points of the strips all workers hold at once; a worker's strip holds
 # bytes per point of its rows and per grid column (see check_table_memory)
 _STRIP_POINTS = 1 << 18
-_STRIP_BYTES_PER_POINT = 54
+_STRIP_BYTES_PER_POINT = 48
 _STRIP_BYTES_PER_COLUMN = 128
 # k2 columns per chunk of the column transforms
 _COLUMN_CHUNK = 16
@@ -135,13 +144,17 @@ class HCoefficientTable:
         return float(self.err[self.kmax, 0])
 
 
-def h_coefficient_table(set_: TorusSet, kernel: KernelTable, R: float, *,
-                        oversample: int = 4) -> HCoefficientTable:
-    """Tabulate H_R coefficients on |k|_inf <= ceil(R), with refinement errors."""
+def _require_plane(set_: TorusSet, kernel: KernelTable) -> None:
     if set_.dimension != 2:
         raise ValueError("coefficient tables are implemented on T^2")
     if kernel.dimension != 2:
         raise ValueError("kernel dimension must match the torus dimension 2")
+
+
+def h_coefficient_table(set_: TorusSet, kernel: KernelTable, R: float, *,
+                        oversample: int = 4) -> HCoefficientTable:
+    """Tabulate H_R coefficients on |k|_inf <= ceil(R), with refinement errors."""
+    _require_plane(set_, kernel)
     n, kmax, rows = check_table_memory(R, oversample)
     (row_reps, row_inv), (col_reps, col_inv) = set_.grid_classes(n)
     # the row classes of the n/2 grid, whose rows are the even rows of the n grid
@@ -199,6 +212,38 @@ def h_coefficient_table(set_: TorusSet, kernel: KernelTable, R: float, *,
     return HCoefficientTable(R=float(R), kmax=kmax, grid_n=n, block=half, err=err)
 
 
+def h_zero_coefficient(set_: TorusSet, kernel: KernelTable, R: float, *,
+                       oversample: int = 4) -> tuple[float, float]:
+    """H_R-hat(0) and its refinement error, from the grid, classes and strips
+    of `h_coefficient_table`, without the table: the mean of H over the n x n
+    grid, and its change from the mean over the n/2 grid, whose points are the
+    even rows and columns of the n grid."""
+    _require_plane(set_, kernel)
+    n, _, rows = check_table_memory(R, oversample)
+    (row_reps, row_inv), (col_reps, col_inv) = set_.grid_classes(n)
+    # how many grid rows (columns) each class holds: all of them, and the even ones
+    row_counts, col_counts = (
+        np.stack([np.bincount(inv, minlength=len(reps)),
+                  np.bincount(inv[::2], minlength=len(reps))]).astype(float)
+        for reps, inv in ((row_reps, row_inv), (col_reps, col_inv)))
+    # per row class, its row's sum over all columns and over the even columns
+    sums = np.empty((2, len(row_reps)))
+
+    def strips(mine):
+        scratch = _hermite_scratch(_HERMITE_BLOCK)
+        weighted = np.empty(min(rows, len(row_reps)) * len(col_reps))
+        for start in mine:
+            strip = slice(start, start + rows)
+            h = _h_values(set_, kernel, R, n, row_reps[strip], col_reps, scratch)
+            w = _front(weighted, h.shape)
+            for counts, out in zip(col_counts, sums[:, strip]):
+                # a row's sum reads that row alone, whatever the strip's height
+                np.sum(np.multiply(h, counts, out=w), axis=1, out=out)
+    parallel.deal(range(0, len(row_reps), rows), strips)
+    zero, coarse = np.sum(row_counts * sums, axis=1) / [n * n, (n // 2) ** 2]
+    return float(zero), float(abs(zero - coarse) + 1e-15 * kernel.gamma)
+
+
 def _front(flat: np.ndarray, shape: tuple) -> np.ndarray:
     """The front of a worker's flat buffer as a C-contiguous array of `shape`."""
     return flat[:shape[0] * shape[1]].reshape(shape)
@@ -225,22 +270,24 @@ def check_table_memory(R: float, oversample: int) -> tuple[int, int, int]:
     and of the coarse row classes (at most n/2); while the columns are
     transformed, those and the table: the k2 >= 0 half of the block (w rows)
     and of its error (w/2). Each worker adds its buffers: while it runs
-    strips, one strip's worth, 54 bytes per point of its rows and 128 per
+    strips, one strip's worth, 48 bytes per point of its rows and 128 per
     grid column, and one `_hermite_scratch`; while it transforms columns, one
     chunk of columns of the n and the n/2 grid, and 6 rows of w values per
     column for the kept coefficients and their differences.
 
     Under tracemalloc on the 2048 grid, a worker's strip (its distances and
     H values, their gathered copy, its real FFT and its n/2 grid row
-    transforms) peaks at 21-38 bytes per point for a ball, 34-51 for a box
-    and 48-96 for a quadrilateral, from 128-row strips down to 2-row ones.
-    The per-column term is each grid axis's vectors, which cost a strip the
-    same at any height. A polygon's secondary edge images crowd into the
-    strips across an image boundary, so its worst strip grows as strips
-    shrink: 48.5 bytes per point at 128 rows, 51.1 at 64 and 54.8 at 32.
-    Workers out of step can each hold their worst strip at once, so every
-    worker is counted at it. 54 per point and 128 per column cover every
-    strip measured, 2 to 256 rows on the 1024, 2048 and 4096 grids.
+    transforms) peaks at 21-33 bytes per point for the on-grid ball, 25-47
+    for an off-grid ball, 34-58 for a box and 41.5-75.5 for a quadrilateral,
+    from 128-row strips down to 2-row ones. The per-column term is each grid
+    axis's vectors, which cost a strip the same at any height. A polygon's
+    secondary edge images crowd into the strips across an image boundary,
+    so its worst strip grows as strips shrink: 41.5 bytes per point at 128
+    rows, 45.7 at 64 and 46.8 at 32. Workers out of step can each hold their
+    worst strip at once, so every worker is counted at it. Besides 128 per
+    column, no strip measured, 2 to 256 rows on the 1024, 2048 and 4096
+    grids, needs more than 45.0 per point; 48 leaves room for the workers'
+    interleaving.
     """
     if not R > 0:
         raise ValueError("R must be positive")

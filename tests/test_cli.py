@@ -544,6 +544,8 @@ def _no_expensive_work(*args, **kwargs):
     ["bound", "--set", BALL, "--points", '{"kind":"kronecker","x":[NaN,0.73],"m":16}',
      "--R", "8"],
     ["kronecker-scaling", "--set", BALL, "--m", "64,256", "--x", "0.5,0.25"],
+    ["lattice-scaling", "--set", BALL, "--m", "1024,1024"],
+    ["kronecker-scaling", "--set", BALL, "--m", "4096,4096"],
 ], ids=["cap-3-values", "cap-5-values", "base-zero", "L-zero", "m-empty",
         "lattice-one-size", "kronecker-one-size", "R-empty", "x-empty", "glp-X-dimension",
         "family-X-dimension", "k-zero", "k-zero-with-L", "x-dimension", "g-length",
@@ -558,7 +560,8 @@ def _no_expensive_work(*args, **kwargs):
         "lattice-beyond-memory", "kronecker-beyond-memory", "family-X-nan",
         "glp-X-minus-inf", "orbit-beyond-memory", "family-d3-chain-sum-beyond-work-cap",
         "ball-centre-nan", "ball-centre-inf", "box-corner-nan", "polygon-vertex-nan",
-        "lattice-no-points", "kronecker-no-points", "kronecker-x-nan", "kronecker-x-resonant"])
+        "lattice-no-points", "kronecker-no-points", "kronecker-x-nan", "kronecker-x-resonant",
+        "lattice-m-repeated", "kronecker-m-repeated"])
 def test_malformed_input_exits_3_before_any_work(argv, monkeypatch):
     for name in ("get_kernel", "enumerate_words", "search", "korobov", "chain_sum",
                  "ball_rho_hat"):
@@ -814,7 +817,7 @@ _FLAG_VALUES = {
     "--beta": (["1", "1.5"], ["0", "-1", "inf"]),
     "--eps": (["0.1", "0.2"], ["0", "-1", "1000", "nan"]),
     "--m": (["101", "31"], ["2", "100", "1", "0", "-7", "4001", "1024", "3,5", "0,256", "1,4",
-                           "2,3", "", "256,1024"]),
+                           "2,3", "", "256,1024", "1024,1024"]),
     "--x": (["0.41,0.73"], ["0.4142135623730951", "0.25,0.5,0.75", "nan,0.5", ""]),
     "--schmidt-R": (["64,128", "32,64"], ["1,2", "0", "-4", ""]),
     "--d": (["2"], ["1", "3", "0", "-1"]),
@@ -883,6 +886,8 @@ def _in_domain(config) -> bool:
                 rule = "lattice" if p["R"] == "auto:search" else p["R"][5:]
                 return _finite_R(rule, points.size, p["alpha"], p["beta"], p["eps"])
             return p["R"] >= 4
+        if kind in ("lattice-scaling", "kronecker-scaling"):
+            assert len(set(p["m"])) >= 2   # one distinct size has no slope
         if kind == "lattice-scaling":
             for m in p["m"]:
                 assert m >= 1 and math.isqrt(m) ** 2 == m

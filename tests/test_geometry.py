@@ -112,6 +112,19 @@ def test_box_distance_strip_holds_at_most_28_bytes_per_point():
     assert peak <= 28 * 256 * 4096
 
 
+def test_polygon_distance_strip_holds_at_most_26_bytes_per_point():
+    # one 128 x 2048 strip of an H-table grid, the one whose secondary images
+    # are densest: the running minimum and the two buffers every edge's
+    # projection reuses; with each edge's own arrays it peaked at 32.4
+    tracemalloc.start()
+    try:
+        ConvexPolytope(QUAD, epsilon=0.3).distance_grid(2048, slice(0, 128))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * 128 * 2048
+
+
 @pytest.mark.parametrize("set_", [
     Box((0.05, 0.1), (0.95, 0.8)),
     Box((0.6, 0.0), (0.9, 0.3)),

@@ -306,6 +306,36 @@ def test_table_equals_the_strip_by_strip_oracle(kernel2, set_, case, monkeypatch
     assert any(count % 2 for count in strips)
 
 
+@pytest.mark.parametrize("oversample", [2, 3])
+@pytest.mark.parametrize("R", [8.0, 33.0, 64.0])
+@pytest.mark.parametrize("set_", [BALL, OFF_GRID, BOX, QUAD],
+                         ids=["on-grid", "off-grid", "box", "quad"])
+def test_zero_coefficient_matches_the_table(kernel2, set_, R, oversample):
+    # class sums over the table's grid points, in another order than its DFT
+    table = h_coefficient_table(set_, kernel2, R, oversample=oversample)
+    zero, zero_error = hfourier.h_zero_coefficient(set_, kernel2, R, oversample=oversample)
+    assert table.zero.imag == 0.0
+    assert abs(zero - table.zero.real) <= 1e-14 * table.zero.real
+    assert abs(zero_error - table.zero_error) <= 1e-15 * kernel2.gamma
+
+
+ZERO_WORKER_CASES = {"on-grid": (BALL, 256.0), "off-grid": (OFF_GRID, 64.0),
+                     "box": (BOX, 64.0), "quad": (QUAD, 64.0)}
+
+
+@pytest.mark.parametrize("set_, R", ZERO_WORKER_CASES.values(), ids=ZERO_WORKER_CASES.keys())
+def test_zero_coefficient_does_not_depend_on_the_worker_count(kernel2, set_, R, monkeypatch):
+    # the strip height differs at each worker count, and a row's sum reads
+    # that row alone, wherever it sits in its strip
+    heights, results = [], []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(parallel, "WORKERS", workers)
+        heights.append(hfourier.check_table_memory(R, 2)[2])
+        results.append(hfourier.h_zero_coefficient(set_, kernel2, R, oversample=2))
+    assert len(set(heights)) == 3
+    assert results[1] == results[0] and results[2] == results[0]
+
+
 def test_memory_guard_raises_before_allocating(kernel2):
     tracemalloc.start()
     try:
