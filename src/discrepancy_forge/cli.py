@@ -210,7 +210,7 @@ def _load_points(params: dict, d: int) -> PointSet:
         points = pointset_from_descriptor(_json_or_file(params["points"], "point descriptor"))
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed point descriptor: {exc!r}") from exc
     if points.dimension != d:
         raise ConfigError(f"the points have dimension {points.dimension}, the set {d}")

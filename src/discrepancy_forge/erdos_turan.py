@@ -7,11 +7,12 @@ Main assembly: for a torus set, a point multiset and a cutoff R,
 
 with Psi the Weyl spectrum. Magnitudes are used exactly as the inequality is
 stated (no complex cancellation). Coefficient quadrature errors inflate a
-reported uncertainty, never silently. When Psi vanishes on 0 < |k| < R, as a
-full lattice's does at the lattice rule, the bound is |H_R-hat(0)| alone, and
-`et_bound` computes it by class sums (`hfourier.h_zero_coefficient`) without
-a coefficient table. The polyhedra-family variant replaces
-the set coefficients by the chain functional Phi.
+reported uncertainty, never silently. The terms where Psi vanishes are
+zero, so chi-hat and H_R-hat are read only where it does not, and a bound
+that builds its own H-table sizes it to Psi's support: a full lattice's Psi
+vanishes on all of 0 < |k| < R at the lattice rule, and its table holds
+H_R-hat(0) alone. The polyhedra-family variant replaces the set
+coefficients by the chain functional Phi.
 
 R selection rules: the full-lattice rule R = m^(1/(d+beta-alpha)) and the
 Kronecker rule with its logarithmic correction, plus a grid search that never
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TorusSet
-from .hfourier import HCoefficientTable, h_coefficient_table, h_zero_coefficient
+from .hfourier import HCoefficientTable, h_coefficient_table
 from .kernel import KernelTable
 from .pointsets import PointSet, WeylSpectrum, true_discrepancy, weyl_spectrum
 
@@ -83,24 +84,22 @@ def et_bound(set_: TorusSet, points: PointSet, kernel: KernelTable, R: float, *,
     else:
         spectrum = spectrum.restrict(R)
 
-    if h_table is None and not np.any(spectrum.values):
-        # every Weyl sum on 0 < |k| < R vanishes, as a full lattice's do at
-        # the lattice rule: the bound is |H_R-hat(0)| alone, and no table is built
-        zero, zero_error = h_zero_coefficient(set_, kernel, R, oversample=H_OVERSAMPLE)
-        zero_term, sum_term = abs(zero), 0.0
-        uncertainty = zero_error + 1e-14
-    else:
-        if h_table is None:
-            h_table = h_coefficient_table(set_, kernel, R, oversample=H_OVERSAMPLE)
-        freqs = spectrum.freqs
-        chi = np.abs(set_.fourier_coefficients(freqs))
-        h_vals = np.abs(h_table.values(freqs))
-        h_errs = h_table.errors(freqs)
+    # chi-hat and H_R-hat are read only where Psi is nonzero; the other terms
+    # stay zero, so every sum runs over the whole spectrum in its order
+    support = spectrum.values != 0
+    freqs = spectrum.freqs[support]
+    if h_table is None:
+        kmax = int(np.abs(freqs).max(initial=0))
+        h_table = h_coefficient_table(set_, kernel, R, oversample=H_OVERSAMPLE, kmax=kmax)
+    chi, h_vals, h_errs = np.zeros((3, len(support)))
+    chi[support] = np.abs(set_.fourier_coefficients(freqs))
+    h_vals[support] = np.abs(h_table.values(freqs))
+    h_errs[support] = h_table.errors(freqs)
 
-        zero_term = abs(h_table.zero)
-        sum_term = float(np.sum((chi + h_vals) * spectrum.values))
-        uncertainty = float(h_table.zero_error + np.sum(h_errs * spectrum.values)
-                            + 1e-14 * (1.0 + np.sum(chi * spectrum.values)))
+    zero_term = abs(h_table.zero)
+    sum_term = float(np.sum((chi + h_vals) * spectrum.values))
+    uncertainty = float(h_table.zero_error + np.sum(h_errs * spectrum.values)
+                        + 1e-14 * (1.0 + np.sum(chi * spectrum.values)))
 
     return DiscrepancyReport(
         set_descriptor=set_.to_json(),

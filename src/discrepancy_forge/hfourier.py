@@ -3,8 +3,12 @@
 H_R(x) = psi(2 R dist(x, boundary Omega)) / 4 = gamma * I(R dist(x, boundary)).
 Coefficients are computed by tensor-grid quadrature: the 2-d DFT of H sampled
 on an n x n grid, n a power of two at least max(8R, 256) times an
-oversampling factor. A table holds |k|_inf <= kmax = ceil(R), which covers
-the degree-R spectrum |k| < R and stays below n/4.
+oversampling factor. A table holds |k|_inf <= kmax: ceil(R) by default,
+which covers the degree-R spectrum |k| < R and stays below n/4, or less for
+a bound whose Weyl spectrum vanishes beyond kmax (kmax = 0 when it vanishes
+on all of 0 < |k| < R). Each row and each column is transformed alone and at
+its full length, so a table is bitwise the centre block of the ceil(R)
+table on the same grid.
 
 H is evaluated once per pair of distance classes. A set's `grid_classes`
 groups the indices of each grid axis whose distances agree bitwise: for a
@@ -47,15 +51,6 @@ DFT is X is (X(k2) + conj X(n/2 - k2)) / 2, taken at the row classes of even
 grid rows. `h_function_grid` evaluates H through the same classes on a whole
 grid, for callers that need the values themselves (psi(R dist) = 4 H_{R/2}
 in the sandwich checks).
-
-When a bound needs H-hat(0) alone (the Weyl spectrum vanishes on
-0 < |k| < R), `h_zero_coefficient` computes it and its error by class sums,
-with no table: on the same grid, classes and strips, each strip's rows are
-summed against the column classes' counts, of all columns and of the even
-ones, and the row classes' counts, of all rows and of the even ones, finish
-the means over the n and the n/2 grid. A row's sum reads that row alone, so
-the result is bitwise the same for any worker count; it agrees with the
-table's to rounding, since a DFT sums in another order.
 """
 
 from __future__ import annotations
@@ -144,18 +139,15 @@ class HCoefficientTable:
         return float(self.err[self.kmax, 0])
 
 
-def _require_plane(set_: TorusSet, kernel: KernelTable) -> None:
+def h_coefficient_table(set_: TorusSet, kernel: KernelTable, R: float, *,
+                        oversample: int = 4, kmax: int | None = None) -> HCoefficientTable:
+    """Tabulate H_R coefficients on |k|_inf <= kmax, by default ceil(R), with
+    refinement errors; ValueError for a kmax outside [0, ceil(R)]."""
     if set_.dimension != 2:
         raise ValueError("coefficient tables are implemented on T^2")
     if kernel.dimension != 2:
         raise ValueError("kernel dimension must match the torus dimension 2")
-
-
-def h_coefficient_table(set_: TorusSet, kernel: KernelTable, R: float, *,
-                        oversample: int = 4) -> HCoefficientTable:
-    """Tabulate H_R coefficients on |k|_inf <= ceil(R), with refinement errors."""
-    _require_plane(set_, kernel)
-    n, kmax, rows = check_table_memory(R, oversample)
+    n, kmax, rows = check_table_memory(R, oversample, kmax)
     (row_reps, row_inv), (col_reps, col_inv) = set_.grid_classes(n)
     # the row classes of the n/2 grid, whose rows are the even rows of the n grid
     coarse_classes = np.zeros(len(row_reps), dtype=bool)
@@ -212,38 +204,6 @@ def h_coefficient_table(set_: TorusSet, kernel: KernelTable, R: float, *,
     return HCoefficientTable(R=float(R), kmax=kmax, grid_n=n, block=half, err=err)
 
 
-def h_zero_coefficient(set_: TorusSet, kernel: KernelTable, R: float, *,
-                       oversample: int = 4) -> tuple[float, float]:
-    """H_R-hat(0) and its refinement error, from the grid, classes and strips
-    of `h_coefficient_table`, without the table: the mean of H over the n x n
-    grid, and its change from the mean over the n/2 grid, whose points are the
-    even rows and columns of the n grid."""
-    _require_plane(set_, kernel)
-    n, _, rows = check_table_memory(R, oversample)
-    (row_reps, row_inv), (col_reps, col_inv) = set_.grid_classes(n)
-    # how many grid rows (columns) each class holds: all of them, and the even ones
-    row_counts, col_counts = (
-        np.stack([np.bincount(inv, minlength=len(reps)),
-                  np.bincount(inv[::2], minlength=len(reps))]).astype(float)
-        for reps, inv in ((row_reps, row_inv), (col_reps, col_inv)))
-    # per row class, its row's sum over all columns and over the even columns
-    sums = np.empty((2, len(row_reps)))
-
-    def strips(mine):
-        scratch = _hermite_scratch(_HERMITE_BLOCK)
-        weighted = np.empty(min(rows, len(row_reps)) * len(col_reps))
-        for start in mine:
-            strip = slice(start, start + rows)
-            h = _h_values(set_, kernel, R, n, row_reps[strip], col_reps, scratch)
-            w = _front(weighted, h.shape)
-            for counts, out in zip(col_counts, sums[:, strip]):
-                # a row's sum reads that row alone, whatever the strip's height
-                np.sum(np.multiply(h, counts, out=w), axis=1, out=out)
-    parallel.deal(range(0, len(row_reps), rows), strips)
-    zero, coarse = np.sum(row_counts * sums, axis=1) / [n * n, (n // 2) ** 2]
-    return float(zero), float(abs(zero - coarse) + 1e-15 * kernel.gamma)
-
-
 def _front(flat: np.ndarray, shape: tuple) -> np.ndarray:
     """The front of a worker's flat buffer as a C-contiguous array of `shape`."""
     return flat[:shape[0] * shape[1]].reshape(shape)
@@ -260,10 +220,14 @@ def _column_fft(cols: np.ndarray, order: np.ndarray, keep: np.ndarray,
     return out[:, keep % m] / (m * m)
 
 
-def check_table_memory(R: float, oversample: int) -> tuple[int, int, int]:
-    """The grid size n, kmax and the rows per strip of the H-table at R and
-    oversample; ValueError for an R or oversample out of range, and
-    ConfigError if the table's arrays would not fit in physical memory.
+def check_table_memory(R: float, oversample: int, kmax: int | None = None
+                       ) -> tuple[int, int, int]:
+    """The grid size n, kmax and the rows per strip of the H-table at R,
+    oversample and kmax, by default ceil(R); ValueError for an R, oversample
+    or kmax out of range, and ConfigError if the arrays of the table asked
+    for would not fit in physical memory. The estimate is of the kmax asked
+    for; at the default it bounds every smaller one on the same grid, so the
+    CLI's checks before a kernel loads run at ceil(R).
 
     Held at once, in rows of kmax + 1 complex numbers, with w = 2 kmax + 1:
     while the strips run, the row transforms of the row classes (at most n)
@@ -293,7 +257,10 @@ def check_table_memory(R: float, oversample: int) -> tuple[int, int, int]:
         raise ValueError("R must be positive")
     if oversample < 1:
         raise ValueError(f"oversample must be >= 1, got {oversample}")
-    kmax = int(np.ceil(R))
+    extent = int(np.ceil(R))
+    kmax = extent if kmax is None else kmax
+    if not 0 <= kmax <= extent:
+        raise ValueError(f"kmax must lie in [0, ceil(R) = {extent}], got {kmax}")
     n = _fft_resolution(R, oversample)   # n >= 8 R, so kmax <= n / 4
     # an even number of rows per strip, so each strip's n/2 grid rows are its
     # even rows; the workers' strips add up to about _STRIP_POINTS points

@@ -64,7 +64,9 @@ def check_point_memory(m: int, d: int, kind: str) -> None:
 
 
 def lattice(m: int, d: int) -> PointSet:
-    """The full lattice m^(-1/d) Z^d in [0,1)^d; m^(1/d) must be an integer."""
+    """The full lattice m^(-1/d) Z^d in [0,1)^d; d >= 1, and m^(1/d) must be an integer."""
+    if d < 1:
+        raise ValueError(f"lattice dimension must be at least 1, got d = {d}")
     n = round(m ** (1.0 / d))
     if n ** d != m:
         raise ValueError(f"m = {m} is not a d = {d} power: m^(1/d) must be an integer")

@@ -470,6 +470,19 @@ def test_lattice_scaling_subcommand(tmp_path):
     assert csv_out.read_text().startswith("m,R,bound,true_discrepancy")
 
 
+def test_lattice_scaling_row_is_the_bound_at_the_lattice_rule(tmp_path):
+    # the row's table holds H_R-hat(0) alone, `bound`'s the whole block at the
+    # same R = sqrt(m): the two bounds agree bitwise
+    scaling, bound = tmp_path / "scaling.json", tmp_path / "bound.json"
+    assert run_cli(["lattice-scaling", "--set", _QUAD, "--m", "1024,4096",
+                    "--out", str(scaling)]) == EXIT_OK
+    assert run_cli(["bound", "--set", _QUAD, "--points", '{"kind":"lattice","m":4096,"d":2}',
+                    "--R", "64", "--out", str(bound)]) == EXIT_OK
+    row = json.loads(scaling.read_text())["report"]["rows"][1]
+    assert (row["m"], row["R"]) == (4096, 64.0)
+    assert row["bound"] == json.loads(bound.read_text())["report"]["bound"]
+
+
 def _no_expensive_work(*args, **kwargs):
     pytest.fail("a malformed input reached a kernel, table or search")
 
@@ -546,6 +559,14 @@ def _no_expensive_work(*args, **kwargs):
     ["kronecker-scaling", "--set", BALL, "--m", "64,256", "--x", "0.5,0.25"],
     ["lattice-scaling", "--set", BALL, "--m", "1024,1024"],
     ["kronecker-scaling", "--set", BALL, "--m", "4096,4096"],
+    ["bound", "--set", BALL, "--points", '{"kind":"lattice","m":1e400,"d":2}', "--R", "8"],
+    ["bound", "--set", BALL, "--points", '{"kind":"lattice","m":256,"d":1e400}', "--R", "8"],
+    ["bound", "--set", BALL, "--points", '{"kind":"korobov","g":[1,1e400],"m":1009}',
+     "--R", "8"],
+    ["bound", "--set", BALL, "--points", '{"kind":"kronecker","x":[0.41,0.73],"m":1e400}',
+     "--R", "8"],
+    ["bound", "--set", BALL, "--points", '{"kind":"lattice","m":256,"d":0}', "--R", "8"],
+    ["bound", "--set", BALL, "--points", '{"kind":"lattice","m":256,"d":-2}', "--R", "8"],
 ], ids=["cap-3-values", "cap-5-values", "base-zero", "L-zero", "m-empty",
         "lattice-one-size", "kronecker-one-size", "R-empty", "x-empty", "glp-X-dimension",
         "family-X-dimension", "k-zero", "k-zero-with-L", "x-dimension", "g-length",
@@ -561,7 +582,9 @@ def _no_expensive_work(*args, **kwargs):
         "glp-X-minus-inf", "orbit-beyond-memory", "family-d3-chain-sum-beyond-work-cap",
         "ball-centre-nan", "ball-centre-inf", "box-corner-nan", "polygon-vertex-nan",
         "lattice-no-points", "kronecker-no-points", "kronecker-x-nan", "kronecker-x-resonant",
-        "lattice-m-repeated", "kronecker-m-repeated"])
+        "lattice-m-repeated", "kronecker-m-repeated", "lattice-m-overflow",
+        "lattice-d-overflow", "korobov-g-overflow", "kronecker-m-overflow", "lattice-d-zero",
+        "lattice-d-negative"])
 def test_malformed_input_exits_3_before_any_work(argv, monkeypatch):
     for name in ("get_kernel", "enumerate_words", "search", "korobov", "chain_sum",
                  "ball_rho_hat"):

@@ -13,7 +13,7 @@ from discrepancy_forge.erdos_turan import (
     r_search_candidates,
 )
 from discrepancy_forge.geometry import Ball
-from discrepancy_forge.hfourier import h_coefficient_table, h_zero_coefficient
+from discrepancy_forge.hfourier import h_coefficient_table
 from discrepancy_forge.glp import search
 from discrepancy_forge.pointsets import (
     PointSet,
@@ -46,27 +46,33 @@ def test_lattice_scaling_bound_is_its_zero_term(kernel2, m):
     assert rep.valid
 
 
-def test_vanishing_spectrum_bound_builds_no_table(kernel2, monkeypatch):
-    # the punctured spectrum is zero, so the bound reads H_R-hat(0) alone and
-    # needs neither a coefficient table nor the set's coefficients
+def test_vanishing_spectrum_bound_tabulates_only_the_zero_coefficient(kernel2, monkeypatch):
+    # the punctured spectrum is zero, so the bound reads H_R-hat(0) alone: its
+    # table holds kmax = 0, no set coefficient is evaluated, and the report is
+    # bitwise the one the full table gives
     m, R = 4096, 64.0
-    table = h_coefficient_table(BALL, kernel2, R, oversample=erdos_turan.H_OVERSAMPLE)
-    with_table = et_bound(BALL, lattice(m, d=2), kernel2, R, h_table=table)
+    full = h_coefficient_table(BALL, kernel2, R, oversample=erdos_turan.H_OVERSAMPLE)
+    with_full = et_bound(BALL, lattice(m, d=2), kernel2, R, h_table=full)
+    tables, evaluated = [], []
 
-    def refused(*args, **kwargs):
-        raise AssertionError("the zero-only bound computed more than H_R-hat(0)")
+    def recording_table(*args, **kwargs):
+        tables.append(h_coefficient_table(*args, **kwargs))
+        return tables[-1]
 
-    monkeypatch.setattr(erdos_turan, "h_coefficient_table", refused)
-    monkeypatch.setattr(Ball, "fourier_coefficients", refused)
+    fourier_coefficients = Ball.fourier_coefficients
+
+    def recording_coefficients(self, freqs):
+        evaluated.append(len(freqs))
+        return fourier_coefficients(self, freqs)
+
+    monkeypatch.setattr(erdos_turan, "h_coefficient_table", recording_table)
+    monkeypatch.setattr(Ball, "fourier_coefficients", recording_coefficients)
     rep = et_bound(BALL, lattice(m, d=2), kernel2, R)
-    zero, zero_error = h_zero_coefficient(BALL, kernel2, R, oversample=erdos_turan.H_OVERSAMPLE)
-    assert rep.zero_term == zero and rep.sum_term == 0.0 and rep.bound == zero
-    assert rep.uncertainty == zero_error + 0.0 + 1e-14 * (1.0 + 0.0)
+    assert [table.kmax for table in tables] == [0]
+    assert sum(evaluated) == 0
+    assert rep == with_full
+    assert rep.sum_term == 0.0 and rep.bound == rep.zero_term == abs(full.zero)
     assert rep.valid
-    # the table's assembly of the same bound, to rounding
-    assert with_table.sum_term == 0.0
-    assert abs(rep.bound - with_table.bound) <= 1e-14 * with_table.bound
-    assert abs(rep.uncertainty - with_table.uncertainty) <= 1e-15 * kernel2.gamma
 
 
 def test_lattice_bound_shape_with_resonances(kernel2):

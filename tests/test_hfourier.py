@@ -310,30 +310,37 @@ def test_table_equals_the_strip_by_strip_oracle(kernel2, set_, case, monkeypatch
 @pytest.mark.parametrize("R", [8.0, 33.0, 64.0])
 @pytest.mark.parametrize("set_", [BALL, OFF_GRID, BOX, QUAD],
                          ids=["on-grid", "off-grid", "box", "quad"])
-def test_zero_coefficient_matches_the_table(kernel2, set_, R, oversample):
-    # class sums over the table's grid points, in another order than its DFT
-    table = h_coefficient_table(set_, kernel2, R, oversample=oversample)
-    zero, zero_error = hfourier.h_zero_coefficient(set_, kernel2, R, oversample=oversample)
-    assert table.zero.imag == 0.0
-    assert abs(zero - table.zero.real) <= 1e-14 * table.zero.real
-    assert abs(zero_error - table.zero_error) <= 1e-15 * kernel2.gamma
-
-
-ZERO_WORKER_CASES = {"on-grid": (BALL, 256.0), "off-grid": (OFF_GRID, 64.0),
-                     "box": (BOX, 64.0), "quad": (QUAD, 64.0)}
-
-
-@pytest.mark.parametrize("set_, R", ZERO_WORKER_CASES.values(), ids=ZERO_WORKER_CASES.keys())
-def test_zero_coefficient_does_not_depend_on_the_worker_count(kernel2, set_, R, monkeypatch):
-    # the strip height differs at each worker count, and a row's sum reads
-    # that row alone, wherever it sits in its strip
-    heights, results = [], []
+def test_zero_coefficient_matches_the_table(kernel2, set_, R, oversample, monkeypatch):
+    # a kmax = 0 table, as a bound whose Weyl spectrum vanishes builds, holds
+    # the full table's H_R-hat(0) and its error, and any smaller kmax its
+    # centre block, bitwise: every row and every column is transformed alone
+    # at its full length, whatever the strip height each worker count gives
+    full = h_coefficient_table(set_, kernel2, R, oversample=oversample)
+    heights = set()
     for workers in (1, 2, 3):
         monkeypatch.setattr(parallel, "WORKERS", workers)
-        heights.append(hfourier.check_table_memory(R, 2)[2])
-        results.append(hfourier.h_zero_coefficient(set_, kernel2, R, oversample=2))
-    assert len(set(heights)) == 3
-    assert results[1] == results[0] and results[2] == results[0]
+        heights.add(hfourier.check_table_memory(R, oversample)[2])
+        for kmax in sorted({0, 1, 17, full.kmax - 1} & set(range(full.kmax + 1))):
+            table = h_coefficient_table(set_, kernel2, R, oversample=oversample, kmax=kmax)
+            centre = slice(full.kmax - kmax, full.kmax + kmax + 1), slice(kmax + 1)
+            assert (table.kmax, table.grid_n) == (kmax, full.grid_n)
+            assert np.array_equal(table.block, full.block[centre])
+            assert np.array_equal(table.err, full.err[centre])
+            assert table.zero == full.zero and table.zero_error == full.zero_error
+    assert len(heights) == 3
+
+
+@pytest.mark.parametrize("kmax", [-1, 17])
+def test_kmax_outside_the_block_raises_before_allocating(kernel2, kmax):
+    # ceil(R) = 16 is the largest block at R = 16
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="kmax"):
+            h_coefficient_table(BALL, kernel2, 16.0, oversample=2, kmax=kmax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
 
 
 def test_memory_guard_raises_before_allocating(kernel2):

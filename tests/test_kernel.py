@@ -405,11 +405,10 @@ def test_build_calls_the_public_api_on_the_calling_thread(monkeypatch, kernel2):
     for set_ in (Ball((0.3, 0.7), 0.25), quad):   # the ball's tail passes t_max
         hfourier.h_coefficient_table(set_, kernel2, 64.0, oversample=2)
         hfourier.h_function_grid(set_, kernel2, 64.0, 512)
-        hfourier.h_zero_coefficient(set_, kernel2, 64.0, oversample=2)
+        hfourier.h_coefficient_table(set_, kernel2, 64.0, oversample=2, kmax=0)
     names = {name for name, _ in threads}
     assert {"build_kernel_table", "autocorrelation_values", "bump_raw", "panel_nodes",
-            "h_coefficient_table", "h_function_grid", "h_zero_coefficient",
-            "check_table_memory", "deal"} <= names
+            "h_coefficient_table", "h_function_grid", "check_table_memory", "deal"} <= names
     assert [name for name, thread in threads if thread is not threading.main_thread()] == []
 
 
