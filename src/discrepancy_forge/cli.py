@@ -228,6 +228,13 @@ def _rule_R(rule: str, m: int, alpha: float, beta: float, eps: float = 0.1) -> f
     return R
 
 
+def _require_distinct_R(rule: str, ms: list, rs: list) -> None:
+    """ConfigError if two distinct sizes share one clamped rule R; a slope needs distinct R."""
+    if len(set(rs)) < len(set(ms)):
+        raise ConfigError(f"--m sizes {ms} give the {rule} rule's R {rs} (at least 4): "
+                          "distinct sizes share one R, and the slope needs distinct R")
+
+
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
@@ -370,6 +377,7 @@ def run_lattice_scaling(config: ExperimentConfig) -> dict:
     for m, R in zip(ms, rs):
         check_point_memory(m, 2, "lattice")
         check_table_memory(R, H_OVERSAMPLE)
+    _require_distinct_R("lattice", ms, rs)
     kernel = get_kernel(config)
     rows, slope = _scaling_rows(set_, kernel, ms, rs, lambda m: lattice(m, 2))
     _require(abs(slope - SLOPE_TARGET) <= SLOPE_TOLERANCE, "lattice scaling slope",
@@ -396,6 +404,7 @@ def run_kronecker_scaling(config: ExperimentConfig) -> dict:
         check_table_memory(R, H_OVERSAMPLE)
     schmidt_R = max(params["schmidt_R"])
     require_memory(integer_ball_bytes(schmidt_R, d), f"the Schmidt sum at --schmidt-R {schmidt_R}")
+    _require_distinct_R("kronecker", params["m"], rs)
     # the Schmidt rows need no kernel, and a resonant x is refused before one is built
     schmidt_rows, spread = _log_power_rows(params["schmidt_R"], lambda R: schmidt_sum(x, R),
                                            1, d + 1, "schmidt ratio spread")

@@ -11,13 +11,12 @@ search realizes the existence argument constructively.
 For d = 2 the congruence set depends on g only through a = -g1 * g2^-1 mod m:
 g . k = 0 (mod m) exactly when k2 = a k1, and inside |k| < m no row with
 k1 = 0 (mod m) qualifies. So one pass over the k ball assigns each row its
-residue class a = k2 * k1^-1 and every d = 2 strategy becomes m-1 lookups
-in a table of class sums. `random` and `korobov-rank1` look up sums taken as
-`congruence_sum` takes them, over each class's values in ascending order, so
-every entry equals `congruence_sum` bitwise. `exhaustive` still bins the
-rows in ball order with one weighted bincount, whose sums differ from those
-in the last bits; its picks and the reports built on them keep that order.
-For d != 2 each candidate is a `congruence_sum` of its own.
+residue class a = k2 * k1^-1 and every d = 2 strategy looks its candidates
+up in one table of class sums, each taken as `congruence_sum` takes it (over
+the class's values in ascending order), so every entry equals
+`congruence_sum` bitwise. `exhaustive` reads one generator per class, the
+representative (g1, 1) of class m - g1, in g1 order. For d != 2 each
+candidate is a `congruence_sum` of its own.
 """
 
 from __future__ import annotations
@@ -92,17 +91,10 @@ def _class_of(g: np.ndarray, m: int) -> np.ndarray:
     return _residue_class(np.stack([g[..., 1], -g[..., 0]], axis=-1), m)
 
 
-def _residue_class_sums(phi_ball: PhiBall) -> np.ndarray:
-    """S_class[a] = sum of Phi over {k1 != 0 mod m, k2 = a k1 (mod m)} in ball order; d = 2."""
-    a = _residue_class(phi_ball.freqs, phi_ball.m)
-    usable = a >= 0  # k1 = 0 (mod m) rows can never satisfy the congruence
-    return np.bincount(a[usable], weights=phi_ball.values[usable], minlength=phi_ball.m)
-
-
 def _sorted_class_sums(phi_ball: PhiBall) -> np.ndarray:
     """S_class[a] summed as `congruence_sum` sums it, so bitwise equal to it; d = 2."""
     a = _residue_class(phi_ball.freqs, phi_ball.m)
-    usable = a >= 0
+    usable = a >= 0  # k1 = 0 (mod m) rows can never satisfy the congruence
     a, values = a[usable], phi_ball.values[usable]
     ordered = values[np.lexsort((values, a))]  # by class, ascending within each class
     counts = np.bincount(a, minlength=phi_ball.m)
@@ -142,10 +134,10 @@ def search(m: int, chains: ChainSystem, strategy: str = "exhaustive", *,
            phi_ball: PhiBall | None = None) -> GlpCertificate:
     """Search for a good generator; always attaches the average certificate.
 
-    exhaustive: all (m-1)^d generators (d = 2 via the residue-class reduction;
-    requires (m-1)^d <= 1e7). random: n_samples >= 1 seeded draws.
+    exhaustive: all (m-1)^d generators (d = 2 only, one (g1, 1) per residue
+    class; requires (m-1)^d <= 1e7). random: n_samples >= 1 seeded draws.
     korobov-rank1: generators (1, a, a^2, ...) over a in [1, m-1]. For d = 2,
-    random and korobov-rank1 candidates are class-table lookups.
+    every candidate is a class-table lookup; the first least value wins.
     """
     d = chains.dimension
     check_search(m, d, strategy, n_samples)
@@ -153,25 +145,21 @@ def search(m: int, chains: ChainSystem, strategy: str = "exhaustive", *,
         phi_ball = PhiBall.build(chains, m)
     average = phi_ball.total / (m - 1)
 
-    exact_mean = None
-    if strategy == "exhaustive":
-        class_sums = _residue_class_sums(phi_ball)
-        best_a = int(np.argmin(class_sums[1:]) + 1)  # a = 0 is not realized by any g
-        g = np.array([m - best_a, 1], dtype=np.int64)
-        exact_mean = float(np.mean(class_sums[1:]))
-        searched = (m - 1) ** 2
+    if strategy == "exhaustive":  # one (g1, 1) per residue class, in g1 order
+        cands = np.column_stack([np.arange(1, m), np.ones(m - 1, dtype=np.int64)])
+    elif strategy == "random":
+        cands = np.random.default_rng(seed).integers(1, m, size=(n_samples, d))
+    else:  # korobov-rank1; no power of a in [1, m-1] is 0 mod a prime m
+        cands = np.array([[pow(a, j, m) for j in range(d)] for a in range(1, m)],
+                         dtype=np.int64)
+    if d == 2:
+        vals = _sorted_class_sums(phi_ball)[_class_of(cands, m)]
     else:
-        if strategy == "random":
-            cands = np.random.default_rng(seed).integers(1, m, size=(n_samples, d))
-        else:  # korobov-rank1; no power of a in [1, m-1] is 0 mod a prime m
-            cands = np.array([[pow(a, j, m) for j in range(d)] for a in range(1, m)],
-                             dtype=np.int64)
-        if d == 2:
-            vals = _sorted_class_sums(phi_ball)[_class_of(cands, m)]
-        else:
-            vals = [congruence_sum(c, m, chains, phi_ball=phi_ball) for c in cands]
-        g = cands[int(np.argmin(vals))]  # the first of equal minima, as the scan order gives
-        searched = len(cands)
+        vals = [congruence_sum(c, m, chains, phi_ball=phi_ball) for c in cands]
+    g = cands[int(np.argmin(vals))]  # the first of equal minima, as the scan order gives
+    exhaustive = strategy == "exhaustive"
+    searched = (m - 1) ** 2 if exhaustive else len(cands)  # the classes cover every g
+    exact_mean = float(np.mean(vals)) if exhaustive else None
 
     value = congruence_sum(g, m, chains, phi_ball=phi_ball)
     return GlpCertificate(

@@ -9,7 +9,7 @@ import numpy as np
 from discrepancy_forge.chains import ChainSystem, phi, symmetry_order
 from discrepancy_forge.frequencies import integer_ball, stripe_bounds
 from discrepancy_forge.geometry import Ball, Box, ConvexPolytope, TorusSet
-from discrepancy_forge.glp import PhiBall, _class_of, _residue_class_sums, congruence_sum
+from discrepancy_forge.glp import PhiBall, congruence_sum
 from discrepancy_forge.hfourier import _fft_resolution, check_table_memory
 from discrepancy_forge.kernel import SPHERE_SURFACE, KernelTable, _CubicHermite
 
@@ -31,16 +31,20 @@ def phi_per_chain(chains, xi) -> np.ndarray:
 
 
 def search_per_candidate(m, chains, strategy, *, n_samples=128, seed=0, phi_ball):
-    """(g, value) of a random or korobov-rank1 search, one congruence_sum per candidate."""
+    """(g, value) of a search, one congruence_sum per candidate; the first strict
+    minimum in scan order wins."""
     d = chains.dimension
     if strategy == "random":
         rng = np.random.default_rng(seed)
         cands = rng.integers(1, m, size=(n_samples, d))
         g = min(cands, key=lambda cg: congruence_sum(cg, m, chains, phi_ball=phi_ball))
-    else:  # korobov-rank1
+    else:  # korobov-rank1, or exhaustive: one (g1, 1) per residue class, g1 ascending
         best_val, g = np.inf, None
         for a in range(1, m):
-            cand = np.array([pow(a, j, m) for j in range(d)], dtype=np.int64)
+            if strategy == "exhaustive":
+                cand = np.array([a, 1], dtype=np.int64)
+            else:
+                cand = np.array([pow(a, j, m) for j in range(d)], dtype=np.int64)
             if np.any(cand < 1):
                 continue
             val = congruence_sum(cand, m, chains, phi_ball=phi_ball)
@@ -50,16 +54,12 @@ def search_per_candidate(m, chains, strategy, *, n_samples=128, seed=0, phi_ball
 
 
 def exhaustive_table(m: int, chains: ChainSystem) -> dict:
-    """All (m-1)^2 generator values, for small m; keys are (g1, g2)."""
+    """All (m-1)^2 generator values by `congruence_sum`, for small m; keys are (g1, g2)."""
     if chains.dimension != 2:
         raise ValueError("d = 2 only")
     phi_ball = PhiBall.build(chains, m)
-    class_sums = _residue_class_sums(phi_ball)
-    out = {}
-    for g1 in range(1, m):
-        for g2 in range(1, m):
-            out[(g1, g2)] = float(class_sums[_class_of(np.array([g1, g2]), m)])
-    return out
+    return {(g1, g2): congruence_sum((g1, g2), m, chains, phi_ball=phi_ball)
+            for g1 in range(1, m) for g2 in range(1, m)}
 
 
 def kernel_value(table: KernelTable, s):

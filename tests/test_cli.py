@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -160,6 +161,17 @@ def test_exit_code_on_config_error():
 
 def test_exit_code_on_bad_subcommand():
     assert run_cli(["no-such-command"]) == EXIT_CONFIG
+
+
+def test_readme_examples_parse():
+    # every `discrepancy-forge ...` example in the README, its continued lines
+    # joined, parses with today's flags; nothing is run
+    text = (Path(__file__).parents[1] / "README.md").read_text().replace("\\\n", " ")
+    examples = [line for line in text.splitlines() if line.startswith("discrepancy-forge ")]
+    assert examples
+    for line in examples:
+        argv = shlex.split(line)[1:]
+        assert build_parser().parse_args(argv).command == argv[0], line
 
 
 def test_glp_search_subcommand(tmp_path):
@@ -567,6 +579,8 @@ def _no_expensive_work(*args, **kwargs):
      "--R", "8"],
     ["bound", "--set", BALL, "--points", '{"kind":"lattice","m":256,"d":0}', "--R", "8"],
     ["bound", "--set", BALL, "--points", '{"kind":"lattice","m":256,"d":-2}', "--R", "8"],
+    ["kronecker-scaling", "--set", BALL, "--m", "4096,16384"],
+    ["lattice-scaling", "--set", BALL, "--m", "4,16"],
 ], ids=["cap-3-values", "cap-5-values", "base-zero", "L-zero", "m-empty",
         "lattice-one-size", "kronecker-one-size", "R-empty", "x-empty", "glp-X-dimension",
         "family-X-dimension", "k-zero", "k-zero-with-L", "x-dimension", "g-length",
@@ -584,7 +598,7 @@ def _no_expensive_work(*args, **kwargs):
         "lattice-no-points", "kronecker-no-points", "kronecker-x-nan", "kronecker-x-resonant",
         "lattice-m-repeated", "kronecker-m-repeated", "lattice-m-overflow",
         "lattice-d-overflow", "korobov-g-overflow", "kronecker-m-overflow", "lattice-d-zero",
-        "lattice-d-negative"])
+        "lattice-d-negative", "kronecker-clamped-R-shared", "lattice-clamped-R-shared"])
 def test_malformed_input_exits_3_before_any_work(argv, monkeypatch):
     for name in ("get_kernel", "enumerate_words", "search", "korobov", "chain_sum",
                  "ball_rho_hat"):

@@ -64,6 +64,8 @@ def test_exhaustive_table_matches_double_loop():
 
 def test_exhaustive_certificate_beats_average():
     cert = search(101, CS2, "exhaustive")
+    # classes 39 and 62 tie bitwise (k2 -> -k2); g1 order meets (39, 1) first
+    assert cert.g == (39, 1)
     assert cert.value <= cert.average
     assert cert.value <= cert.exact_mean <= cert.average
     assert cert.searched == 100 ** 2
@@ -160,6 +162,9 @@ def test_sorted_class_table_bitwise_equals_congruence_sum(m, name, ball_of):
 
 
 @pytest.mark.parametrize("name, m, strategy, seed", [
+    *[(name, m, "exhaustive", 0) for name in ("coordinate", "four-normal")
+      for m in (5, 31, 101, 257)],
+    ("four-normal", 619, "exhaustive", 0),   # (223, 1) lies one ulp below (458, 1)
     *[(name, m, "korobov-rank1", 0) for name in ("coordinate", "four-normal")
       for m in (101, 401)],
     *[(name, 101, "random", seed) for name in ("coordinate", "four-normal")
@@ -168,14 +173,16 @@ def test_sorted_class_table_bitwise_equals_congruence_sum(m, name, ball_of):
     ("coordinate-3d", 31, "random", 1),
 ])
 def test_search_matches_per_candidate_loop(name, m, strategy, seed, ball_of):
-    # d = 2 looks candidates up in the class table; d = 3 sums each one
+    # d = 2 looks candidates up in the class table; d = 3 sums each one.
+    # The value is the least congruence_sum, bitwise, at the first generator
+    # in scan order that attains it.
     ball = ball_of(name, m)
     cert = search(m, CHAINS[name], strategy, seed=seed, phi_ball=ball)
     assert (cert.g, cert.value) == search_per_candidate(m, CHAINS[name], strategy,
                                                         seed=seed, phi_ball=ball)
 
 
-@pytest.mark.parametrize("strategy", ["korobov-rank1", "random"])
+@pytest.mark.parametrize("strategy", ["korobov-rank1", "random", "exhaustive"])
 def test_d2_search_computes_one_congruence_sum(strategy, monkeypatch, ball_of):
     # candidates are class-table lookups; only the winner's value is recomputed
     calls = []
